@@ -1,8 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from sameorder.core import DEFAULT_CAP
 from sameorder.errors import VerificationError
+from sameorder.reports import render_json, report_for
 from sameorder.verify import (
     _candidate_expressions,
     counterexample_report,
@@ -19,6 +23,34 @@ def theorem():
 @pytest.fixture(scope="module")
 def counterexample():
     return counterexample_report()
+
+
+@pytest.fixture(scope="module")
+def hunt168():
+    return hunt_report(168, 2)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+GOLDEN_EXPRESSIONS = ["PSL(2,7)", "SL(2,3)", "PSU(3,3)", "C(7) x SL(2,3)",
+                      "PSL(2,8) x C(2)", "S(4) x S(4)", "Q(8)"]
+
+
+def _golden(name: str) -> str:
+    return (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_golden_claim_reports(theorem, counterexample, hunt168):
+    """Reports stay byte-identical to the capture in tests/golden/."""
+    assert render_json(theorem) == _golden("theorem.json")
+    assert render_json(counterexample) == _golden("counterexample.json")
+    assert render_json(hunt168) == _golden("hunt_168_2.json")
+
+
+@pytest.mark.parametrize("expr", GOLDEN_EXPRESSIONS)
+def test_golden_expression_reports(expr):
+    slug = re.sub(r"[^A-Za-z0-9]+", "_", expr).strip("_")
+    assert render_json(report_for(expr, DEFAULT_CAP)) == _golden(f"report_{slug}.json")
 
 
 EXPECTED_TABLE = {
@@ -123,8 +155,8 @@ def test_counterexample_deterministic(counterexample):
             counterexample, sort_keys=True)
 
 
-def test_hunt_finds_both_order_168_collisions():
-    rep = hunt_report(168, 2)
+def test_hunt_finds_both_order_168_collisions(hunt168):
+    rep = hunt168
     found = [c["expression"] for c in rep["collisions"]]
     assert found == ["C(7) x SL(2,3)", "Dic(2) x F(7,3,2)"]
     assert rep["simple"] == "PSL(2,7)"
@@ -135,17 +167,16 @@ def test_hunt_finds_both_order_168_collisions():
         assert c["certificate"]["reason"] == "spectrum-mismatch"
 
 
-def test_hunt_excludes_isomorphic_realizations():
+def test_hunt_excludes_isomorphic_realizations(hunt168):
     """SL(3,2) is a candidate of order 168 but yields no certificate, so it
     must not be reported as a collision."""
     exprs = _candidate_expressions(168, 2)
     assert "SL(3,2)" in exprs
-    rep = hunt_report(168, 2)
-    assert all(c["expression"] != "SL(3,2)" for c in rep["collisions"])
+    assert all(c["expression"] != "SL(3,2)" for c in hunt168["collisions"])
 
 
-def test_hunt_is_deterministic():
-    a = hunt_report(168, 2)
+def test_hunt_is_deterministic(hunt168):
+    a = hunt168
     b = hunt_report(168, 2, threads=4)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
