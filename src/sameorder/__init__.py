@@ -9,14 +9,12 @@ solvable groups of order 168 sharing that cardinality with PSL(2,7).
 """
 
 from .core import (
-    AlphaType,
     DEFAULT_CAP,
     Group,
     GroupElement,
     NonIsoCertificate,
     PairElement,
     Spectrum,
-    alpha_type,
     element_order,
     noniso_certificate,
     product_group,
@@ -51,7 +49,6 @@ from .verify import counterexample_report, hunt_report, theorem_report
 __version__ = ENGINE_VERSION
 
 __all__ = [
-    "AlphaType",
     "CapExceededError",
     "DEFAULT_CAP",
     "DslError",
@@ -70,7 +67,6 @@ __all__ = [
     "Permutation",
     "Spectrum",
     "VerificationError",
-    "alpha_type",
     "build_report",
     "classical_order",
     "counterexample_report",

@@ -3,7 +3,8 @@
 Subcommands: alpha, spectrum, invariants (per-expression queries), verify
 theorem / verify counterexample (the packaged claims), and hunt (collision
 search).  Exit codes: 0 when everything passes, 1 on an assertion or
-computation failure, 2 on usage or expression errors.
+computation failure (any unexpected exception included, reported in one
+line), 2 on usage or expression errors.
 """
 
 from __future__ import annotations
@@ -209,6 +210,10 @@ def main(argv=None) -> int:
     except (VerificationError, OrderMismatchError, NoWitnessError,
             CapExceededError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # an engine fault: one line, never a traceback
+        detail = " ".join(str(exc).split())
+        print(f"failed: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 1
 
 

@@ -142,19 +142,24 @@ def element_pow(g, e: int, identity=None):
     return result
 
 
-def element_order(g, group_order: int) -> int:
+def element_order(g, group_order: int, identity=None, primes=None) -> int:
     """Order of g inside a group of the given order.
 
     Starts from the group order (a multiple of the answer, by Lagrange) and
     strips primes while the corresponding power still lands on the identity.
+    Callers looping over a whole group pass its identity and the primes of
+    its order so neither is recomputed per element.
     """
     hint = g.known_order()
     if hint is not None:
         return hint
-    identity = g.op(g.inv())
+    if identity is None:
+        identity = g.op(g.inv())
+    if primes is None:
+        primes = factorize(group_order)
     ekey = identity.key()
     order = group_order
-    for p in factorize(group_order):
+    for p in primes:
         while order % p == 0 and element_pow(g, order // p, identity).key() == ekey:
             order //= p
     return order
@@ -186,17 +191,6 @@ class Spectrum:
     def alpha(self) -> tuple:
         """Sizes of the same-order classes, ascending and deduplicated."""
         return tuple(sorted(set(self.counts.values())))
-
-
-@dataclass(frozen=True)
-class AlphaType:
-    sizes: tuple
-    cardinality: int
-
-
-def alpha_type(spec: Spectrum) -> AlphaType:
-    sizes = spec.alpha()
-    return AlphaType(sizes=sizes, cardinality=len(sizes))
 
 
 def spectrum_direct_product(a: Spectrum, b: Spectrum) -> Spectrum:
@@ -335,21 +329,8 @@ class Group:
 
     def _compute_orders(self) -> list:
         n = self.order()
-        primes = list(factorize(n))
-        identity = self.identity
-        ekey = identity.key()
-        out = []
-        for g in self.elements():
-            hint = g.known_order()
-            if hint is not None:
-                out.append(hint)
-                continue
-            order = n
-            for p in primes:
-                while order % p == 0 and element_pow(g, order // p, identity).key() == ekey:
-                    order //= p
-            out.append(order)
-        return out
+        primes = tuple(factorize(n))
+        return [element_order(g, n, self.identity, primes) for g in self.elements()]
 
     def element_orders(self) -> list:
         """Orders of all elements, aligned with elements()."""
@@ -425,10 +406,6 @@ class Group:
                 i for i in range(self.order()) if all(m[i] == i for m in maps)
             ]
         return self._center_idx
-
-    def center_elements(self) -> list:
-        elems = self.elements()
-        return [elems[i] for i in self.center_indices()]
 
     def center_order(self) -> int:
         return len(self.center_indices())

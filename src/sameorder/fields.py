@@ -1,11 +1,13 @@
-"""Exact arithmetic for the finite fields GF(p^k).
+"""Exact arithmetic for the finite fields GF(p^k), q = p^k <= 512.
 
 Elements are integer codes in ``[0, q)``.  The base-p digits of a code are the
 coefficients of a polynomial over GF(p), reduced modulo a fixed monic
-irreducible modulus of degree k.  Multiplication runs through discrete exp/log
-tables built from a generator of the multiplicative group; addition is
-digitwise mod p.  Small fields additionally carry dense q-by-q tables so both
-scalar and vectorized matrix arithmetic can index straight into them.
+irreducible modulus of degree k.  Discrete exp/log tables come from a
+generator of the multiplicative group, and every field carries dense q-by-q
+add and mul tables built from them: scalar operations index their rows and
+vectorized matrix arithmetic indexes the numpy copies.  The size limit keeps
+those tables small; the smallest SL(2,q) above it has about 1.4e8 elements,
+far past any enumerable group.
 """
 
 from __future__ import annotations
@@ -15,12 +17,8 @@ import numpy as np
 from .errors import InvalidParameterError
 from .numtheory import is_prime
 
-MAX_FIELD_SIZE = 1 << 16
-
-# Dense q*q add/mul tables are built only below this size.  Every field that
-# can actually back an enumerable matrix group is far smaller; larger fields
-# still get correct (slower) scalar arithmetic.
-TABLE_LIMIT = 512
+# Largest supported field: dense q*q tables are built for every field.
+MAX_FIELD_SIZE = 512
 
 
 def _digits(code: int, p: int, k: int) -> list[int]:
@@ -83,7 +81,8 @@ class FiniteField:
         q = p**k
         if q > MAX_FIELD_SIZE:
             raise InvalidParameterError(
-                f"field size {p}^{k} = {q} exceeds the supported maximum {MAX_FIELD_SIZE}"
+                f"field size {p}^{k} = {q} exceeds the supported maximum "
+                f"MAX_FIELD_SIZE = {MAX_FIELD_SIZE}"
             )
         if modulus is None:
             modulus = _smallest_irreducible(p, k)
@@ -101,11 +100,7 @@ class FiniteField:
         self.modulus = modulus
         self._p_pows = [p**i for i in range(k)]
         self._build_exp_log()
-        self.add_rows: list[list[int]] | None = None
-        self.mul_rows: list[list[int]] | None = None
-        self._np_tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        if q <= TABLE_LIMIT:
-            self._build_dense_tables()
+        self._build_dense_tables()
 
     # -- construction ------------------------------------------------------
 
@@ -119,12 +114,8 @@ class FiniteField:
 
     def _build_exp_log(self):
         q = self.q
-        if q == 2:
-            self.generator = 1
-            self._exp = [1]
-            self._log = [0, 0]
-            return
-        for g in range(2, q):
+        # 1 generates only GF(2)*; for larger q its walk stops at once
+        for g in range(1, q):
             exp = [1]
             cur = 1
             ok = True
@@ -164,6 +155,7 @@ class FiniteField:
         mul[:, 0] = 0
         self.add_rows = add.tolist()
         self.mul_rows = mul.tolist()
+        self.neg_row = (add == 0).argmax(axis=1).tolist()
         inv = np.zeros(q, dtype=np.uint16)
         for c in range(1, q):
             inv[c] = self.inv(c)
@@ -176,38 +168,16 @@ class FiniteField:
     # -- scalar operations -------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.add_rows is not None:
-            return self.add_rows[a][b]
-        if self.k == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        for w in self._p_pows:
-            out += ((a // w + b // w) % p) * w
-        return out
+        return self.add_rows[a][b]
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        for w in self._p_pows:
-            out += ((-(a // w)) % p) * w
-        return out
+        return self.neg_row[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.mul_rows is not None:
-            return self.mul_rows[a][b]
-        if a == 0 or b == 0:
-            return 0
-        e = self._log[a] + self._log[b]
-        qm = self.q - 1
-        if e >= qm:
-            e -= qm
-        return self._exp[e]
+        return self.mul_rows[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -223,18 +193,9 @@ class FiniteField:
             return 1 if e == 0 else 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
-    def frobenius(self, a: int) -> int:
-        """The field automorphism x -> x^p."""
-        return self.pow(a, self.p)
-
-    def np_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(add, mul, inv) uint16 arrays for vectorized indexing, if built."""
+    def np_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(add, mul, inv) uint16 arrays for vectorized indexing."""
         return self._np_tables
-
-    # -- misc ----------------------------------------------------------------
-
-    def element_codes(self) -> range:
-        return range(self.q)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteField):

@@ -1,9 +1,9 @@
 """Matrix groups over finite fields: SL, PSL, SU, PSU.
 
-Elements are dense n x n matrices of field codes.  Groups built here override
-the generic closure, power, and conjugation paths with table-driven numpy
-batches whenever the field carries dense tables; the pure-Python element
-arithmetic stays authoritative for everything else and for large fields.
+Elements are dense n x n matrices of field codes.  All arithmetic indexes the
+field's dense add/mul tables: single products go through their Python rows,
+and groups built here replace the generic closure, order, and conjugation
+paths with numpy batches over the same tables.
 
 Projective groups (PSL, PSU) represent each coset of the scalar subgroup by
 the unique scalar multiple whose first nonzero entry in row-major order is 1,
@@ -35,24 +35,13 @@ def mat_mul(field: FiniteField, a, b) -> tuple:
     mr = field.mul_rows
     ar = field.add_rows
     out = []
-    if mr is not None:
-        for i in range(n):
-            ai = a[i]
-            row = []
-            for j in range(n):
-                s = 0
-                for k in range(n):
-                    s = ar[s][mr[ai[k]][b[k][j]]]
-                row.append(s)
-            out.append(tuple(row))
-        return tuple(out)
     for i in range(n):
         ai = a[i]
         row = []
         for j in range(n):
             s = 0
             for k in range(n):
-                s = field.add(s, field.mul(ai[k], b[k][j]))
+                s = ar[s][mr[ai[k]][b[k][j]]]
             row.append(s)
         out.append(tuple(row))
     return tuple(out)
@@ -195,10 +184,9 @@ class MatrixGroup(Group):
         self._np_elems = None
 
     def _closure(self, gens, stop_size=None):
-        tabs = self.field.np_tables()
-        if tabs is None or not gens:
+        if not gens:
             return closure_elements(self.identity, gens, self.cap, stop_size)
-        add_t, mul_t, inv_t = tabs
+        add_t, mul_t, inv_t = self.field.np_tables()
         n = self.n
         garr = np.array([g.rows for g in gens], dtype=np.uint16)
         ident = np.array(self.identity.rows, dtype=np.uint16)[None]
@@ -247,10 +235,7 @@ class MatrixGroup(Group):
         return self._np_elems
 
     def _compute_orders(self):
-        tabs = self.field.np_tables()
-        if tabs is None:
-            return super()._compute_orders()
-        add_t, mul_t, inv_t = tabs
+        add_t, mul_t, inv_t = self.field.np_tables()
         e = self._np_elements()
         total = len(e)
         flat = e.reshape(total, -1)
@@ -275,10 +260,7 @@ class MatrixGroup(Group):
         return orders.tolist()
 
     def _conjugation_maps(self):
-        tabs = self.field.np_tables()
-        if tabs is None:
-            return super()._conjugation_maps()
-        add_t, mul_t, inv_t = tabs
+        add_t, mul_t, inv_t = self.field.np_tables()
         e = self._np_elements()
         index = self.element_index()
         total = len(e)

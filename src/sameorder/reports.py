@@ -4,7 +4,8 @@ A report is a plain dict with a fixed key order so serialization is stable
 enough for golden files and byte-identical cache round-trips.  The cache is a
 pure memo: one JSON document per normalized expression, filename the SHA-256
 hex digest of the expression text.  A missing entry is recomputed silently; a
-corrupt one is recomputed with a warning and overwritten.
+corrupt one, or one written by another engine version, is recomputed with a
+warning and overwritten.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def cache_path(cache_dir: str, expression: str) -> str:
 
 
 def cache_load(cache_dir: str, expression: str) -> dict | None:
-    """Return the cached report, or None when absent or unusable."""
+    """Return the cached report, or None when absent, corrupt or stale."""
     path = cache_path(cache_dir, expression)
     if not os.path.exists(path):
         return None
@@ -69,7 +70,11 @@ def cache_load(cache_dir: str, expression: str) -> dict | None:
         with open(path, "r", encoding="utf-8") as fh:
             rep = json.load(fh)
         if report_is_consistent(rep) and rep["expression"] == expression:
-            return rep
+            if rep.get("engine_version") == ENGINE_VERSION:
+                return rep
+            print(f"warning: stale cache entry for {expression!r} (engine version "
+                  f"{rep.get('engine_version')!r}); recomputing", file=sys.stderr)
+            return None
     except (OSError, json.JSONDecodeError):
         pass
     print(f"warning: corrupt cache entry for {expression!r}; recomputing", file=sys.stderr)

@@ -155,3 +155,30 @@ def test_corrupt_cache_warns_and_recovers(tmp_path, capsys):
     assert code == 0
     assert "corrupt" in err
     assert "alpha(C(6))" in out
+
+
+def test_field_above_table_limit_exits_2_without_enumerating(capsys, monkeypatch):
+    from sameorder.core import Group
+
+    def no_enumeration(self):
+        raise AssertionError("enumerated a group")
+
+    monkeypatch.setattr(Group, "_enumerate", no_enumeration)
+    code, out, err = run(capsys, "alpha", "PSL(2,521)")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "MAX_FIELD_SIZE = 512" in err
+
+
+def test_unexpected_exception_is_one_line_failure(capsys, monkeypatch):
+    import sameorder.cli as cli
+
+    def broken(*args):
+        raise RuntimeError("engine fault\nsecond line")
+
+    monkeypatch.setattr(cli, "report_for", broken)
+    code, out, err = run(capsys, "alpha", "C(5)")
+    assert code == 1
+    assert out == ""
+    assert err == "failed: RuntimeError: engine fault second line\n"

@@ -105,6 +105,24 @@ def test_isomorphic_realizations_share_spectra(built):
     assert built("PSL(2,9)").spectrum().counts == built("A(6)").spectrum().counts
 
 
+ISOMORPHIC_REALIZATIONS = [
+    ("A(5)", "PSL(2,4)", "PSL(2,5)"),
+    ("A(6)", "PSL(2,9)"),
+    ("PSL(2,7)", "PSL(3,2)"),
+    ("A(8)", "PSL(4,2)"),
+]
+
+
+@pytest.mark.parametrize("exprs", ISOMORPHIC_REALIZATIONS, ids=" = ".join)
+def test_permutation_and_matrix_engines_agree(built, exprs):
+    """Isomorphic groups built by different engines share every invariant."""
+    invariants = [
+        (g.spectrum().counts, g.center_order(), g.is_simple())
+        for g in map(built, exprs)
+    ]
+    assert all(inv == invariants[0] for inv in invariants[1:]), exprs
+
+
 def test_su_generators_preserve_form_and_det():
     for n, q in [(3, 3), (4, 2)]:
         gens = su_generators(n, q)
@@ -132,7 +150,7 @@ def test_scalar_normalization_is_scale_invariant():
     rng = random.Random(23)
     for p, k in [(7, 1), (3, 2)]:
         f = field_make(p, k)
-        codes = [c for c in f.element_codes()]
+        codes = list(range(f.q))
         made = 0
         while made < 100:
             rows = [[rng.choice(codes) for _ in range(2)] for _ in range(2)]

@@ -113,3 +113,16 @@ def test_cached_and_cold_reports_agree(tmp_path):
     warm1 = report_for("F(7,3,2)", 10_000, str(tmp_path))
     warm2 = report_for("F(7,3,2)", 10_000, str(tmp_path))
     assert cold == warm1 == warm2
+
+
+def test_stale_engine_version_is_recomputed(tmp_path, built, capsys):
+    rep = build_report("C(6)", built("C(6)"))
+    cache_store(str(tmp_path), "C(6)", dict(rep, engine_version="0.0.0"))
+    assert cache_load(str(tmp_path), "C(6)") is None
+    assert "stale cache entry" in capsys.readouterr().err
+
+    assert report_for("C(6)", 10_000, str(tmp_path)) == rep
+    assert "stale" in capsys.readouterr().err
+    # the stale entry was overwritten by the current engine's report
+    assert cache_load(str(tmp_path), "C(6)") == rep
+    assert capsys.readouterr().err == ""
