@@ -2,22 +2,20 @@
 
 Build a group from a small expression language (cyclic, dihedral, dicyclic,
 symmetric, alternating, Frobenius, special linear and unitary families plus
-direct products), enumerate it, and compute how many elements it has of each
-order.  The distinct counts form the group's same-order type; the package
+direct products), enumerate it (a direct product factor by factor), and
+compute how many elements it has of each order.  The distinct counts form the group's same-order type; the package
 verifies which small simple groups have a five-size type and exhibits
 solvable groups of order 168 sharing that cardinality with PSL(2,7).
 """
 
 from .core import (
     DEFAULT_CAP,
+    DirectProduct,
     Group,
     GroupElement,
     NonIsoCertificate,
-    PairElement,
     Spectrum,
-    element_order,
     noniso_certificate,
-    product_group,
     spectrum_checks,
     spectrum_direct_product,
 )
@@ -42,7 +40,7 @@ from .matrices import (
     sl_group,
     su_group,
 )
-from .perms import Permutation, direct_product, family_group, permutation_group
+from .perms import Permutation, family_group, permutation_group
 from .reports import ENGINE_VERSION, build_report, report_for
 from .verify import counterexample_report, hunt_report, theorem_report
 
@@ -51,6 +49,7 @@ __version__ = ENGINE_VERSION
 __all__ = [
     "CapExceededError",
     "DEFAULT_CAP",
+    "DirectProduct",
     "DslError",
     "ENGINE_VERSION",
     "EngineError",
@@ -63,15 +62,12 @@ __all__ = [
     "NonIsoCertificate",
     "NoWitnessError",
     "OrderMismatchError",
-    "PairElement",
     "Permutation",
     "Spectrum",
     "VerificationError",
     "build_report",
     "classical_order",
     "counterexample_report",
-    "direct_product",
-    "element_order",
     "eval_expr",
     "family_group",
     "field_make",
@@ -82,7 +78,6 @@ __all__ = [
     "parse_expr",
     "permutation_group",
     "print_expr",
-    "product_group",
     "projectivize",
     "psl_group",
     "psu_group",

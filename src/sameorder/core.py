@@ -4,8 +4,9 @@ A group is held as a generating set of elements plus the enumerated closure.
 Everything downstream (order spectrum, same-order type, center, conjugacy
 classes, derived series, simplicity, non-isomorphism certificates) is computed
 from the closure, so any element type satisfying the small ``GroupElement``
-contract plugs in: permutations, matrices over a finite field, and pairs of
-either for direct products.
+contract plugs in: permutations and matrices over a finite field.  A direct
+product is never enumerated: ``DirectProduct`` answers what a report asks
+from its factors, each enumerated on its own.
 
 Elements compare by canonical byte keys, never by identity or repr.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 from .errors import CapExceededError, NoWitnessError
@@ -27,12 +29,12 @@ class GroupElement:
 
     Subclasses supply an associative product, inverses, and a canonical
     encoding: key() bytes are equal iff the elements are equal.  known_order
-    may return the element's order when the representation makes it cheap
-    (cycle structure of a permutation); returning None defers to the group.
+    returns the element's order read off its representation (cycle structure
+    of a permutation); an element type that returns None needs a group class
+    that overrides Group._compute_orders, as MatrixGroup does.
     """
 
     __slots__ = ()
-    kind = "abstract"
 
     def op(self, other: "GroupElement") -> "GroupElement":
         raise NotImplementedError
@@ -53,46 +55,6 @@ class GroupElement:
 
     def __hash__(self):
         return hash(self.key())
-
-
-class PairElement(GroupElement):
-    """Element of a direct product, composed componentwise.
-
-    Used when the two factors live in different representations (a
-    permutation group times a matrix group); same-kind permutation products
-    instead get rebuilt on disjoint points, see perms.direct_product.
-    """
-
-    __slots__ = ("left", "right", "_key")
-    kind = "pair"
-
-    def __init__(self, left: GroupElement, right: GroupElement):
-        self.left = left
-        self.right = right
-        # factor keys have fixed width within one product group, so plain
-        # concatenation stays injective
-        self._key = left.key() + right.key()
-
-    def op(self, other):
-        return PairElement(self.left.op(other.left), self.right.op(other.right))
-
-    def inv(self):
-        return PairElement(self.left.inv(), self.right.inv())
-
-    def key(self):
-        return self._key
-
-    def known_order(self):
-        a = self.left.known_order()
-        if a is None:
-            return None
-        b = self.right.known_order()
-        if b is None:
-            return None
-        return math.lcm(a, b)
-
-    def __repr__(self):
-        return f"({self.left!r}, {self.right!r})"
 
 
 def closure_elements(identity, generators, cap, stop_size=None):
@@ -123,46 +85,6 @@ def closure_elements(identity, generators, cap, stop_size=None):
                         raise CapExceededError(cap)
         frontier = new
     return elems, index, False
-
-
-def element_pow(g, e: int, identity=None):
-    if identity is None:
-        identity = g.op(g.inv())
-    if e < 0:
-        g = g.inv()
-        e = -e
-    result = identity
-    base = g
-    while e:
-        if e & 1:
-            result = result.op(base)
-        e >>= 1
-        if e:
-            base = base.op(base)
-    return result
-
-
-def element_order(g, group_order: int, identity=None, primes=None) -> int:
-    """Order of g inside a group of the given order.
-
-    Starts from the group order (a multiple of the answer, by Lagrange) and
-    strips primes while the corresponding power still lands on the identity.
-    Callers looping over a whole group pass its identity and the primes of
-    its order so neither is recomputed per element.
-    """
-    hint = g.known_order()
-    if hint is not None:
-        return hint
-    if identity is None:
-        identity = g.op(g.inv())
-    if primes is None:
-        primes = factorize(group_order)
-    ekey = identity.key()
-    order = group_order
-    for p in primes:
-        while order % p == 0 and element_pow(g, order // p, identity).key() == ekey:
-            order //= p
-    return order
 
 
 def element_order_naive(g) -> int:
@@ -211,8 +133,8 @@ def spectrum_checks(spec: Spectrum) -> list:
     the identity is alone in order 1, every realized order divides the group
     order, phi(t) divides s_t (the order-t elements split into generating
     sets of cyclic subgroups), and s_2 is odd in groups of even order
-    (involutions pair off with their inverses... they are their own
-    inverses, so the non-identity leftover count is odd).
+    (every element other than an involution or the identity pairs off with
+    its distinct inverse, so 1 + s_2 is even when the group order is).
     """
     n = spec.group_order
     total = sum(spec.counts.values())
@@ -258,7 +180,7 @@ class NonIsoCertificate:
 
 
 class Group:
-    """A finite group enumerated on demand from its generators.
+    """A permutation or matrix group, enumerated on demand from its generators.
 
     All derived data (elements, orders, spectrum, classes, center, series)
     is computed lazily and cached; instances are immutable afterwards and
@@ -328,9 +250,7 @@ class Group:
     # -- orders and spectrum ---------------------------------------------------
 
     def _compute_orders(self) -> list:
-        n = self.order()
-        primes = tuple(factorize(n))
-        return [element_order(g, n, self.identity, primes) for g in self.elements()]
+        return [g.known_order() for g in self.elements()]
 
     def element_orders(self) -> list:
         """Orders of all elements, aligned with elements()."""
@@ -545,12 +465,59 @@ class Group:
         return f"Group({label})"
 
 
-def product_group(a: Group, b: Group, name=None, cap=DEFAULT_CAP) -> Group:
-    """Direct product with pairwise composition, for mixed element kinds."""
-    ea, eb = a.identity, b.identity
-    gens = [PairElement(g, eb) for g in a.generators]
-    gens += [PairElement(ea, h) for h in b.generators]
-    return Group(gens, PairElement(ea, eb), name=name, cap=cap)
+class DirectProduct:
+    """Direct product of groups, answered from its factors.
+
+    The factors are enumerated one at a time and the product never is: it
+    answers the calls that reports, verification and noniso_certificate make
+    by the exact rule for a direct product.  Orders and center orders
+    multiply, spectra convolve over lcm of orders, derived series multiply
+    term by term, and the product is solvable iff every factor is.  cap
+    bounds the product's order, as it bounds a Group's closure.
+    """
+
+    def __init__(self, factors, name=None, cap=DEFAULT_CAP):
+        self.factors = list(factors)
+        self.name = name
+        self.cap = cap
+
+    def order(self) -> int:
+        n = math.prod(f.order() for f in self.factors)
+        if n > self.cap:
+            raise CapExceededError(self.cap)
+        return n
+
+    def spectrum(self) -> Spectrum:
+        self.order()
+        return reduce(spectrum_direct_product, (f.spectrum() for f in self.factors))
+
+    def alpha(self) -> tuple:
+        return self.spectrum().alpha()
+
+    def center_order(self) -> int:
+        return math.prod(f.center_order() for f in self.factors)
+
+    def is_solvable(self) -> bool:
+        return all(f.is_solvable() for f in self.factors)
+
+    def is_simple(self) -> bool:
+        """True iff exactly one factor is nontrivial and that factor is simple."""
+        nontrivial = [f for f in self.factors if f.order() > 1]
+        return len(nontrivial) == 1 and nontrivial[0].is_simple()
+
+    def derived_series(self) -> tuple:
+        """Orders along the derived series, plus the solvable flag.
+
+        The factors' series multiplied term by term, a series that ends early
+        padded with its last value.  As in Group.derived_series, the result
+        stops at order 1 or at the first repeated order.
+        """
+        series = [f.derived_series()[0] for f in self.factors]
+        orders = [self.order()]
+        while orders[-1] > 1 and (len(orders) < 2 or orders[-1] != orders[-2]):
+            i = len(orders)
+            orders.append(math.prod(s[min(i, len(s) - 1)] for s in series))
+        return tuple(orders), orders[-1] == 1
 
 
 def _witness_order(diffs: dict) -> int:
@@ -571,7 +538,7 @@ def _is_prime_power(t: int) -> bool:
     return len(f) == 1
 
 
-def noniso_certificate(a: Group, b: Group) -> NonIsoCertificate | None:
+def noniso_certificate(a, b) -> NonIsoCertificate | None:
     """Cheapest available proof that two groups differ, or None.
 
     Invariants are tried in fixed order: group order, order spectrum, center

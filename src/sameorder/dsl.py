@@ -16,12 +16,19 @@ errors carry the byte offset of the offending token.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import perms
-from .core import DEFAULT_CAP, Group, product_group
-from .errors import ArityError, DslSyntaxError, InvalidParameterError, UnknownFamilyError
-from .matrices import psl_group, psu_group, sl_group, su_group
+from .core import DEFAULT_CAP, DirectProduct, Group
+from .errors import (
+    ArityError,
+    CapExceededError,
+    DslSyntaxError,
+    InvalidParameterError,
+    UnknownFamilyError,
+)
+from .matrices import classical_order, psl_group, psu_group, sl_group, su_group
 
 ARITY = {
     "C": 1, "D": 1, "Dic": 1, "Q": 1, "S": 1, "A": 1, "F": 3,
@@ -236,6 +243,19 @@ def normalize_expr(text: str) -> str:
 # -- evaluation --------------------------------------------------------------------
 
 
+def _atom_order(ast, cap: int) -> int:
+    """An atom's order from its validated parameters, building nothing.
+
+    A Perm[...] atom counts as 1: only its closure knows its order, and the
+    closure checks the cap itself.
+    """
+    if isinstance(ast, PermAtom):
+        return 1
+    if ast.family in PERM_FAMILIES:
+        return perms.family_order(ast.family, ast.params, cap)
+    return classical_order(ast.family, *ast.params)
+
+
 def _eval_atom(ast, cap: int) -> Group:
     name = print_expr(ast)
     if isinstance(ast, PermAtom):
@@ -254,24 +274,21 @@ def _eval_atom(ast, cap: int) -> Group:
     return grp
 
 
-def eval_expr(ast, cap: int = DEFAULT_CAP) -> Group:
+def eval_expr(ast, cap: int = DEFAULT_CAP) -> Group | DirectProduct:
     """Build the group an expression denotes.
 
-    Products of two permutation groups act on disjoint point sets; any other
-    combination composes pairwise.
+    Every atom's parameters are validated and the product of the atoms'
+    orders is checked against cap before anything is built.  A product
+    becomes a DirectProduct of its atoms, so only the atoms are enumerated.
     """
-    if not isinstance(ast, Product):
-        return _eval_atom(ast, cap)
-    parts = [_eval_atom(f, cap) for f in ast.factors]
-    result = parts[0]
-    for nxt in parts[1:]:
-        if result.identity.kind == "perm" and nxt.identity.kind == "perm":
-            result = perms.direct_product(result, nxt, cap=cap)
-        else:
-            result = product_group(result, nxt, cap=cap)
-    result.name = print_expr(ast)
-    return result
+    factors = ast.factors if isinstance(ast, Product) else (ast,)
+    if math.prod(_atom_order(f, cap) for f in factors) > cap:
+        raise CapExceededError(cap)
+    groups = [_eval_atom(f, cap) for f in factors]
+    if len(groups) == 1:
+        return groups[0]
+    return DirectProduct(groups, name=print_expr(ast), cap=cap)
 
 
-def group_for(text: str, cap: int = DEFAULT_CAP) -> Group:
+def group_for(text: str, cap: int = DEFAULT_CAP) -> Group | DirectProduct:
     return eval_expr(parse_expr(text), cap)

@@ -10,11 +10,11 @@ class InvalidParameterError(EngineError, ValueError):
 
 
 class CapExceededError(EngineError):
-    """Enumeration would exceed the configured element cap."""
+    """A group's order exceeds the configured element cap."""
 
     def __init__(self, cap: int, message: str | None = None):
         self.cap = cap
-        super().__init__(message or f"enumeration exceeded the cap of {cap} elements")
+        super().__init__(message or f"group order exceeds the cap of {cap} elements")
 
 
 class OrderMismatchError(EngineError):

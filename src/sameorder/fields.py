@@ -70,20 +70,26 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError("unreachable: irreducibles exist in every degree")
 
 
+def field_size(p: int, k: int) -> int:
+    """q = p^k, after checking that GF(q) is a field this module supports."""
+    if not is_prime(p):
+        raise InvalidParameterError(f"characteristic {p} is not prime")
+    if k < 1:
+        raise InvalidParameterError(f"extension degree {k} must be >= 1")
+    q = p**k
+    if q > MAX_FIELD_SIZE:
+        raise InvalidParameterError(
+            f"field size {p}^{k} = {q} exceeds the supported maximum "
+            f"MAX_FIELD_SIZE = {MAX_FIELD_SIZE}"
+        )
+    return q
+
+
 class FiniteField:
     """GF(p^k) on integer codes, with table-backed operations."""
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None = None):
-        if not is_prime(p):
-            raise InvalidParameterError(f"characteristic {p} is not prime")
-        if k < 1:
-            raise InvalidParameterError(f"extension degree {k} must be >= 1")
-        q = p**k
-        if q > MAX_FIELD_SIZE:
-            raise InvalidParameterError(
-                f"field size {p}^{k} = {q} exceeds the supported maximum "
-                f"MAX_FIELD_SIZE = {MAX_FIELD_SIZE}"
-            )
+        q = field_size(p, k)
         if modulus is None:
             modulus = _smallest_irreducible(p, k)
         else:

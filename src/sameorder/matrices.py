@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import DEFAULT_CAP, Group, GroupElement, closure_elements
 from .errors import CapExceededError, InvalidParameterError, OrderMismatchError
-from .fields import FiniteField, field_make
+from .fields import FiniteField, field_make, field_size
 from .numtheory import prime_power
 
 
@@ -109,7 +109,6 @@ def mat_normalize(field: FiniteField, rows) -> tuple:
 
 class MatrixElement(GroupElement):
     __slots__ = ("field", "rows", "projective", "_key")
-    kind = "matrix"
 
     def __init__(self, field: FiniteField, rows, projective: bool = False):
         self.field = field
@@ -279,33 +278,39 @@ class MatrixGroup(Group):
 # -- classical constructors --------------------------------------------------------
 
 
-def classical_order(family: str, n: int, q: int) -> int:
-    """Order formula for SL/PSL/SU/PSU of degree n over GF(q)."""
-    if family in ("SL", "PSL"):
-        m = q ** (n * (n - 1) // 2)
-        for i in range(2, n + 1):
-            m *= q**i - 1
-        return m if family == "SL" else m // math.gcd(n, q - 1)
-    if family in ("SU", "PSU"):
-        m = q ** (n * (n - 1) // 2)
-        for i in range(2, n + 1):
-            m *= q**i - (-1) ** i
-        return m if family == "SU" else m // math.gcd(n, q + 1)
-    raise InvalidParameterError(f"unsupported classical family {family!r}")
-
-
-def _field_for(q: int, double: bool = False) -> FiniteField:
+def _field_params(q: int, double: bool = False) -> tuple:
+    """(p, k) of GF(q), or of GF(q^2) when double."""
     pp = prime_power(q)
     if pp is None:
         raise InvalidParameterError(f"{q} is not a prime power")
     p, k = pp
-    return field_make(p, 2 * k if double else k)
+    return p, 2 * k if double else k
+
+
+def classical_order(family: str, n: int, q: int) -> int:
+    """Order formula for SL/PSL/SU/PSU of degree n over GF(q).
+
+    Also validates the parameters for the constructors, allocating nothing:
+    the degree is supported and q is a prime power whose field (GF(q^2) for
+    SU and PSU) is within MAX_FIELD_SIZE.
+    """
+    if family not in ("SL", "PSL", "SU", "PSU"):
+        raise InvalidParameterError(f"unsupported classical family {family!r}")
+    unitary = family in ("SU", "PSU")
+    degrees = (3, 4) if unitary else (2, 3, 4)
+    if n not in degrees:
+        raise InvalidParameterError(f"{family} degree {n} unsupported (need one of {degrees})")
+    field_size(*_field_params(q, unitary))
+    sign = -1 if unitary else 1
+    m = q ** (n * (n - 1) // 2)
+    for i in range(2, n + 1):
+        m *= q**i - sign**i
+    return m // math.gcd(n, q - sign) if family in ("PSL", "PSU") else m
 
 
 def sl_generators(n: int, field: FiniteField) -> list:
     """Elementary transvections I + lambda*E_ij over an additive field basis."""
-    if n not in (2, 3, 4):
-        raise InvalidParameterError(f"SL degree {n} unsupported (need 2, 3, or 4)")
+    classical_order("SL", n, field.q)  # validates n
     lambdas = [field.p**t for t in range(field.k)]
     gens = []
     for i in range(n):
@@ -349,10 +354,9 @@ def su_generators(n: int, q: int, field: FiniteField | None = None) -> list:
     lambda^q = -lambda, lambda != 0); the matrix is I + lambda * v * (v^s)^T J,
     which preserves the antidiagonal Hermitian form and has determinant 1.
     """
-    if n not in (3, 4):
-        raise InvalidParameterError(f"SU degree {n} unsupported (need 3 or 4)")
+    classical_order("SU", n, q)  # validates n and q
     if field is None:
-        field = _field_for(q, double=True)
+        field = field_make(*_field_params(q, double=True))
     lambdas = [
         lam for lam in range(1, field.q) if field.pow(lam, q) == field.neg(lam)
     ]
@@ -385,14 +389,14 @@ def su_generators(n: int, q: int, field: FiniteField | None = None) -> list:
 
 def sl_group(n: int, q: int, cap=DEFAULT_CAP, field: FiniteField | None = None) -> MatrixGroup:
     if field is None:
-        field = _field_for(q)
+        field = field_make(*_field_params(q))
     grp = MatrixGroup(sl_generators(n, field), field, n, name=f"SL({n},{q})", cap=cap)
     _check_order(grp, classical_order("SL", n, q))
     return grp
 
 
 def su_group(n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
-    field = _field_for(q, double=True)
+    field = field_make(*_field_params(q, double=True))
     grp = MatrixGroup(su_generators(n, q, field), field, n, name=f"SU({n},{q})", cap=cap)
     _check_order(grp, classical_order("SU", n, q))
     return grp

@@ -21,7 +21,6 @@ class Permutation(GroupElement):
     """A permutation of {0..n-1}, stored as its image array."""
 
     __slots__ = ("images", "_key")
-    kind = "perm"
 
     def __init__(self, images):
         self.images = tuple(images)
@@ -115,11 +114,10 @@ def permutation_group(generators, name=None, cap=DEFAULT_CAP) -> Group:
 
 
 # -- family constructors --------------------------------------------------------
+# The builders take parameters that family_order has validated.
 
 
 def cyclic_generators(n: int) -> list:
-    if n < 1:
-        raise InvalidParameterError(f"C({n}): order must be >= 1")
     return [Permutation([(i + 1) % n for i in range(n)])]
 
 
@@ -129,8 +127,6 @@ def dihedral_generators(n: int) -> list:
     n = 1 and n = 2 get bespoke point sets: the natural action on n points
     collapses there (negation mod 1 or 2 fixes everything).
     """
-    if n < 1:
-        raise InvalidParameterError(f"D({n}): parameter must be >= 1")
     if n == 1:
         return [Permutation([1, 0])]
     if n == 2:
@@ -146,8 +142,6 @@ def dicyclic_generators(n: int) -> list:
     Elements are a^i b^j with a of order 2n, b^2 = a^n, b a b^-1 = a^-1;
     the point a^i b^j gets index j*2n + i.
     """
-    if n < 1:
-        raise InvalidParameterError(f"Dic({n}): parameter must be >= 1")
     m = 2 * n
 
     def left_mul(i0, j0):
@@ -168,8 +162,6 @@ def dicyclic_generators(n: int) -> list:
 
 
 def symmetric_generators(n: int) -> list:
-    if n < 1:
-        raise InvalidParameterError(f"S({n}): parameter must be >= 1")
     if n == 1:
         return [Permutation([0])]
     cycle = Permutation([(i + 1) % n for i in range(n)])
@@ -180,8 +172,6 @@ def symmetric_generators(n: int) -> list:
 
 
 def alternating_generators(n: int) -> list:
-    if n < 1:
-        raise InvalidParameterError(f"A({n}): parameter must be >= 1")
     if n <= 2:
         return [perm_identity(max(n, 1))]
     if n == 3:
@@ -195,12 +185,8 @@ def alternating_generators(n: int) -> list:
     return [three, big]
 
 
-def frobenius_generators(m: int, n: int, k: int) -> list:
-    """F(m,n,k): C_m extended by C_n acting as x -> k*x mod m.
-
-    Requires k to have multiplicative order exactly n mod m, which also
-    forces gcd(k, m) = 1; the group has order m*n and acts on m points.
-    """
+def _check_frobenius(m: int, n: int, k: int):
+    """Raise unless F(m,n,k) is defined; see frobenius_generators."""
     if m < 2:
         raise InvalidParameterError(f"F({m},{n},{k}): modulus must be >= 2")
     if n < 1 or k < 0:
@@ -219,6 +205,16 @@ def frobenius_generators(m: int, n: int, k: int) -> list:
         raise InvalidParameterError(
             f"F({m},{n},{k}): {k} has multiplicative order {d} (mod {m}), need exactly {n}"
         )
+
+
+def frobenius_generators(m: int, n: int, k: int) -> list:
+    """F(m,n,k): C_m extended by C_n acting as x -> k*x mod m.
+
+    Requires k to have multiplicative order exactly n mod m, which also
+    forces gcd(k, m) = 1; the group has order m*n and acts on m points.
+    """
+    _check_frobenius(m, n, k)
+    kk = k % m
     shift = Permutation([(x + 1) % m for x in range(m)])
     mult = Permutation([(kk * x) % m for x in range(m)])
     return [shift, mult]
@@ -258,26 +254,39 @@ FAMILY_BUILDERS = {
 }
 
 
-def family_generators(family: str, params) -> list:
-    """Generators for a named permutation family; see FAMILY_BUILDERS."""
+def family_order(family: str, params, cap: int = DEFAULT_CAP) -> int:
+    """Order of a named family's group from its parameters, which it validates.
+
+    Allocates nothing.  The factorials of S(n) and A(n) stop once past cap,
+    so the answer is exact up to cap and only known to exceed it beyond.
+    """
     if family not in FAMILY_BUILDERS:
         raise InvalidParameterError(f"unknown permutation family {family!r}")
-    builder, arity = FAMILY_BUILDERS[family]
+    _, arity = FAMILY_BUILDERS[family]
     if len(params) != arity:
         raise InvalidParameterError(
             f"{family} takes {arity} parameter(s), got {len(params)}"
         )
-    return builder(*params)
+    if family == "cex3":
+        return 168
+    if family == "F":
+        _check_frobenius(*params)
+        return params[0] * params[1]
+    (n,) = params
+    if n < 1:
+        raise InvalidParameterError(f"{family}({n}): parameter must be >= 1")
+    if family in ("S", "A"):
+        order = 1
+        for i in range(2 if family == "S" else 3, n + 1):  # n!/2 = 3 * 4 * ... * n
+            order *= i
+            if order > cap:
+                break
+        return order
+    return {"C": 1, "D": 2, "Dic": 4}[family] * n
 
 
 def family_group(family: str, params, name=None, cap=DEFAULT_CAP) -> Group:
-    return permutation_group(family_generators(family, params), name=name, cap=cap)
+    family_order(family, params)
+    builder, _ = FAMILY_BUILDERS[family]
+    return permutation_group(builder(*params), name=name, cap=cap)
 
-
-def direct_product(a: Group, b: Group, name=None, cap=DEFAULT_CAP) -> Group:
-    """Product of two permutation groups, acting on disjoint point sets."""
-    da = a.identity.degree()
-    db = b.identity.degree()
-    gens = [Permutation(list(g.images) + list(range(da, da + db))) for g in a.generators]
-    gens += [Permutation(list(range(da)) + [da + i for i in h.images]) for h in b.generators]
-    return Group(gens, perm_identity(da + db), name=name, cap=cap)

@@ -2,18 +2,18 @@ import random
 
 import pytest
 
-from sameorder import group_for
+from sameorder import dsl, group_for
 from sameorder.core import (
+    DEFAULT_CAP,
+    DirectProduct,
     Group,
     Spectrum,
-    element_order,
     element_order_naive,
     noniso_certificate,
     spectrum_checks,
-    spectrum_direct_product,
 )
-from sameorder.errors import CapExceededError, NoWitnessError
-from sameorder.perms import symmetric_generators
+from sameorder.errors import CapExceededError, InvalidParameterError, NoWitnessError
+from sameorder.perms import family_order, symmetric_generators
 
 AXIOM_GROUPS = [
     "C(12)",
@@ -24,7 +24,6 @@ AXIOM_GROUPS = [
     "F(7,3,2)",
     "SL(2,3)",
     "PSL(2,5)",
-    "Dic(2) x F(7,3,2)",
     "cex3",
 ]
 
@@ -58,23 +57,51 @@ def test_closure_is_generator_order_independent():
 
 
 def test_closure_cap():
+    # a Perm[...] atom's order is known only from its closure
     with pytest.raises(CapExceededError) as exc:
-        group_for("S(5)", cap=100).order()
+        group_for("Perm[(1,2,3,4,5), (1,2)]", cap=100).order()
     assert exc.value.cap == 100
 
 
+def test_cap_is_checked_before_anything_is_built(monkeypatch):
+    def build(*args):
+        raise AssertionError("built an atom of an expression over the cap")
+
+    monkeypatch.setattr(dsl, "_eval_atom", build)
+    for expr, cap in [("C(3000000)", 1000), ("S(8) x S(8)", DEFAULT_CAP),
+                      ("SL(4,9)", DEFAULT_CAP), ("A(7) x C(2)", 5000),
+                      ("PSU(4,2)", 25919), ("Perm[(1,2)] x D(600)", 1000)]:
+        with pytest.raises(CapExceededError) as exc:
+            group_for(expr, cap)
+        assert exc.value.cap == cap
+    # invalid parameters stay usage errors, even beside an over-cap factor
+    with pytest.raises(InvalidParameterError):
+        group_for("S(20) x F(7,3,3)")
+    with pytest.raises(InvalidParameterError):
+        group_for("PSL(2,521)", cap=10)
+
+
+def test_family_orders_from_parameters():
+    assert [family_order("S", (n,)) for n in (1, 2, 5, 9)] == [1, 2, 120, 362880]
+    assert [family_order("A", (n,)) for n in (1, 2, 3, 9)] == [1, 1, 3, 181440]
+    assert family_order("S", (10,), cap=10**6) > 10**6
+    assert family_order("S", (10**8,), cap=10**6) > 10**6  # stops early
+    assert family_order("F", (7, 3, 2)) == 21
+    assert family_order("cex3", ()) == 168
+
+
 @pytest.mark.parametrize("expr", ["C(24)", "D(12)", "Dic(5)", "F(7,3,2)",
-                                  "SL(2,3)", "S(4)", "A(5)", "S(5)"])
+                                  "SL(2,3)", "S(4)", "A(5)", "S(5)", "PSL(2,7)"])
 def test_element_order_oracles_agree(built, expr):
-    """Divisor-refinement order must match the naive power walk, |G| <= 200."""
+    """Element orders, from cycle lengths or the numpy power walk of a
+    matrix group, match the naive power walk, |G| <= 200."""
     g = built(expr)
-    n = g.order()
-    assert n <= 200
-    for x in g.elements():
-        assert element_order(x, n) == element_order_naive(x)
+    assert g.order() <= 200
+    assert g.element_orders() == [element_order_naive(x) for x in g.elements()]
 
 
-@pytest.mark.parametrize("expr", AXIOM_GROUPS + ["PSL(2,7)", "C(7) x SL(2,3)"])
+@pytest.mark.parametrize("expr", AXIOM_GROUPS + ["PSL(2,7)", "Dic(2) x F(7,3,2)",
+                                                 "C(7) x SL(2,3)"])
 def test_spectrum_structural_checks(built, expr):
     spec = built(expr).spectrum()
     for name, ok, detail in spectrum_checks(spec):
@@ -108,13 +135,36 @@ CONVOLUTION_PAIRS = [
 
 
 @pytest.mark.parametrize("left,right", CONVOLUTION_PAIRS)
-def test_product_spectrum_is_lcm_convolution(built, left, right):
-    a, b = built(left), built(right)
-    assert a.order() * b.order() <= 10_000
-    expected = spectrum_direct_product(a.spectrum(), b.spectrum())
+def test_product_spectrum_is_lcm_convolution(enumerated_product, left, right):
+    """The composed answers match the product enumerated on disjoint points."""
     g = group_for(f"{left} x {right}")
-    assert g.spectrum().counts == expected.counts
-    assert g.order() == expected.group_order
+    ref = enumerated_product(*g.factors)
+    assert ref.order() <= 10_000
+    assert g.order() == ref.order()
+    assert list(g.spectrum().counts.items()) == list(ref.spectrum().counts.items())
+    assert g.spectrum().group_order == ref.order()
+    assert g.center_order() == ref.center_order()
+    assert g.is_simple() == ref.is_simple()
+    assert g.derived_series() == ref.derived_series()
+    assert g.is_solvable() == ref.is_solvable()
+
+
+def test_direct_product_edge_cases(built):
+    assert group_for("C(1) x PSL(2,7)").is_simple()
+    trivial = group_for("C(1) x C(1)")
+    assert trivial.order() == 1
+    assert trivial.spectrum().counts == {1: 1}
+    assert not trivial.is_simple()
+    assert trivial.derived_series() == ((1,), True)
+    assert group_for("A(5) x C(2)").derived_series() == ((120, 60, 60), False)
+    # orders known only after enumeration: the closure of S(5) is within the
+    # cap, the product is not
+    g = group_for("Perm[(1,2,3,4,5), (1,2)] x C(10)", cap=1000)
+    for call in (g.order, g.spectrum, g.alpha):
+        with pytest.raises(CapExceededError):
+            call()
+    with pytest.raises(CapExceededError):
+        DirectProduct([built("S(4)"), built("S(4)")], cap=100).order()
 
 
 def test_center_orders(built):

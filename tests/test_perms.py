@@ -6,7 +6,6 @@ from sameorder.perms import (
     Permutation,
     cex3_generators,
     dicyclic_generators,
-    direct_product,
     family_group,
     frobenius_generators,
     perm_from_cycles,
@@ -105,11 +104,10 @@ def test_alternating_class_sizes(built):
 
 
 def test_direct_product_orders_and_degrees(built):
-    q8 = built("Dic(2)")
-    f21 = built("F(7,3,2)")
-    g = direct_product(q8, f21)
+    g = built("Dic(2) x F(7,3,2)")
+    # each factor keeps its own points and is enumerated on its own
+    assert [f.identity.degree() for f in g.factors] == [8, 7]
     assert g.order() == 168
-    assert g.identity.degree() == 8 + 7
     assert g.spectrum().counts == {
         1: 1, 2: 1, 3: 14, 4: 6, 6: 14, 7: 6, 12: 84, 14: 6, 28: 36,
     }
@@ -117,26 +115,18 @@ def test_direct_product_orders_and_degrees(built):
 
 def test_direct_product_with_trivial_factor(built):
     a = built("S(3)")
-    g = direct_product(a, built("C(1)"))
+    g = built("S(3) x C(1)")
     assert g.order() == a.order()
-    assert g.spectrum().counts == a.spectrum().counts
+    assert g.spectrum() == a.spectrum()
+    assert g.center_order() == a.center_order()
+    assert g.derived_series() == a.derived_series()
 
 
 def test_direct_product_order_multiplicative(built):
     pairs = [("C(6)", "D(4)"), ("S(3)", "A(4)"), ("Dic(2)", "C(7)")]
     for left, right in pairs:
         a, b = built(left), built(right)
-        assert direct_product(a, b).order() == a.order() * b.order()
-
-
-def test_direct_product_restricts_to_left_factor(built):
-    a = built("S(3)")
-    b = built("C(4)")
-    g = direct_product(a, b)
-    deg = a.identity.degree()
-    left_images = {tuple(x.images) for x in a.elements()}
-    for x in g.elements():
-        assert tuple(x.images[:deg]) in left_images
+        assert built(f"{left} x {right}").order() == a.order() * b.order()
 
 
 def test_cex3_structure(built):
