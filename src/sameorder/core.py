@@ -1,12 +1,13 @@
 """Finite group engine.
 
-A group is held as a generating set of elements plus the enumerated closure.
-Everything downstream (order spectrum, same-order type, center, conjugacy
-classes, derived series, simplicity, non-isomorphism certificates) is computed
-from the closure, so any element type satisfying the small ``GroupElement``
+A group is held as a generating set of elements.  One primitive,
+``Group._subgroup`` (batched for matrix groups), generates the subgroup of
+any list of elements: the group itself, and each normal closure, which is
+the subgroup generated by whole conjugacy classes.  Spectrum and same-order
+type come from the element orders; center, simplicity and derived series
+from the classes.  Any element type meeting the small ``GroupElement``
 contract plugs in: permutations and matrices over a finite field.  A direct
-product is never enumerated: ``DirectProduct`` answers what a report asks
-from its factors, each enumerated on its own.
+product is never enumerated: ``DirectProduct`` answers from its factors.
 
 Elements compare by canonical byte keys, never by identity or repr.
 """
@@ -55,36 +56,6 @@ class GroupElement:
 
     def __hash__(self):
         return hash(self.key())
-
-
-def closure_elements(identity, generators, cap, stop_size=None):
-    """Breadth-first closure of the generators under the group product.
-
-    Returns (elements, index, hit_stop) where index maps canonical keys to
-    positions in the element list.  Inverses need no special handling: in a
-    finite group every element's powers cycle back through its inverse.
-    If stop_size is given the walk aborts once the count exceeds it, with
-    hit_stop = True and a partial element list.
-    """
-    elems = [identity]
-    index = {identity.key(): 0}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in generators:
-                y = x.op(g)
-                k = y.key()
-                if k not in index:
-                    index[k] = len(elems)
-                    elems.append(y)
-                    new.append(y)
-                    if stop_size is not None and len(elems) > stop_size:
-                        return elems, index, True
-                    if len(elems) > cap:
-                        raise CapExceededError(cap)
-        frontier = new
-    return elems, index, False
 
 
 def element_order_naive(g) -> int:
@@ -200,31 +171,54 @@ class Group:
         self._spectrum = None
         self._conj_maps = None
         self._classes = None
-        self._center_idx = None
         self._simple = None
         self._derived = None
 
     # -- enumeration ---------------------------------------------------------
 
-    def _closure(self, gens, stop_size=None):
-        """Closure primitive; matrix groups override with a table-driven path."""
-        return closure_elements(self.identity, gens, self.cap, stop_size)
+    def _subgroup(self, gens, stop_size=None):
+        """Subgroup generated by gens, as (elements, index, kept).
 
-    def _enumerate(self):
-        # Greedy generator reduction folded into enumeration: a generator
-        # already inside the closure of the ones kept so far adds nothing.
-        # The last closure computed is the full group.
-        sel = []
+        index maps canonical keys to element positions; kept lists the
+        generators not already in the subgroup of the ones kept before them.
+        A new generator multiplies every element known so far once, and the
+        elements it brings in then take every kept generator until nothing
+        new appears (a finite group needs no inverses).  Returns None once
+        the count passes stop_size; raises CapExceededError past the cap.
+        """
         elems = [self.identity]
         index = {self.identity.key(): 0}
-        for g in self.generators:
+        kept = []
+        for g in gens:
             if g.key() in index:
                 continue
-            sel.append(g)
-            elems, index, _ = self._closure(sel)
-        self._elems = elems
-        self._index = index
-        self._reduced = sel
+            kept.append(g)
+            frontier, mults = list(elems), [g]
+            while frontier:
+                fresh = []
+                for x in frontier:
+                    for h in mults:
+                        y = x.op(h)
+                        k = y.key()
+                        if k not in index:
+                            index[k] = len(elems)
+                            elems.append(y)
+                            fresh.append(y)
+                            if self._passes(len(elems), stop_size):
+                                return None
+                frontier, mults = fresh, kept
+        return elems, index, kept
+
+    def _passes(self, count, stop_size) -> bool:
+        """True once count passes stop_size; raises once it passes the cap."""
+        if stop_size is not None and count > stop_size:
+            return True
+        if count > self.cap:
+            raise CapExceededError(self.cap)
+        return False
+
+    def _enumerate(self):
+        self._elems, self._index, self._reduced = self._subgroup(self.generators)
 
     def elements(self) -> list:
         if self._elems is None:
@@ -319,110 +313,66 @@ class Group:
             self._classes = classes
         return self._classes
 
-    def center_indices(self) -> list:
-        if self._center_idx is None:
-            maps = self.conjugation_maps()
-            self._center_idx = [
-                i for i in range(self.order()) if all(m[i] == i for m in maps)
-            ]
-        return self._center_idx
-
     def center_order(self) -> int:
-        return len(self.center_indices())
-
-    def is_abelian(self) -> bool:
-        gens = self.reduced_generators()
-        for a, b in combinations(gens, 2):
-            if a.op(b).key() != b.op(a).key():
-                return False
-        return True
+        """The center is the union of the singleton conjugacy classes."""
+        return sum(len(c) == 1 for c in self.conjugacy_classes())
 
     # -- normal closures, simplicity, solvability -------------------------------
 
-    def _normal_closure(self, seed, conj_gens, stop_size):
-        """Subgroup generated by seed and closed under conjugation.
+    def _normal_closure(self, indices, stop_size):
+        """Normal closure of the elements at the given indices.
 
-        Returns (size, gens) for a proper subgroup, or (None, None) once the
-        count passes stop_size: any subgroup with more than half the group's
-        elements is the whole group, so callers pass stop_size = order // 2
-        and treat the early exit as "everything".
+        That is the subgroup generated by the conjugacy classes holding them,
+        returned as _subgroup returns it, so None once the count passes
+        stop_size: a subgroup with more than half the group's elements is
+        the whole group, so callers pass stop_size = order // 2 and treat
+        None as "everything".
         """
-        pairs = [(a, a.inv()) for a in conj_gens]
-        gens = list(seed)
-        while True:
-            elems, index, hit = self._closure(gens, stop_size=stop_size)
-            if hit:
-                return None, None
-            fresh = []
-            for t in gens:
-                for a, ainv in pairs:
-                    c = ainv.op(t).op(a)
-                    if c.key() not in index:
-                        fresh.append(c)
-            if not fresh:
-                return len(elems), gens
-            gens.extend(fresh)
+        wanted = set(indices)
+        elems = self.elements()
+        gens = [elems[i] for c in self.conjugacy_classes()
+                if not wanted.isdisjoint(c) for i in c]
+        return self._subgroup(gens, stop_size)
 
     def is_simple(self) -> bool:
-        """True iff the group has no proper nontrivial normal subgroup.
+        """True iff the group is nontrivial with no proper nontrivial normal subgroup.
 
         Any such subgroup contains an element of prime order (Cauchy) whose
         whole conjugacy class sits inside it, so it is enough that the normal
-        closure of every prime-order class representative is the full group.
+        closure of every prime-order class is the full group.
         """
         if self._simple is None:
             n = self.order()
-            if n == 1:
-                self._simple = False
-            elif is_prime(n):
-                self._simple = True
-            elif self.is_abelian():
-                self._simple = False
-            else:
-                elems = self.elements()
-                orders = self.element_orders()
-                conj = self.reduced_generators()
-                half = n // 2
-                verdict = True
-                for cls in self.conjugacy_classes():
-                    rep = cls[0]
-                    if rep == 0 or not is_prime(orders[rep]):
-                        continue
-                    size, _ = self._normal_closure([elems[rep]], conj, half)
-                    if size is not None and size < n:
-                        verdict = False
-                        break
-                self._simple = verdict
+            orders = self.element_orders()
+            self._simple = n > 1 and all(
+                self._normal_closure([c[0]], n // 2) is None
+                for c in self.conjugacy_classes() if is_prime(orders[c[0]])
+            )
         return self._simple
 
     def derived_series(self) -> tuple:
         """Orders along the derived series, plus the solvable flag.
 
-        Repeatedly replaces the current subgroup by the normal closure of its
-        generators' commutators, stopping when the order stabilizes or hits 1.
+        Each term is the normal closure of the commutators of the previous
+        term's kept generators.  Every term is characteristic in the one
+        before, hence normal in the group, so its normal closure in the group
+        is its normal closure in the previous term.  Stops when the order
+        stabilizes or hits 1.
         """
         if self._derived is None:
-            orders = [self.order()]
-            cur_gens = self.reduced_generators()
-            cur_order = self.order()
+            index = self.element_index()
+            cur_gens, cur_order = self.reduced_generators(), self.order()
+            orders = [cur_order]
             while cur_order > 1:
-                comms = []
-                seen = {self.identity.key()}
-                for a, b in combinations(cur_gens, 2):
-                    c = a.inv().op(b.inv()).op(a).op(b)
-                    k = c.key()
-                    if k not in seen:
-                        seen.add(k)
-                        comms.append(c)
-                size, gens = self._normal_closure(comms, cur_gens, cur_order // 2)
-                if size is None or size == cur_order:
+                comms = [index[a.inv().op(b.inv()).op(a).op(b).key()]
+                         for a, b in combinations(cur_gens, 2)]
+                sub = self._normal_closure(comms, cur_order // 2)
+                if sub is None:
                     orders.append(cur_order)
                     break
-                orders.append(size)
-                if size == 1:
-                    break
-                cur_gens = gens
-                cur_order = size
+                cur_order, cur_gens = len(sub[0]), sub[2]
+                del sub  # free this term's elements before building the next
+                orders.append(cur_order)
             self._derived = (tuple(orders), orders[-1] == 1)
         return self._derived
 

@@ -243,13 +243,19 @@ def normalize_expr(text: str) -> str:
 # -- evaluation --------------------------------------------------------------------
 
 
+def _perm_degree(ast: PermAtom) -> int:
+    return max(p for cycles in ast.gens for c in cycles for p in c)
+
+
 def _atom_order(ast, cap: int) -> int:
     """An atom's order from its validated parameters, building nothing.
 
     A Perm[...] atom counts as 1: only its closure knows its order, and the
-    closure checks the cap itself.
+    closure checks the cap itself.  Its degree, the largest point it names,
+    is checked here.
     """
     if isinstance(ast, PermAtom):
+        perms.check_degree(_perm_degree(ast))
         return 1
     if ast.family in PERM_FAMILIES:
         return perms.family_order(ast.family, ast.params, cap)
@@ -259,7 +265,7 @@ def _atom_order(ast, cap: int) -> int:
 def _eval_atom(ast, cap: int) -> Group:
     name = print_expr(ast)
     if isinstance(ast, PermAtom):
-        degree = max(p for cycles in ast.gens for c in cycles for p in c)
+        degree = _perm_degree(ast)
         gens = [
             perms.perm_from_cycles([tuple(p - 1 for p in c) for c in cycles], degree)
             for cycles in ast.gens

@@ -2,7 +2,7 @@
 
 Elements are dense n x n matrices of field codes.  All arithmetic indexes the
 field's dense add/mul tables: single products go through their Python rows,
-and groups built here replace the generic closure, order, and conjugation
+and groups built here replace the generic subgroup, order, and conjugation
 paths with numpy batches over the same tables.
 
 Projective groups (PSL, PSU) represent each coset of the scalar subgroup by
@@ -20,8 +20,8 @@ from itertools import product
 
 import numpy as np
 
-from .core import DEFAULT_CAP, Group, GroupElement, closure_elements
-from .errors import CapExceededError, InvalidParameterError, OrderMismatchError
+from .core import DEFAULT_CAP, Group, GroupElement
+from .errors import InvalidParameterError, OrderMismatchError
 from .fields import FiniteField, field_make, field_size
 from .numtheory import prime_power
 
@@ -129,8 +129,8 @@ class MatrixElement(GroupElement):
         return MatrixElement(self.field, r, self.projective)
 
     def key(self) -> bytes:
-        # matches the raw bytes of a uint16 numpy row, so both closure paths
-        # land in the same index
+        # matches the raw bytes of a uint16 numpy row, so single products and
+        # numpy batches land in the same index
         if self._key is None:
             flat = [x for row in self.rows for x in row]
             self._key = array("H", flat).tobytes()
@@ -182,49 +182,43 @@ class MatrixGroup(Group):
         self.projective = projective
         self._np_elems = None
 
-    def _closure(self, gens, stop_size=None):
-        if not gens:
-            return closure_elements(self.identity, gens, self.cap, stop_size)
+    def _subgroup(self, gens, stop_size=None):
+        """Group._subgroup on numpy batches over the field tables."""
         add_t, mul_t, inv_t = self.field.np_tables()
         n = self.n
-        garr = np.array([g.rows for g in gens], dtype=np.uint16)
         ident = np.array(self.identity.rows, dtype=np.uint16)[None]
         index = {self.identity.key(): 0}
         stored = [ident]
-        count = 1
-        frontier = ident
-        while frontier is not None:
-            batches = []
-            for s in range(0, len(frontier), _CHUNK):
-                chunk = frontier[s:s + _CHUNK]
-                prod = _bmul(add_t, mul_t, chunk[:, None], garr[None, :])
-                prod = prod.reshape(-1, n, n)
-                if self.projective:
-                    prod = _bnormalize(mul_t, inv_t, prod)
-                batches.append(prod.reshape(-1, n * n))
-            cand = np.concatenate(batches) if len(batches) > 1 else batches[0]
-            fresh = []
-            for row in np.unique(cand, axis=0):
-                b = row.tobytes()
-                if b not in index:
-                    index[b] = count
-                    count += 1
-                    fresh.append(row)
-                    if stop_size is not None and count > stop_size:
-                        return [], {}, True
-                    if count > self.cap:
-                        raise CapExceededError(self.cap)
-            if fresh:
-                frontier = np.stack(fresh).reshape(-1, n, n)
+        kept = []
+        for g in gens:
+            if g.key() in index:
+                continue
+            kept.append(g)
+            kept_arr = np.array([h.rows for h in kept], dtype=np.uint16)
+            frontier, mults = np.concatenate(stored), kept_arr[-1:]
+            while len(frontier):
+                fresh = []
+                for s in range(0, len(frontier), _CHUNK):
+                    prod = _bmul(add_t, mul_t, frontier[s:s + _CHUNK, None], mults[None])
+                    prod = prod.reshape(-1, n, n)
+                    if self.projective:
+                        prod = _bnormalize(mul_t, inv_t, prod)
+                    for row in np.unique(prod.reshape(-1, n * n), axis=0):
+                        b = row.tobytes()
+                        if b not in index:
+                            index[b] = len(index)
+                            fresh.append(row)
+                            if self._passes(len(index), stop_size):
+                                return None
+                frontier = np.array(fresh, dtype=np.uint16).reshape(-1, n, n)
                 stored.append(frontier)
-            else:
-                frontier = None
-        rows = np.concatenate(stored).reshape(-1, n, n)
+                mults = kept_arr
+        rows = np.concatenate(stored)
         elems = [
             MatrixElement(self.field, tuple(map(tuple, r)), self.projective)
             for r in rows.tolist()
         ]
-        return elems, index, False
+        return elems, index, kept
 
     def _np_elements(self):
         if self._np_elems is None:

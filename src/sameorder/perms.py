@@ -16,6 +16,9 @@ from .core import DEFAULT_CAP, Group, GroupElement
 from .errors import InvalidParameterError
 from .numtheory import multiplicative_order
 
+# a permutation's key stores each image in one byte
+MAX_DEGREE = 256
+
 
 class Permutation(GroupElement):
     """A permutation of {0..n-1}, stored as its image array."""
@@ -103,10 +106,18 @@ def perm_from_cycles(cycles, degree: int) -> Permutation:
     return Permutation(images)
 
 
+def check_degree(degree: int):
+    if degree > MAX_DEGREE:
+        raise InvalidParameterError(
+            f"permutations act on at most {MAX_DEGREE} points, got {degree}"
+        )
+
+
 def permutation_group(generators, name=None, cap=DEFAULT_CAP) -> Group:
     if not generators:
         raise InvalidParameterError("a permutation group needs at least one generator")
     deg = generators[0].degree()
+    check_degree(deg)
     for g in generators:
         if g.degree() != deg:
             raise InvalidParameterError("generators act on different point counts")

@@ -171,6 +171,30 @@ def test_field_above_table_limit_exits_2_without_enumerating(capsys, monkeypatch
     assert "MAX_FIELD_SIZE = 512" in err
 
 
+def test_permutation_degree_limit_exits_2(capsys, monkeypatch):
+    from sameorder import dsl, group_for
+
+    # 256 points is the widest a permutation's one-byte-per-image key holds
+    assert group_for("Perm[(1,256)]").order() == 2
+    assert group_for("C(256)").order() == 256
+    code, out, err = run(capsys, "alpha", "C(300)")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "at most 256 points" in err
+
+    def build(*args):
+        raise AssertionError("built an atom past the degree limit")
+
+    # a Perm[...] atom is rejected from its points, before anything is built
+    monkeypatch.setattr(dsl, "_eval_atom", build)
+    code, out, err = run(capsys, "alpha", "Perm[(1,3000000)]", "--max-elements", "10")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "at most 256 points" in err
+
+
 def test_unexpected_exception_is_one_line_failure(capsys, monkeypatch):
     import sameorder.cli as cli
 

@@ -13,6 +13,8 @@ from sameorder.core import (
     spectrum_checks,
 )
 from sameorder.errors import CapExceededError, InvalidParameterError, NoWitnessError
+from sameorder.fields import field_make
+from sameorder.matrices import MatrixGroup, sl_generators
 from sameorder.perms import family_order, symmetric_generators
 
 AXIOM_GROUPS = [
@@ -61,6 +63,10 @@ def test_closure_cap():
     with pytest.raises(CapExceededError) as exc:
         group_for("Perm[(1,2,3,4,5), (1,2)]", cap=100).order()
     assert exc.value.cap == 100
+    # the batched matrix walk checks the cap too
+    f = field_make(3, 1)
+    with pytest.raises(CapExceededError):
+        MatrixGroup(sl_generators(2, f), f, 2, cap=10).order()
 
 
 def test_cap_is_checked_before_anything_is_built(monkeypatch):
@@ -175,8 +181,10 @@ def test_center_orders(built):
 
 
 def test_abelian_detection(built):
-    assert built("C(12)").is_abelian()
-    assert not built("S(3)").is_abelian()
+    # abelian means every class is a singleton, so the center is everything
+    for expr, abelian in [("C(12)", True), ("S(3)", False)]:
+        g = built(expr)
+        assert (g.center_order() == g.order()) is abelian
 
 
 @pytest.mark.parametrize("expr,simple", [
@@ -188,6 +196,10 @@ def test_abelian_detection(built):
     ("Dic(2)", False),
     ("A(4)", False),
     ("PSL(2,7)", True),
+    ("SL(2,3)", False),
+    ("SL(2,5)", False),
+    ("SL(3,2)", True),
+    ("C(2)", True),
 ])
 def test_simplicity(built, expr, simple):
     assert built(expr).is_simple() is simple
@@ -201,6 +213,10 @@ def test_derived_series_and_solvability(built):
     assert built("Dic(2) x F(7,3,2)").derived_series() == ((168, 14, 1), True)
     assert built("Dic(2) x F(7,3,2)").is_solvable()
     assert built("S(4)").derived_series() == ((24, 12, 4, 1), True)
+    assert built("SL(2,3)").derived_series() == ((24, 8, 2, 1), True)
+    assert built("SL(2,5)").derived_series() == ((120, 120), False)
+    assert built("D(12)").derived_series() == ((24, 6, 1), True)
+    assert built("F(21,3,4)").derived_series() == ((63, 7, 1), True)
 
 
 def test_odd_prime_witness(built):
@@ -252,7 +268,8 @@ def test_reduced_generators_generate(built):
     g = built("PSU(3,3)")
     reduced = g.reduced_generators()
     assert len(reduced) <= len(g.generators)
-    # closure of the reduced set alone must reproduce the group
-    from sameorder.core import closure_elements
-    elems, _, _ = closure_elements(g.identity, list(reduced), g.cap)
-    assert len(elems) == g.order()
+    # the reduced set alone must reproduce the group
+    rebuilt = MatrixGroup(reduced, g.field, g.n, projective=g.projective)
+    assert rebuilt.order() == g.order()
+    # a generating set passes any stop below the group's order
+    assert g._subgroup(reduced, stop_size=g.order() // 2) is None

@@ -110,6 +110,8 @@ ISOMORPHIC_REALIZATIONS = [
     ("A(6)", "PSL(2,9)"),
     ("PSL(2,7)", "PSL(3,2)"),
     ("A(8)", "PSL(4,2)"),
+    ("A(4)", "PSL(2,3)"),
+    ("S(3)", "SL(2,2)", "PSL(2,2)"),
 ]
 
 
@@ -117,7 +119,7 @@ ISOMORPHIC_REALIZATIONS = [
 def test_permutation_and_matrix_engines_agree(built, exprs):
     """Isomorphic groups built by different engines share every invariant."""
     invariants = [
-        (g.spectrum().counts, g.center_order(), g.is_simple())
+        (g.spectrum().counts, g.center_order(), g.is_simple(), g.derived_series())
         for g in map(built, exprs)
     ]
     assert all(inv == invariants[0] for inv in invariants[1:]), exprs
