@@ -9,7 +9,7 @@ from the classes.  Any element type meeting the small ``GroupElement``
 contract plugs in: permutations and matrices over a finite field.  A direct
 product is never enumerated: ``DirectProduct`` answers from its factors.
 
-Elements compare by canonical byte keys, never by identity or repr.
+Elements compare by canonical keys, never by identity or repr.
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ class GroupElement:
     """Contract for group elements.
 
     Subclasses supply an associative product, inverses, and a canonical
-    encoding: key() bytes are equal iff the elements are equal.  known_order
-    returns the element's order read off its representation (cycle structure
-    of a permutation); an element type that returns None needs a group class
-    that overrides Group._compute_orders, as MatrixGroup does.
+    encoding: key() values (bytes for a permutation, a packed int for a
+    matrix) are equal iff the elements are equal.  known_order returns the
+    element's order read off its representation (cycle structure of a
+    permutation); an element type that returns None needs a group class that
+    overrides Group._compute_orders, as MatrixGroup does.
     """
 
     __slots__ = ()
@@ -43,7 +44,7 @@ class GroupElement:
     def inv(self) -> "GroupElement":
         raise NotImplementedError
 
-    def key(self) -> bytes:
+    def key(self):
         raise NotImplementedError
 
     def known_order(self) -> int | None:
@@ -210,9 +211,14 @@ class Group:
         return elems, index, kept
 
     def _passes(self, count, stop_size) -> bool:
-        """True once count passes stop_size; raises once it passes the cap."""
-        if stop_size is not None and count > stop_size:
-            return True
+        """True once count passes stop_size; raises once it passes the cap.
+
+        A batched walk adds many elements at once, so count may jump past
+        both bounds; the one a count going up by one would pass first
+        decides, stop_size on a tie.
+        """
+        if stop_size is not None and stop_size <= self.cap:
+            return count > stop_size
         if count > self.cap:
             raise CapExceededError(self.cap)
         return False
@@ -225,7 +231,8 @@ class Group:
             self._enumerate()
         return self._elems
 
-    def element_index(self) -> dict:
+    def element_index(self):
+        """Position of each element by key: index[g.key()] is g's position."""
         if self._index is None:
             self._enumerate()
         return self._index
@@ -237,6 +244,11 @@ class Group:
         if self._reduced is None:
             self._enumerate()
         return self._reduced
+
+    def _members(self, indices):
+        """The elements at the given indices, as _subgroup takes its generators."""
+        elems = self.elements()
+        return [elems[i] for i in indices]
 
     def __contains__(self, g):
         return g.key() in self.element_index()
@@ -329,10 +341,9 @@ class Group:
         None as "everything".
         """
         wanted = set(indices)
-        elems = self.elements()
-        gens = [elems[i] for c in self.conjugacy_classes()
-                if not wanted.isdisjoint(c) for i in c]
-        return self._subgroup(gens, stop_size)
+        members = [i for c in self.conjugacy_classes()
+                   if not wanted.isdisjoint(c) for i in c]
+        return self._subgroup(self._members(members), stop_size)
 
     def is_simple(self) -> bool:
         """True iff the group is nontrivial with no proper nontrivial normal subgroup.

@@ -280,6 +280,11 @@ def _eval_atom(ast, cap: int) -> Group:
     return grp
 
 
+def factors_of(ast) -> tuple:
+    """The atoms of an expression: a product's factors, or the atom itself."""
+    return ast.factors if isinstance(ast, Product) else (ast,)
+
+
 def eval_expr(ast, cap: int = DEFAULT_CAP) -> Group | DirectProduct:
     """Build the group an expression denotes.
 
@@ -287,7 +292,7 @@ def eval_expr(ast, cap: int = DEFAULT_CAP) -> Group | DirectProduct:
     orders is checked against cap before anything is built.  A product
     becomes a DirectProduct of its atoms, so only the atoms are enumerated.
     """
-    factors = ast.factors if isinstance(ast, Product) else (ast,)
+    factors = factors_of(ast)
     if math.prod(_atom_order(f, cap) for f in factors) > cap:
         raise CapExceededError(cap)
     groups = [_eval_atom(f, cap) for f in factors]

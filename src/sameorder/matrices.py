@@ -5,6 +5,16 @@ field's dense add/mul tables: single products go through their Python rows,
 and groups built here replace the generic subgroup, order, and conjugation
 paths with numpy batches over the same tables.
 
+Inside a MatrixGroup an element is identified by its packed key: the n*n
+codes, (q-1).bit_length() bits each, in one uint64 with the first entry in
+the highest bits, so key order is the row-major lexicographic order of the
+matrices.  A group stores its elements as uint16 rows, and its element index
+is the sorted key array with the position of each key; batches of products
+are deduplicated and looked up in one numpy pass.  MatrixElement objects are
+built only when a caller asks for them (elements(), membership, tests).  A
+key holds at most 64 bits, so n^2 * bits <= 64 is checked before a group is
+built; no group within the default cap comes close.
+
 Projective groups (PSL, PSU) represent each coset of the scalar subgroup by
 the unique scalar multiple whose first nonzero entry in row-major order is 1,
 multiplying and renormalizing.  Two special linear matrices normalize to the
@@ -15,7 +25,7 @@ so the construction realizes the quotient faithfully.
 from __future__ import annotations
 
 import math
-from array import array
+from collections.abc import Sequence
 from itertools import product
 
 import numpy as np
@@ -128,12 +138,12 @@ class MatrixElement(GroupElement):
             r = mat_normalize(self.field, r)
         return MatrixElement(self.field, r, self.projective)
 
-    def key(self) -> bytes:
-        # matches the raw bytes of a uint16 numpy row, so single products and
-        # numpy batches land in the same index
+    def key(self) -> int:
+        # the packed key pack_keys gives a numpy batch, so single elements
+        # and batches land in the same index
         if self._key is None:
-            flat = [x for row in self.rows for x in row]
-            self._key = array("H", flat).tobytes()
+            rows = np.array(self.rows, dtype=np.uint16)
+            self._key = int(pack_keys(rows, self.field.q))
         return self._key
 
     def det(self) -> int:
@@ -141,6 +151,104 @@ class MatrixElement(GroupElement):
 
     def __repr__(self):
         return f"Matrix{self.rows}"
+
+
+# -- packed keys --------------------------------------------------------------------
+
+KEY_BITS = 64
+
+
+def key_bits(q: int, n: int) -> int:
+    """Bits per entry in the packed key of an n x n matrix over GF(q).
+
+    Raises InvalidParameterError when the whole key would not fit in
+    KEY_BITS; the smallest classical group past the limit is SU(3,13).
+    """
+    bits = (q - 1).bit_length()
+    if bits * n * n > KEY_BITS:
+        raise InvalidParameterError(
+            f"matrix keys hold at most {KEY_BITS} bits, and a {n}x{n} matrix "
+            f"over GF({q}) needs {bits * n * n}"
+        )
+    return bits
+
+
+def _key_shifts(q: int, n: int):
+    bits = key_bits(q, n)
+    return np.arange(n * n - 1, -1, -1, dtype=np.uint64) * np.uint64(bits), bits
+
+
+def pack_keys(codes, q: int):
+    """Packed uint64 keys of matrices over GF(q), shape (..., n, n) -> (...).
+
+    Entries never overlap, so the dot product with the place values is an
+    exact bitwise concatenation, first entry highest.
+    """
+    n = codes.shape[-1]
+    shifts, _ = _key_shifts(q, n)
+    flat = codes.reshape(codes.shape[:-2] + (n * n,)).astype(np.uint64)
+    return flat @ (np.uint64(1) << shifts)
+
+
+def unpack_keys(keys, q: int, n: int):
+    """The uint16 matrices, shape (m, n, n), of m packed keys."""
+    shifts, bits = _key_shifts(q, n)
+    mask = np.uint64((1 << bits) - 1)
+    return ((keys[:, None] >> shifts) & mask).astype(np.uint16).reshape(-1, n, n)
+
+
+def _locate(sorted_keys, keys):
+    """Insertion points of keys in a nonempty sorted key array, and which are there."""
+    at = np.searchsorted(sorted_keys, keys)
+    found = sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
+    return at, found
+
+
+class KeyIndex:
+    """Element positions by packed key: the sorted keys and their positions."""
+
+    __slots__ = ("keys", "positions")
+
+    def __init__(self, keys, positions):
+        self.keys = keys
+        self.positions = positions
+
+    def lookup(self, keys):
+        """Positions of an array of keys, all of which must be present."""
+        at, found = _locate(self.keys, keys)
+        if not found.all():
+            raise KeyError("key not in the group")
+        return self.positions[at]
+
+    def __getitem__(self, key) -> int:
+        return int(self.lookup(np.array([key], dtype=np.uint64))[0])
+
+    def __contains__(self, key) -> bool:
+        return bool(_locate(self.keys, np.array([key], dtype=np.uint64))[1][0])
+
+    def __len__(self):
+        return len(self.keys)
+
+
+class MatrixElements(Sequence):
+    """A matrix group's elements as uint16 rows; each access builds a MatrixElement."""
+
+    def __init__(self, rows, field: FiniteField, projective: bool):
+        self.rows = rows
+        self.field = field
+        self.projective = projective
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return MatrixElement(self.field, self.rows[i].tolist(), self.projective)
+
+    def __iter__(self):
+        for r in self.rows.tolist():
+            yield MatrixElement(self.field, r, self.projective)
 
 
 # -- batched table arithmetic -----------------------------------------------------
@@ -180,52 +288,67 @@ class MatrixGroup(Group):
         self.field = field
         self.n = n
         self.projective = projective
-        self._np_elems = None
 
     def _subgroup(self, gens, stop_size=None):
-        """Group._subgroup on numpy batches over the field tables."""
+        """Group._subgroup on numpy batches over the field tables.
+
+        gens is a list of MatrixElements or a MatrixElements view.  Each
+        chunk of products is packed, deduplicated with a 1-D np.unique and
+        looked up in the sorted key array, into which the new keys are
+        merged; elements is a MatrixElements view and index a KeyIndex.
+        """
         add_t, mul_t, inv_t = self.field.np_tables()
-        n = self.n
+        n, q = self.n, self.field.q
+        if isinstance(gens, MatrixElements):
+            gen_rows = gens.rows
+        else:
+            gen_rows = np.array([g.rows for g in gens], dtype=np.uint16).reshape(-1, n, n)
+        gen_keys = pack_keys(gen_rows, q)
         ident = np.array(self.identity.rows, dtype=np.uint16)[None]
-        index = {self.identity.key(): 0}
+        keys = pack_keys(ident, q)  # sorted
+        positions = np.zeros(1, dtype=np.int64)  # element position of each key
         stored = [ident]
+        count = 1
         kept = []
-        for g in gens:
-            if g.key() in index:
-                continue
-            kept.append(g)
-            kept_arr = np.array([h.rows for h in kept], dtype=np.uint16)
-            frontier, mults = np.concatenate(stored), kept_arr[-1:]
+        start = 0
+        while True:
+            # the next generator not already in the subgroup
+            missing = np.flatnonzero(~_locate(keys, gen_keys[start:])[1])
+            if not missing.size:
+                break
+            start += int(missing[0])
+            kept.append(start)
+            kept_rows = gen_rows[kept]
+            frontier, mults = np.concatenate(stored), kept_rows[-1:]
             while len(frontier):
                 fresh = []
                 for s in range(0, len(frontier), _CHUNK):
                     prod = _bmul(add_t, mul_t, frontier[s:s + _CHUNK, None], mults[None])
-                    prod = prod.reshape(-1, n, n)
                     if self.projective:
                         prod = _bnormalize(mul_t, inv_t, prod)
-                    for row in np.unique(prod.reshape(-1, n * n), axis=0):
-                        b = row.tobytes()
-                        if b not in index:
-                            index[b] = len(index)
-                            fresh.append(row)
-                            if self._passes(len(index), stop_size):
-                                return None
-                frontier = np.array(fresh, dtype=np.uint16).reshape(-1, n, n)
+                    cand = np.unique(pack_keys(prod, q).ravel())
+                    at, found = _locate(keys, cand)
+                    new = cand[~found]
+                    if not new.size:
+                        continue
+                    keys = np.insert(keys, at[~found], new)
+                    positions = np.insert(positions, at[~found],
+                                          np.arange(count, count + len(new)))
+                    count += len(new)
+                    fresh.append(new)
+                    if self._passes(count, stop_size):
+                        return None
+                frontier = unpack_keys(np.concatenate(fresh or [keys[:0]]), q, n)
                 stored.append(frontier)
-                mults = kept_arr
-        rows = np.concatenate(stored)
-        elems = [
-            MatrixElement(self.field, tuple(map(tuple, r)), self.projective)
-            for r in rows.tolist()
-        ]
-        return elems, index, kept
+                mults = kept_rows
+        elems = MatrixElements(np.concatenate(stored), self.field, self.projective)
+        return elems, KeyIndex(keys, positions), [gens[i] for i in kept]
+
+    def _members(self, indices):
+        return MatrixElements(self._np_elements()[indices], self.field, self.projective)
 
     def _np_elements(self):
-        if self._np_elems is None:
-            self._np_elems = np.array(
-                [e.rows for e in self.elements()], dtype=np.uint16
-            )
-        return self._np_elems
+        return self.elements().rows
 
     def _compute_orders(self):
         add_t, mul_t, inv_t = self.field.np_tables()
@@ -256,7 +379,6 @@ class MatrixGroup(Group):
         add_t, mul_t, inv_t = self.field.np_tables()
         e = self._np_elements()
         index = self.element_index()
-        total = len(e)
         maps = []
         for a in self.reduced_generators():
             arr = np.array(a.rows, dtype=np.uint16)[None]
@@ -264,8 +386,7 @@ class MatrixGroup(Group):
             conj = _bmul(add_t, mul_t, _bmul(add_t, mul_t, ainv, e), arr)
             if self.projective:
                 conj = _bnormalize(mul_t, inv_t, conj)
-            flat = conj.reshape(total, -1)
-            maps.append([index[flat[i].tobytes()] for i in range(total)])
+            maps.append(index.lookup(pack_keys(conj, self.field.q)).tolist())
         return maps
 
 
@@ -382,17 +503,21 @@ def su_generators(n: int, q: int, field: FiniteField | None = None) -> list:
 
 
 def sl_group(n: int, q: int, cap=DEFAULT_CAP, field: FiniteField | None = None) -> MatrixGroup:
+    order = classical_order("SL", n, q)
+    key_bits(q, n)  # before anything is built
     if field is None:
         field = field_make(*_field_params(q))
     grp = MatrixGroup(sl_generators(n, field), field, n, name=f"SL({n},{q})", cap=cap)
-    _check_order(grp, classical_order("SL", n, q))
+    _check_order(grp, order)
     return grp
 
 
 def su_group(n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
+    order = classical_order("SU", n, q)
+    key_bits(q * q, n)  # before su_generators walks GF(q^2)^n
     field = field_make(*_field_params(q, double=True))
     grp = MatrixGroup(su_generators(n, q, field), field, n, name=f"SU({n},{q})", cap=cap)
-    _check_order(grp, classical_order("SU", n, q))
+    _check_order(grp, order)
     return grp
 
 

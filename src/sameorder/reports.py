@@ -15,11 +15,22 @@ import json
 import os
 import sys
 
+from .core import spectrum_checks
+from .errors import VerificationError
+
 ENGINE_VERSION = "0.1.0"
 
 
 def build_report(expression: str, group) -> dict:
+    """The report of a built group.
+
+    Its spectrum must pass every structural law of spectrum_checks; the
+    first one it breaks raises VerificationError.
+    """
     spec = group.spectrum()
+    for name, ok, detail in spectrum_checks(spec):
+        if not ok:
+            raise VerificationError(f"{expression}: spectrum check failed: {name} ({detail})")
     alpha = list(spec.alpha())
     return {
         "expression": expression,

@@ -12,10 +12,12 @@ any thread count.
 from __future__ import annotations
 
 import math
+import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
-from .core import DEFAULT_CAP, noniso_certificate
-from .dsl import group_for
+from .core import DEFAULT_CAP, DirectProduct, noniso_certificate
+from .dsl import eval_expr, factors_of, group_for, parse_expr
 from .errors import VerificationError
 from .matrices import classical_order
 from .numtheory import divisors, factorize, multiplicative_order, prime_power
@@ -291,6 +293,35 @@ def _candidate_expressions(order: int, max_factors: int) -> list:
     return sorted(out)
 
 
+class _AtomPool:
+    """A hunt's atoms, each built on its first use and dropped after its last.
+
+    Candidates share their atoms, so each distinct atom is built once per
+    hunt, and only the atoms some unexamined candidate still needs are held.
+    Worker threads share the pool, so every access holds the lock.
+    """
+
+    def __init__(self, factor_lists, cap: int):
+        self.uses = Counter(a for fs in factor_lists for a in fs)
+        self.built = {}
+        self.cap = cap
+        self.lock = threading.Lock()
+
+    def take(self, atoms) -> list:
+        with self.lock:
+            for a in atoms:
+                if a not in self.built:
+                    self.built[a] = eval_expr(a, self.cap)
+            return [self.built[a] for a in atoms]
+
+    def release(self, atoms):
+        with self.lock:
+            for a in atoms:
+                self.uses[a] -= 1
+                if not self.uses[a]:
+                    del self.built[a]
+
+
 def hunt_report(order: int, max_factors: int, cap: int = DEFAULT_CAP,
                 threads: int = 1) -> dict:
     """Search bounded products of standard families for same-order-type
@@ -298,7 +329,8 @@ def hunt_report(order: int, max_factors: int, cap: int = DEFAULT_CAP,
 
     A collision is a candidate with the same type cardinality as the simple
     group plus a non-isomorphism certificate.  Empty results mean none were
-    found in the searched families, not that none exist.
+    found in the searched families, not that none exist.  Each distinct atom
+    is built once per call and shared by the candidates that use it.
     """
     base = {"order": order, "max_factors": max_factors}
     if order not in SIMPLE_BY_ORDER:
@@ -309,21 +341,27 @@ def hunt_report(order: int, max_factors: int, cap: int = DEFAULT_CAP,
     target_card = len(simple.alpha())
 
     exprs = _candidate_expressions(order, max_factors)
+    factors = {text: factors_of(parse_expr(text)) for text in exprs}
+    atoms = _AtomPool(factors.values(), cap)
 
     def examine(text: str):
-        g = group_for(text, cap)
-        alpha = list(g.alpha())
-        if len(alpha) != target_card:
-            return None
-        cert = noniso_certificate(simple, g)
-        if cert is None:
-            return None
-        return {
-            "expression": text,
-            "alpha": alpha,
-            "alpha_cardinality": len(alpha),
-            "certificate": cert.to_dict(),
-        }
+        groups = atoms.take(factors[text])
+        try:
+            g = groups[0] if len(groups) == 1 else DirectProduct(groups, name=text, cap=cap)
+            alpha = list(g.alpha())
+            if len(alpha) != target_card:
+                return None
+            cert = noniso_certificate(simple, g)
+            if cert is None:
+                return None
+            return {
+                "expression": text,
+                "alpha": alpha,
+                "alpha_cardinality": len(alpha),
+                "certificate": cert.to_dict(),
+            }
+        finally:
+            atoms.release(factors[text])
 
     found = [r for r in _pmap(examine, exprs, threads) if r is not None]
     return {

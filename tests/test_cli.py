@@ -195,6 +195,35 @@ def test_permutation_degree_limit_exits_2(capsys, monkeypatch):
     assert "at most 256 points" in err
 
 
+def test_matrix_key_width_limit_exits_2(capsys, monkeypatch):
+    from sameorder import matrices
+
+    def build(*args):
+        raise AssertionError("built generators past the key-width limit")
+
+    # SU(3,13) is under the cap given, but a 3x3 matrix over GF(169) needs a
+    # 72-bit key; it is rejected before su_generators walks GF(169)^3
+    monkeypatch.setattr(matrices, "su_generators", build)
+    code, out, err = run(capsys, "alpha", "SU(3,13)", "--max-elements", "1000000000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "at most 64 bits" in err
+
+
+def test_report_spectrum_breaking_a_law_exits_1(capsys, monkeypatch):
+    from sameorder.core import Group, Spectrum
+
+    # phi(3) = 2 does not divide s_3 = 3: no group has this spectrum
+    monkeypatch.setattr(Group, "spectrum",
+                        lambda self: Spectrum(counts={1: 1, 2: 2, 3: 3}, group_order=6))
+    code, out, err = run(capsys, "alpha", "S(3)")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "S(3): spectrum check failed: phi(t) divides s_t for every order t" in err
+
+
 def test_unexpected_exception_is_one_line_failure(capsys, monkeypatch):
     import sameorder.cli as cli
 

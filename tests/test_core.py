@@ -67,6 +67,17 @@ def test_closure_cap():
     f = field_make(3, 1)
     with pytest.raises(CapExceededError):
         MatrixGroup(sl_generators(2, f), f, 2, cap=10).order()
+    # a walk that adds a batch at once keeps the order of the two checks, as
+    # if counting one by one: a stop_size past the cap still raises, one up
+    # to the cap stops the walk
+    s4 = symmetric_generators(4)
+    for grp in (MatrixGroup(sl_generators(2, f), f, 2, cap=10),
+                Group(s4, s4[0].op(s4[0].inv()), cap=10)):
+        for stop_size in (11, 100):
+            with pytest.raises(CapExceededError):
+                grp._subgroup(grp.generators, stop_size=stop_size)
+        for stop_size in (9, 10):
+            assert grp._subgroup(grp.generators, stop_size=stop_size) is None
 
 
 def test_cap_is_checked_before_anything_is_built(monkeypatch):

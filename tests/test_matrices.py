@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+from sameorder.core import Group
 from sameorder.errors import InvalidParameterError, OrderMismatchError
 from sameorder.fields import FiniteField, field_make
 from sameorder.matrices import (
+    KEY_BITS,
     MatrixElement,
     MatrixGroup,
     classical_order,
+    key_bits,
     mat_det,
     mat_identity_rows,
     mat_inv,
@@ -205,6 +208,31 @@ def test_matrix_element_key_is_stable():
     assert a.key() == b.key()
     assert a == b
     assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("expr", ["PSL(2,7)", "SL(2,3)", "PSU(3,3)"])
+def test_packed_index_and_conjugation_maps_match_generic(built, expr):
+    """The sorted key index and the batched conjugation maps agree with the
+    element objects and with the generic one-conjugation-at-a-time maps."""
+    g = built(expr)
+    index = g.element_index()
+    assert len(index) == g.order()
+    for i, e in enumerate(g.elements()):
+        assert index[e.key()] == i
+        assert e in g
+    assert g._conjugation_maps() == Group._conjugation_maps(g)
+
+
+def test_key_width_limit():
+    assert key_bits(512, 2) * 4 <= KEY_BITS  # every SL(2,q) fits
+    assert key_bits(16, 4) * 16 == KEY_BITS
+    for n, q in [(3, 169), (4, 17), (3, 131)]:
+        with pytest.raises(InvalidParameterError, match="at most 64 bits"):
+            key_bits(q, n)
+    with pytest.raises(InvalidParameterError, match="at most 64 bits"):
+        sl_group(3, 131, cap=10**18)
+    a = MatrixElement(field_make(2, 4), [[0] * 4] * 3 + [[15, 15, 15, 15]])
+    assert a.key() == 2**16 - 1
 
 
 def test_su_rejects_unsupported_dimension():

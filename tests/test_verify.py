@@ -200,6 +200,40 @@ def test_hunt_unaffected_by_cache_lifecycle(tmp_path):
     assert json.dumps(before, sort_keys=True) == json.dumps(after, sort_keys=True)
 
 
+def test_hunt_builds_each_atom_once(monkeypatch):
+    from collections import Counter
+
+    from sameorder import verify
+    from sameorder.core import Group
+    from sameorder.dsl import factors_of, parse_expr, print_expr
+
+    enumerated = Counter()
+    enumerate_group = Group._enumerate
+
+    def counting(self):
+        enumerated[self.name] += 1
+        enumerate_group(self)
+
+    pools = []
+
+    class Pool(verify._AtomPool):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pools.append(self)
+
+    monkeypatch.setattr(Group, "_enumerate", counting)
+    monkeypatch.setattr(verify, "_AtomPool", Pool)
+    rep = hunt_report(60, 3)
+    atoms = {print_expr(a) for text in _candidate_expressions(60, 3)
+             for a in factors_of(parse_expr(text))}
+    assert rep["candidates_searched"] == 53
+    # PSL(2,5) is built as a quotient of an enumerated SL(2,5)
+    assert set(enumerated) == atoms | {"PSL(2,5)", "SL(2,5)"}
+    assert max(enumerated.values()) == 1
+    # each atom is dropped after the last candidate that uses it
+    assert pools[0].built == {}
+
+
 def test_hunt_without_catalog_group():
     rep = hunt_report(7, 1)
     assert rep["collisions"] == []
