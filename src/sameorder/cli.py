@@ -25,16 +25,23 @@ from .reports import render_json, report_for
 from .verify import counterexample_report, hunt_report, theorem_report
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and limits: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", dest="as_json",
                         help="emit a JSON document instead of text")
     common.add_argument("--cache-dir", metavar="PATH", default=None,
                         help="directory for the per-expression report cache")
-    common.add_argument("--max-elements", metavar="N", type=int, default=DEFAULT_CAP,
+    common.add_argument("--max-elements", metavar="N", type=_positive_int, default=DEFAULT_CAP,
                         help="abort enumeration beyond this many elements "
                              f"(default {DEFAULT_CAP})")
-    common.add_argument("--threads", metavar="N", type=int, default=1,
+    common.add_argument("--threads", metavar="N", type=_positive_int, default=1,
                         help="worker threads for multi-group commands")
 
     parser = argparse.ArgumentParser(
@@ -63,8 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hunt", parents=[common],
                        help="search products of standard families for "
                             "same-order-type collisions")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--max-factors", type=int, default=2)
+    p.add_argument("--order", type=_positive_int, required=True)
+    p.add_argument("--max-factors", type=_positive_int, default=2)
 
     return parser
 

@@ -1,13 +1,18 @@
 """Finite group engine.
 
-A group is held as a generating set of elements.  One primitive,
-``Group._subgroup`` (batched for matrix groups), generates the subgroup of
-any list of elements: the group itself, and each normal closure, which is
-the subgroup generated by whole conjugacy classes.  Spectrum and same-order
-type come from the element orders; center, simplicity and derived series
-from the classes.  Any element type meeting the small ``GroupElement``
-contract plugs in: permutations and matrices over a finite field.  A direct
-product is never enumerated: ``DirectProduct`` answers from its factors.
+A group is held as a generating set of elements.  One walk,
+``Group._subgroup`` (batched for matrix groups), enumerates it and keeps the
+table of right multiplications by the kept generators, R[k, x] = position of
+x * kept[k]: the coset table of the trivial subgroup.  All structure is then
+read off R in index space, never off an element: the walk's spanning tree
+writes each element as a word in the kept generators, left multiplication is
+one gather per tree layer, the conjugacy classes are the orbits of the
+conjugation maps, an element's order is a class function found by one power
+walk per class, and normal closures (simplicity, derived series) are the
+kept-generator walk on sets of positions.  Elements meet the small
+``GroupElement`` contract: permutations and matrices over a finite field.
+A direct product is never enumerated: ``DirectProduct`` answers from its
+factors.
 
 Elements compare by canonical keys, never by identity or repr.
 """
@@ -15,9 +20,13 @@ Elements compare by canonical keys, never by identity or repr.
 from __future__ import annotations
 
 import math
+from array import array
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
+
+import numpy as np
 
 from .errors import CapExceededError, NoWitnessError
 from .numtheory import factorize, is_prime, totient
@@ -30,10 +39,9 @@ class GroupElement:
 
     Subclasses supply an associative product, inverses, and a canonical
     encoding: key() values (bytes for a permutation, a packed int for a
-    matrix) are equal iff the elements are equal.  known_order returns the
-    element's order read off its representation (cycle structure of a
-    permutation); an element type that returns None needs a group class that
-    overrides Group._compute_orders, as MatrixGroup does.
+    matrix) are equal iff the elements are equal.  Nothing else is asked:
+    orders and all other structure are read off the group's multiplication
+    table, never off an element.
     """
 
     __slots__ = ()
@@ -47,9 +55,6 @@ class GroupElement:
     def key(self):
         raise NotImplementedError
 
-    def known_order(self) -> int | None:
-        return None
-
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
@@ -57,18 +62,6 @@ class GroupElement:
 
     def __hash__(self):
         return hash(self.key())
-
-
-def element_order_naive(g) -> int:
-    """Repeated composition until the identity returns.  Test oracle."""
-    identity = g.op(g.inv())
-    ekey = identity.key()
-    cur = g
-    n = 1
-    while cur.key() != ekey:
-        cur = cur.op(g)
-        n += 1
-    return n
 
 
 @dataclass(frozen=True)
@@ -151,13 +144,21 @@ class NonIsoCertificate:
         return d
 
 
+# What a subgroup walk found: elements as it stores them, index from key to
+# position, kept (the generators not in the subgroup of those kept before them)
+# and the int32 table R[k, x] = position of x * kept[k].  Its discoveries are a
+# spanning tree, x = parent[x] * kept[letter[x]], found in rounds
+# layers[i]:layers[i + 1] whose parents all sit before layers[i].
+Closure = namedtuple("Closure", "elements index kept table parent letter layers")
+
+
 class Group:
     """A permutation or matrix group, enumerated on demand from its generators.
 
-    All derived data (elements, orders, spectrum, classes, center, series)
-    is computed lazily and cached; instances are immutable afterwards and
-    safe to share read-only across threads, since racing recomputations are
-    idempotent.  cap bounds the closure size, guarding against runaway input.
+    Derived data is computed lazily and cached; instances are immutable
+    afterwards and safe to share read-only across threads, since racing
+    recomputations are idempotent.  cap bounds the closure size, guarding
+    against runaway input.
     """
 
     def __init__(self, generators, identity, name=None, cap=DEFAULT_CAP):
@@ -165,57 +166,58 @@ class Group:
         self.identity = identity
         self.name = name
         self.cap = cap
-        self._elems = None
-        self._index = None
-        self._reduced = None
-        self._orders = None
-        self._spectrum = None
-        self._conj_maps = None
-        self._classes = None
-        self._simple = None
-        self._derived = None
+        # all computed on first use
+        self._closure = self._class_of = self._classes = self._orders = None
+        self._spectrum = self._simple = self._derived = None
 
     # -- enumeration ---------------------------------------------------------
 
-    def _subgroup(self, gens, stop_size=None):
-        """Subgroup generated by gens, as (elements, index, kept).
+    def _subgroup(self, gens, stop_size=None) -> Closure | None:
+        """The Closure of the subgroup generated by gens.
 
-        index maps canonical keys to element positions; kept lists the
-        generators not already in the subgroup of the ones kept before them.
         A new generator multiplies every element known so far once, and the
         elements it brings in then take every kept generator until nothing
-        new appears (a finite group needs no inverses).  Returns None once
-        the count passes stop_size; raises CapExceededError past the cap.
+        new appears (a finite group needs no inverses), so each product is
+        formed once and each row of R fills in position order.  Returns None
+        once the count passes stop_size; raises CapExceededError past the cap.
         """
         elems = [self.identity]
         index = {self.identity.key(): 0}
-        kept = []
+        # C ints, not Python lists of ints: the table is |G| * kept entries
+        kept, table, parent, letter, layers = [], [], array("i", [0]), array("i", [0]), [1]
         for g in gens:
             if g.key() in index:
                 continue
             kept.append(g)
-            frontier, mults = list(elems), [g]
+            table.append(array("i"))
+            frontier, first, mults = list(elems), 0, [(len(kept) - 1, table[-1], g)]
             while frontier:
                 fresh = []
-                for x in frontier:
-                    for h in mults:
+                for px, x in enumerate(frontier, first):
+                    for k, row, h in mults:
                         y = x.op(h)
-                        k = y.key()
-                        if k not in index:
-                            index[k] = len(elems)
+                        pos = index.setdefault(y.key(), len(elems))
+                        if pos == len(elems):
                             elems.append(y)
                             fresh.append(y)
+                            parent.append(px)
+                            letter.append(k)
                             if self._passes(len(elems), stop_size):
                                 return None
-                frontier, mults = fresh, kept
-        return elems, index, kept
+                        row.append(pos)
+                if fresh:
+                    layers.append(len(elems))
+                frontier, first = fresh, len(elems) - len(fresh)
+                mults = [(k, row, h) for k, (row, h) in enumerate(zip(table, kept))]
+        table = np.frombuffer(b"".join(table), dtype=np.intc).reshape(len(kept), len(elems))
+        return Closure(elems, index, kept, table, np.frombuffer(parent, dtype=np.intc),
+                       np.frombuffer(letter, dtype=np.intc), layers)
 
     def _passes(self, count, stop_size) -> bool:
         """True once count passes stop_size; raises once it passes the cap.
 
-        A batched walk adds many elements at once, so count may jump past
-        both bounds; the one a count going up by one would pass first
-        decides, stop_size on a tie.
+        A batched walk may jump past both bounds at once; the one a count
+        going up by one would pass first decides, stop_size on a tie.
         """
         if stop_size is not None and stop_size <= self.cap:
             return count > stop_size
@@ -224,51 +226,111 @@ class Group:
         return False
 
     def _enumerate(self):
-        self._elems, self._index, self._reduced = self._subgroup(self.generators)
+        self._closure = self._subgroup(self.generators)
+
+    def _walked(self) -> Closure:
+        if self._closure is None:
+            self._enumerate()
+        return self._closure
+
+    def _element_objects(self) -> list:
+        return self._walked().elements
 
     def elements(self) -> list:
-        if self._elems is None:
-            self._enumerate()
-        return self._elems
+        """The elements as objects; position i is index i everywhere."""
+        return self._element_objects()
 
     def element_index(self):
         """Position of each element by key: index[g.key()] is g's position."""
-        if self._index is None:
-            self._enumerate()
-        return self._index
+        return self._walked().index
 
     def order(self) -> int:
-        return len(self.elements())
+        return self._walked().table.shape[1]
 
     def reduced_generators(self) -> list:
-        if self._reduced is None:
-            self._enumerate()
-        return self._reduced
-
-    def _members(self, indices):
-        """The elements at the given indices, as _subgroup takes its generators."""
-        elems = self.elements()
-        return [elems[i] for i in indices]
+        return self._walked().kept
 
     def __contains__(self, g):
         return g.key() in self.element_index()
 
-    # -- orders and spectrum ---------------------------------------------------
+    # -- index space: conjugacy classes and element orders ---------------------
 
-    def _compute_orders(self) -> list:
-        return [g.known_order() for g in self.elements()]
+    def _left_maps(self, s):
+        """int32 L with L[i, x] the position of s[i] * x: one gather per tree layer."""
+        c = self._walked()
+        out = np.empty((len(s), c.table.shape[1]), dtype=np.int32)
+        out[:, 0] = s
+        for a, b in zip(c.layers, c.layers[1:]):  # s * x = (s * parent) * letter
+            out[:, a:b] = c.table[c.letter[a:b], out[:, c.parent[a:b]]]
+        return out
+
+    def conjugation_maps(self):
+        """int32 M, M[k, x] = position of k^-1 x k for kept k: R_k after left
+        multiplication by k^-1, the element R_k sends to the identity."""
+        table = self._walked().table
+        inverses = np.argmax(table == 0, axis=1)
+        return table[np.arange(len(table))[:, None], self._left_maps(inverses)]
+
+    def conjugacy_classes(self) -> list:
+        """Partition of element indices into conjugacy classes.
+
+        The orbits of the conjugation maps: each element takes the smallest
+        label of itself and its images, then the label of its label, until
+        nothing changes.  Classes come out ordered by their smallest element
+        index (the identity's singleton class first), each an ascending int
+        array.
+        """
+        if self._classes is None:
+            maps = self.conjugation_maps()
+            label = new = np.arange(maps.shape[1], dtype=np.int32)
+            while True:
+                for m in maps:
+                    new = np.minimum(new, new[m])
+                new = new[new]
+                if np.array_equal(new, label):
+                    break
+                label = new
+            class_of = np.unique(label, return_inverse=True)[1].reshape(-1)
+            self._class_of = class_of
+            self._classes = np.split(np.argsort(class_of, kind="stable"),
+                                     np.cumsum(np.bincount(class_of))[:-1])
+        return self._classes
+
+    def center_order(self) -> int:
+        """The center is the union of the singleton conjugacy classes."""
+        return sum(len(c) == 1 for c in self.conjugacy_classes())
 
     def element_orders(self) -> list:
-        """Orders of all elements, aligned with elements()."""
+        """Orders of all elements, aligned with elements().
+
+        An order is a class function.  Each class not met yet walks the powers
+        of its first member r, one lookup in R per letter of r's word in the
+        closure's tree; meeting r^j fixes the order of r^j's class too,
+        m / gcd(j, m) for m the order of r, so a cyclic group takes one walk.
+        """
         if self._orders is None:
-            self._orders = self._compute_orders()
+            classes, c = self.conjugacy_classes(), self._walked()
+            rows, orders = list(c.table), [0] * len(classes)
+            for i, members in enumerate(classes):
+                if orders[i]:
+                    continue
+                word, x = [], members[0]
+                while x:
+                    word.append(rows[c.letter[x]])
+                    x = c.parent[x]
+                powers, x = [members[0]], members[0]
+                while x:
+                    for row in reversed(word):
+                        x = row[x]
+                    powers.append(x)
+                for j, x in enumerate(powers, 1):
+                    orders[self._class_of[x]] = len(powers) // math.gcd(j, len(powers))
+            self._orders = np.array(orders)[self._class_of].tolist()
         return self._orders
 
     def spectrum(self) -> Spectrum:
         if self._spectrum is None:
-            acc: dict = {}
-            for o in self.element_orders():
-                acc[o] = acc.get(o, 0) + 1
+            acc = Counter(self.element_orders())
             self._spectrum = Spectrum(
                 counts={t: acc[t] for t in sorted(acc)},
                 group_order=self.order(),
@@ -278,72 +340,39 @@ class Group:
     def alpha(self) -> tuple:
         return self.spectrum().alpha()
 
-    # -- conjugation-driven structure -----------------------------------------
-
-    def _conjugation_maps(self) -> list:
-        """One index permutation per reduced generator a: i -> index of a^-1 g_i a."""
-        elems = self.elements()
-        index = self.element_index()
-        maps = []
-        for a in self.reduced_generators():
-            ainv = a.inv()
-            maps.append([index[ainv.op(x).op(a).key()] for x in elems])
-        return maps
-
-    def conjugation_maps(self) -> list:
-        if self._conj_maps is None:
-            self._conj_maps = self._conjugation_maps()
-        return self._conj_maps
-
-    def conjugacy_classes(self) -> list:
-        """Partition of element indices into conjugacy classes.
-
-        Classes come out ordered by their smallest element index (the
-        identity's singleton class first), each class sorted ascending.
-        """
-        if self._classes is None:
-            maps = self.conjugation_maps()
-            n = self.order()
-            seen = bytearray(n)
-            classes = []
-            for i in range(n):
-                if seen[i]:
-                    continue
-                orbit = [i]
-                seen[i] = 1
-                stack = [i]
-                while stack:
-                    j = stack.pop()
-                    for m in maps:
-                        k = m[j]
-                        if not seen[k]:
-                            seen[k] = 1
-                            orbit.append(k)
-                            stack.append(k)
-                orbit.sort()
-                classes.append(orbit)
-            self._classes = classes
-        return self._classes
-
-    def center_order(self) -> int:
-        """The center is the union of the singleton conjugacy classes."""
-        return sum(len(c) == 1 for c in self.conjugacy_classes())
-
     # -- normal closures, simplicity, solvability -------------------------------
 
     def _normal_closure(self, indices, stop_size):
-        """Normal closure of the elements at the given indices.
+        """Normal closure of the elements at the given indices, once the classes are known.
 
-        That is the subgroup generated by the conjugacy classes holding them,
-        returned as _subgroup returns it, so None once the count passes
-        stop_size: a subgroup with more than half the group's elements is
-        the whole group, so callers pass stop_size = order // 2 and treat
-        None as "everything".
+        The subgroup the classes holding them generate, walked as _subgroup
+        walks but on positions, by left multiplication.  Returns (order,
+        positions of the kept generators), or None once the count passes
+        stop_size: a subgroup with more than half the group's elements is the
+        whole group, so callers pass stop_size = order // 2 and treat None as
+        "everything".
         """
-        wanted = set(indices)
-        members = [i for c in self.conjugacy_classes()
-                   if not wanted.isdisjoint(c) for i in c]
-        return self._subgroup(self._members(members), stop_size)
+        gens = np.flatnonzero(np.isin(self._class_of, self._class_of[indices]))
+        inside = np.zeros(len(self._class_of), dtype=bool)
+        inside[0] = True
+        members, count, kept, maps, start = [np.zeros(1, dtype=np.intp)], 1, [], [], 0
+        while True:
+            missing = np.flatnonzero(~inside[gens[start:]])
+            if not missing.size:
+                return count, kept
+            start += int(missing[0])
+            kept.append(int(gens[start]))
+            maps.append(self._left_maps(gens[start:start + 1])[0])
+            frontier, mults = np.concatenate(members), maps[-1:]
+            while frontier.size:
+                reached = np.concatenate([m[frontier] for m in mults])
+                fresh = np.unique(reached[~inside[reached]])
+                inside[fresh] = True
+                members.append(fresh)
+                count += len(fresh)
+                if self._passes(count, stop_size):
+                    return None
+                frontier, mults = fresh, maps
 
     def is_simple(self) -> bool:
         """True iff the group is nontrivial with no proper nontrivial normal subgroup.
@@ -364,25 +393,28 @@ class Group:
     def derived_series(self) -> tuple:
         """Orders along the derived series, plus the solvable flag.
 
-        Each term is the normal closure of the commutators of the previous
-        term's kept generators.  Every term is characteristic in the one
-        before, hence normal in the group, so its normal closure in the group
-        is its normal closure in the previous term.  Stops when the order
-        stabilizes or hits 1.
+        Each term is the normal closure of the commutators a^-1 b^-1 a b of
+        the previous term's kept generators, from left multiplication maps
+        (a^-1 is what left multiplication by a sends to the identity).
+        Every term is characteristic in the one before, hence normal in the
+        group, so its normal closure in the group is its normal closure in
+        the previous term.  Stops when the order stabilizes or hits 1.
         """
         if self._derived is None:
-            index = self.element_index()
-            cur_gens, cur_order = self.reduced_generators(), self.order()
+            self.conjugacy_classes()
+            # the kept generators sit where R takes the identity
+            gens, cur_order = self._walked().table[:, 0], self.order()
             orders = [cur_order]
             while cur_order > 1:
-                comms = [index[a.inv().op(b.inv()).op(a).op(b).key()]
-                         for a, b in combinations(cur_gens, 2)]
+                left = self._left_maps(gens)
+                left_inv = self._left_maps(np.argmax(left == 0, axis=1))
+                a, b = np.triu_indices(len(gens), 1)
+                comms = left_inv[a, left_inv[b, left[a, np.asarray(gens)[b]]]]
                 sub = self._normal_closure(comms, cur_order // 2)
                 if sub is None:
                     orders.append(cur_order)
                     break
-                cur_order, cur_gens = len(sub[0]), sub[2]
-                del sub  # free this term's elements before building the next
+                cur_order, gens = sub
                 orders.append(cur_order)
             self._derived = (tuple(orders), orders[-1] == 1)
         return self._derived
@@ -421,8 +453,8 @@ class Group:
 
     def __repr__(self):
         label = self.name or f"{len(self.generators)} generators"
-        if self._elems is not None:
-            return f"Group({label}, order {len(self._elems)})"
+        if self._closure is not None:
+            return f"Group({label}, order {self.order()})"
         return f"Group({label})"
 
 

@@ -2,35 +2,33 @@
 
 Elements are dense n x n matrices of field codes.  All arithmetic indexes the
 field's dense add/mul tables: single products go through their Python rows,
-and groups built here replace the generic subgroup, order, and conjugation
-paths with numpy batches over the same tables.
+and a MatrixGroup's closure runs on numpy batches over the same tables.
+After the closure the group lives in index space (see core) and reads no
+field table again.
 
 Inside a MatrixGroup an element is identified by its packed key: the n*n
-codes, (q-1).bit_length() bits each, in one uint64 with the first entry in
-the highest bits, so key order is the row-major lexicographic order of the
-matrices.  A group stores its elements as uint16 rows, and its element index
-is the sorted key array with the position of each key; batches of products
-are deduplicated and looked up in one numpy pass.  MatrixElement objects are
-built only when a caller asks for them (elements(), membership, tests).  A
-key holds at most 64 bits, so n^2 * bits <= 64 is checked before a group is
-built; no group within the default cap comes close.
+codes, (q-1).bit_length() bits each, in one uint64 with the first entry
+highest, so key order is row-major lexicographic order.  A group stores its
+elements as uint16 rows and indexes them by the sorted keys; MatrixElement
+objects are built only on request.  n^2 * bits <= 64 is checked before a
+group is built.
 
-Projective groups (PSL, PSU) represent each coset of the scalar subgroup by
-the unique scalar multiple whose first nonzero entry in row-major order is 1,
-multiplying and renormalizing.  Two special linear matrices normalize to the
-same representative exactly when they differ by a scalar of determinant one,
-so the construction realizes the quotient faithfully.
+Projective groups (PSL, PSU) represent each coset of the scalars by its
+multiple whose first nonzero entry in row-major order is 1; two special
+linear matrices normalize alike exactly when they differ by a scalar of
+determinant one.  projectivize reads the quotient off the enumerated SL or
+SU group, with no second closure; a MatrixGroup built with projective=True
+runs its own closure, renormalizing every product.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from itertools import product
 
 import numpy as np
 
-from .core import DEFAULT_CAP, Group, GroupElement
+from .core import DEFAULT_CAP, Closure, Group, GroupElement
 from .errors import InvalidParameterError, OrderMismatchError
 from .fields import FiniteField, field_make, field_size
 from .numtheory import prime_power
@@ -139,15 +137,11 @@ class MatrixElement(GroupElement):
         return MatrixElement(self.field, r, self.projective)
 
     def key(self) -> int:
-        # the packed key pack_keys gives a numpy batch, so single elements
-        # and batches land in the same index
+        # packed as pack_keys packs a batch, so both land in the same index
         if self._key is None:
             rows = np.array(self.rows, dtype=np.uint16)
             self._key = int(pack_keys(rows, self.field.q))
         return self._key
-
-    def det(self) -> int:
-        return mat_det(self.field, self.rows)
 
     def __repr__(self):
         return f"Matrix{self.rows}"
@@ -173,11 +167,6 @@ def key_bits(q: int, n: int) -> int:
     return bits
 
 
-def _key_shifts(q: int, n: int):
-    bits = key_bits(q, n)
-    return np.arange(n * n - 1, -1, -1, dtype=np.uint64) * np.uint64(bits), bits
-
-
 def pack_keys(codes, q: int):
     """Packed uint64 keys of matrices over GF(q), shape (..., n, n) -> (...).
 
@@ -185,16 +174,9 @@ def pack_keys(codes, q: int):
     exact bitwise concatenation, first entry highest.
     """
     n = codes.shape[-1]
-    shifts, _ = _key_shifts(q, n)
+    shifts = np.arange(n * n - 1, -1, -1, dtype=np.uint64) * np.uint64(key_bits(q, n))
     flat = codes.reshape(codes.shape[:-2] + (n * n,)).astype(np.uint64)
     return flat @ (np.uint64(1) << shifts)
-
-
-def unpack_keys(keys, q: int, n: int):
-    """The uint16 matrices, shape (m, n, n), of m packed keys."""
-    shifts, bits = _key_shifts(q, n)
-    mask = np.uint64((1 << bits) - 1)
-    return ((keys[:, None] >> shifts) & mask).astype(np.uint16).reshape(-1, n, n)
 
 
 def _locate(sorted_keys, keys):
@@ -210,18 +192,13 @@ class KeyIndex:
     __slots__ = ("keys", "positions")
 
     def __init__(self, keys, positions):
-        self.keys = keys
-        self.positions = positions
-
-    def lookup(self, keys):
-        """Positions of an array of keys, all of which must be present."""
-        at, found = _locate(self.keys, keys)
-        if not found.all():
-            raise KeyError("key not in the group")
-        return self.positions[at]
+        self.keys, self.positions = keys, positions
 
     def __getitem__(self, key) -> int:
-        return int(self.lookup(np.array([key], dtype=np.uint64))[0])
+        at, found = _locate(self.keys, np.array([key], dtype=np.uint64))
+        if not found[0]:
+            raise KeyError(key)
+        return int(self.positions[at[0]])
 
     def __contains__(self, key) -> bool:
         return bool(_locate(self.keys, np.array([key], dtype=np.uint64))[1][0])
@@ -230,40 +207,23 @@ class KeyIndex:
         return len(self.keys)
 
 
-class MatrixElements(Sequence):
-    """A matrix group's elements as uint16 rows; each access builds a MatrixElement."""
-
-    def __init__(self, rows, field: FiniteField, projective: bool):
-        self.rows = rows
-        self.field = field
-        self.projective = projective
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return MatrixElement(self.field, self.rows[i].tolist(), self.projective)
-
-    def __iter__(self):
-        for r in self.rows.tolist():
-            yield MatrixElement(self.field, r, self.projective)
-
-
 # -- batched table arithmetic -----------------------------------------------------
 
 
 def _bmul(add_t, mul_t, a, b):
     """Batched matrix product C[..., i, j] = sum_k A[..., i, k] B[..., k, j].
 
-    Leading dimensions broadcast; entries are field codes indexed through the
-    dense add/mul tables.
+    Leading dimensions broadcast; entries are field codes.  Each k is one
+    gather from the flattened mul table at a * q + b and one from the
+    flattened add table, so no product tensor over all k is built.
     """
-    p = mul_t[a[..., :, :, None], b[..., None, :, :]]
-    out = p[..., 0, :]
-    for k in range(1, p.shape[-2]):
-        out = add_t[out, p[..., k, :]]
+    q = len(add_t)
+    add_f, mul_f = add_t.ravel(), mul_t.ravel()
+    a = a.astype(np.intp) * q
+    out = mul_f[a[..., :, 0, None] + b[..., None, 0, :]]
+    for k in range(1, a.shape[-1]):
+        p = mul_f[a[..., :, k, None] + b[..., None, k, :]]
+        out = add_f[np.multiply(out, q, dtype=np.intp) + p]
     return out
 
 
@@ -292,25 +252,22 @@ class MatrixGroup(Group):
     def _subgroup(self, gens, stop_size=None):
         """Group._subgroup on numpy batches over the field tables.
 
-        gens is a list of MatrixElements or a MatrixElements view.  Each
-        chunk of products is packed, deduplicated with a 1-D np.unique and
-        looked up in the sorted key array, into which the new keys are
-        merged; elements is a MatrixElements view and index a KeyIndex.
+        Each chunk of products is packed, deduplicated with a 1-D np.unique
+        and looked up in the sorted key array, into which the new keys are
+        merged.  The lookup gives the position each product lands on, and the
+        first product to reach a new key its parent and letter.  elements is
+        the uint16 rows and index a KeyIndex.
         """
         add_t, mul_t, inv_t = self.field.np_tables()
         n, q = self.n, self.field.q
-        if isinstance(gens, MatrixElements):
-            gen_rows = gens.rows
-        else:
-            gen_rows = np.array([g.rows for g in gens], dtype=np.uint16).reshape(-1, n, n)
+        gen_rows = np.array([g.rows for g in gens], dtype=np.uint16).reshape(-1, n, n)
         gen_keys = pack_keys(gen_rows, q)
         ident = np.array(self.identity.rows, dtype=np.uint16)[None]
         keys = pack_keys(ident, q)  # sorted
-        positions = np.zeros(1, dtype=np.int64)  # element position of each key
-        stored = [ident]
-        count = 1
-        kept = []
-        start = 0
+        positions = np.zeros(1, dtype=np.int32)  # element position of each key
+        stored, count, start = [ident], 1, 0
+        kept, table = [], []  # table[k]: pieces of R's row k, in position order
+        parent, letter, layers = [np.zeros(1, dtype=np.int32)], [np.zeros(1, dtype=np.int32)], [1]
         while True:
             # the next generator not already in the subgroup
             missing = np.flatnonzero(~_locate(keys, gen_keys[start:])[1])
@@ -318,76 +275,48 @@ class MatrixGroup(Group):
                 break
             start += int(missing[0])
             kept.append(start)
-            kept_rows = gen_rows[kept]
-            frontier, mults = np.concatenate(stored), kept_rows[-1:]
+            table.append([])
+            frontier, first, mults = np.concatenate(stored), 0, np.array([len(kept) - 1])
             while len(frontier):
                 fresh = []
+                mult_rows = gen_rows[np.array(kept)[mults]][None]
                 for s in range(0, len(frontier), _CHUNK):
-                    prod = _bmul(add_t, mul_t, frontier[s:s + _CHUNK, None], mults[None])
+                    prod = _bmul(add_t, mul_t, frontier[s:s + _CHUNK, None], mult_rows)
                     if self.projective:
                         prod = _bnormalize(mul_t, inv_t, prod)
-                    cand = np.unique(pack_keys(prod, q).ravel())
+                    cand, src, landed = np.unique(pack_keys(prod, q).ravel(),
+                                                  return_index=True, return_inverse=True)
                     at, found = _locate(keys, cand)
+                    pos = positions[np.minimum(at, len(keys) - 1)]
                     new = cand[~found]
+                    pos[~found] = np.arange(count, count + len(new))
+                    landed = pos[landed].reshape(-1, len(mults))
+                    for col, k in enumerate(mults):
+                        table[k].append(landed[:, col])
                     if not new.size:
                         continue
+                    row, col = np.divmod(src[~found], len(mults))
+                    parent.append((first + s + row).astype(np.int32))
+                    letter.append(mults[col].astype(np.int32))
                     keys = np.insert(keys, at[~found], new)
-                    positions = np.insert(positions, at[~found],
-                                          np.arange(count, count + len(new)))
+                    positions = np.insert(positions, at[~found], pos[~found])
                     count += len(new)
-                    fresh.append(new)
+                    fresh.append(prod.reshape(-1, n, n)[src[~found]])
                     if self._passes(count, stop_size):
                         return None
-                frontier = unpack_keys(np.concatenate(fresh or [keys[:0]]), q, n)
+                frontier = np.concatenate(fresh or [ident[:0]])
+                if len(frontier):
+                    layers.append(count)
                 stored.append(frontier)
-                mults = kept_rows
-        elems = MatrixElements(np.concatenate(stored), self.field, self.projective)
-        return elems, KeyIndex(keys, positions), [gens[i] for i in kept]
+                first, mults = count - len(frontier), np.arange(len(kept))
+        table = np.array([np.concatenate(row) for row in table], dtype=np.int32)
+        return Closure(np.concatenate(stored), KeyIndex(keys, positions), [gens[i] for i in kept],
+                       table.reshape(len(kept), count), np.concatenate(parent),
+                       np.concatenate(letter), layers)
 
-    def _members(self, indices):
-        return MatrixElements(self._np_elements()[indices], self.field, self.projective)
-
-    def _np_elements(self):
-        return self.elements().rows
-
-    def _compute_orders(self):
-        add_t, mul_t, inv_t = self.field.np_tables()
-        e = self._np_elements()
-        total = len(e)
-        flat = e.reshape(total, -1)
-        ident = flat[0]
-        orders = np.zeros(total, dtype=np.int64)
-        done = (flat == ident).all(axis=1)
-        orders[done] = 1
-        remaining = np.nonzero(~done)[0]
-        cur = e.copy()
-        k = 1
-        while remaining.size:
-            k += 1
-            if k > total:
-                raise AssertionError("power walk exceeded the group order")
-            sub = _bmul(add_t, mul_t, cur[remaining], e[remaining])
-            if self.projective:
-                sub = _bnormalize(mul_t, inv_t, sub)
-            cur[remaining] = sub
-            hit = (sub.reshape(len(remaining), -1) == ident).all(axis=1)
-            orders[remaining[hit]] = k
-            remaining = remaining[~hit]
-        return orders.tolist()
-
-    def _conjugation_maps(self):
-        add_t, mul_t, inv_t = self.field.np_tables()
-        e = self._np_elements()
-        index = self.element_index()
-        maps = []
-        for a in self.reduced_generators():
-            arr = np.array(a.rows, dtype=np.uint16)[None]
-            ainv = np.array(a.inv().rows, dtype=np.uint16)[None]
-            conj = _bmul(add_t, mul_t, _bmul(add_t, mul_t, ainv, e), arr)
-            if self.projective:
-                conj = _bnormalize(mul_t, inv_t, conj)
-            maps.append(index.lookup(pack_keys(conj, self.field.q)).tolist())
-        return maps
+    def _element_objects(self) -> list:
+        rows = self._walked().elements.tolist()
+        return [MatrixElement(self.field, r, self.projective) for r in rows]
 
 
 # -- classical constructors --------------------------------------------------------
@@ -407,7 +336,7 @@ def classical_order(family: str, n: int, q: int) -> int:
 
     Also validates the parameters for the constructors, allocating nothing:
     the degree is supported and q is a prime power whose field (GF(q^2) for
-    SU and PSU) is within MAX_FIELD_SIZE.
+    SU and PSU) is within MAX_FIELD_SIZE.  (P)SU(3,2) is refused, see below.
     """
     if family not in ("SL", "PSL", "SU", "PSU"):
         raise InvalidParameterError(f"unsupported classical family {family!r}")
@@ -416,6 +345,9 @@ def classical_order(family: str, n: int, q: int) -> int:
     if n not in degrees:
         raise InvalidParameterError(f"{family} degree {n} unsupported (need one of {degrees})")
     field_size(*_field_params(q, unitary))
+    if unitary and (n, q) == (3, 2):
+        raise InvalidParameterError(f"{family}(3,2) unsupported: its unitary transvections "
+                                    "generate a subgroup of order 54, not all of SU(3,2) (216)")
     sign = -1 if unitary else 1
     m = q ** (n * (n - 1) // 2)
     for i in range(2, n + 1):
@@ -497,7 +429,7 @@ def su_generators(n: int, q: int, field: FiniteField | None = None) -> list:
                 rows.append(tuple(row))
             g = MatrixElement(field, rows)
             assert preserves_form(g, q), "transvection failed the form check"
-            assert g.det() == 1, "transvection determinant is not 1"
+            assert mat_det(field, rows) == 1, "transvection determinant is not 1"
             gens.append(g)
     return gens
 
@@ -522,16 +454,35 @@ def su_group(n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
 
 
 def projectivize(parent: MatrixGroup, name=None) -> MatrixGroup:
-    """Quotient by scalars: renormalized generators, projective multiplication."""
+    """parent modulo its scalars, read off parent's enumeration: no second closure.
+
+    One normalize pass over parent's rows and a 1-D np.unique of their keys
+    give the coset map.  Each coset sits at its first member's position, so
+    the identity stays first and tree parents stay before their children,
+    and the table and tree are parent's at those members, through the map.
+    """
     if parent.projective:
         return parent
-    gens = [
-        MatrixElement(parent.field, mat_normalize(parent.field, g.rows), True)
-        for g in parent.generators
-    ]
-    return MatrixGroup(gens, parent.field, parent.n, projective=True,
-                       name=name or (f"P{parent.name}" if parent.name else None),
-                       cap=parent.cap)
+    field, c = parent.field, parent._walked()
+    _, mul_t, inv_t = field.np_tables()
+    rows = _bnormalize(mul_t, inv_t, c.elements)
+    keys, first, coset = np.unique(pack_keys(rows, field.q), return_index=True,
+                                   return_inverse=True)
+    position = np.empty(len(keys), dtype=np.int32)  # of each sorted key
+    position[np.argsort(first)] = np.arange(len(keys))
+    members, to_quotient = np.sort(first), position[coset.reshape(-1)]
+
+    def normalized(gens):
+        return [MatrixElement(field, mat_normalize(field, g.rows), True) for g in gens]
+
+    quotient = MatrixGroup(normalized(parent.generators), field, parent.n, projective=True,
+                           name=name or (f"P{parent.name}" if parent.name else None),
+                           cap=parent.cap)
+    quotient._closure = Closure(
+        rows[members], KeyIndex(keys, position), normalized(c.kept),
+        to_quotient[c.table[:, members]], to_quotient[c.parent[members]],
+        c.letter[members], np.searchsorted(members, c.layers).tolist())
+    return quotient
 
 
 def psl_group(n: int, q: int, cap=DEFAULT_CAP, field: FiniteField | None = None) -> MatrixGroup:

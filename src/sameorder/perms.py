@@ -21,51 +21,60 @@ MAX_DEGREE = 256
 
 
 class Permutation(GroupElement):
-    """A permutation of {0..n-1}, stored as its image array."""
+    """A permutation of {0..n-1}, stored as the bytes of its image array.
 
-    __slots__ = ("images", "_key")
+    The bytes are the key, and a product is one bytes.translate of the first
+    factor's images through the second's.  At most MAX_DEGREE points.
+    """
+
+    __slots__ = ("_key", "_table")
 
     def __init__(self, images):
-        self.images = tuple(images)
-        self._key = None
+        images = list(images)
+        check_degree(len(images))
+        self._key = bytes(images)
+        self._table = None
+
+    @property
+    def images(self) -> tuple:
+        return tuple(self._key)
 
     def op(self, other: "Permutation") -> "Permutation":
         """self then other: images[i] = other(self(i))."""
-        o = other.images
-        return Permutation([o[i] for i in self.images])
+        if other._table is None:  # bytes.translate takes a 256-entry table
+            other._table = other._key + bytes(range(len(other._key), 256))
+        out = Permutation.__new__(Permutation)
+        out._key, out._table = self._key.translate(other._table), None
+        return out
 
     def inv(self) -> "Permutation":
-        out = [0] * len(self.images)
-        for i, j in enumerate(self.images):
+        out = [0] * len(self._key)
+        for i, j in enumerate(self._key):
             out[j] = i
         return Permutation(out)
 
     def key(self) -> bytes:
-        if self._key is None:
-            self._key = bytes(self.images)
         return self._key
 
-    def known_order(self) -> int:
-        return perm_order(self)
-
     def degree(self) -> int:
-        return len(self.images)
+        return len(self._key)
 
     def cycles(self) -> list:
         """Nontrivial cycles, each starting at its smallest point."""
-        seen = [False] * len(self.images)
+        images = self._key
+        seen = [False] * len(images)
         out = []
-        for start in range(len(self.images)):
-            if seen[start] or self.images[start] == start:
+        for start in range(len(images)):
+            if seen[start] or images[start] == start:
                 seen[start] = True
                 continue
             cyc = [start]
             seen[start] = True
-            j = self.images[start]
+            j = images[start]
             while j != start:
                 cyc.append(j)
                 seen[j] = True
-                j = self.images[j]
+                j = images[j]
             out.append(tuple(cyc))
         return out
 
@@ -74,14 +83,6 @@ class Permutation(GroupElement):
         if not cycs:
             return "()"
         return "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cycs)
-
-
-def perm_order(p: Permutation) -> int:
-    """lcm of the cycle lengths."""
-    order = 1
-    for c in p.cycles():
-        order = math.lcm(order, len(c))
-    return order
 
 
 def perm_identity(degree: int) -> Permutation:

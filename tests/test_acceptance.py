@@ -9,8 +9,9 @@ import json
 import random
 import time
 
+from oracles import element_order_naive
+
 from sameorder import group_for, noniso_certificate, spectrum_checks
-from sameorder.core import element_order_naive
 from sameorder.fields import field_make
 from sameorder.matrices import (
     classical_order,

@@ -136,6 +136,31 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["alpha", "A(5)", "--max-elements", "0"],
+    ["spectrum", "A(5)", "--max-elements", "-3"],
+    ["hunt", "--order", "60", "--max-factors", "0"],
+    ["hunt", "--order", "-5"],
+    ["verify", "counterexample", "--threads", "0"],
+    ["alpha", "A(5)", "--max-elements", "ten"],
+])
+def test_counts_below_one_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected an integer >= 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr", ["SU(3,2)", "PSU(3,2)"])
+def test_unitary_3_2_is_a_usage_error(capsys, expr):
+    code, out, err = run(capsys, "spectrum", expr)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "order 54" in err
+
+
 def test_cache_dir_round_trip(tmp_path, capsys):
     code1, out1, _ = run(capsys, "spectrum", "PSL(2,5)", "--json",
                          "--cache-dir", str(tmp_path))

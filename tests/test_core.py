@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import element_order_naive
 
 from sameorder import dsl, group_for
 from sameorder.core import (
@@ -8,7 +9,6 @@ from sameorder.core import (
     DirectProduct,
     Group,
     Spectrum,
-    element_order_naive,
     noniso_certificate,
     spectrum_checks,
 )

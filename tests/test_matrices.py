@@ -1,14 +1,18 @@
 import random
 
+import numpy as np
 import pytest
+from oracles import element_order_naive, perm_order
 
-from sameorder.core import Group
+from sameorder import group_for
 from sameorder.errors import InvalidParameterError, OrderMismatchError
 from sameorder.fields import FiniteField, field_make
 from sameorder.matrices import (
     KEY_BITS,
     MatrixElement,
     MatrixGroup,
+    _bmul,
+    _bnormalize,
     classical_order,
     key_bits,
     mat_det,
@@ -210,17 +214,85 @@ def test_matrix_element_key_is_stable():
     assert hash(a) == hash(b)
 
 
-@pytest.mark.parametrize("expr", ["PSL(2,7)", "SL(2,3)", "PSU(3,3)"])
+@pytest.mark.parametrize("expr", ["PSL(2,7)", "SL(2,3)", "PSU(3,3)", "S(5)", "D(6)", "cex3"])
 def test_packed_index_and_conjugation_maps_match_generic(built, expr):
-    """The sorted key index and the batched conjugation maps agree with the
-    element objects and with the generic one-conjugation-at-a-time maps."""
+    """Everything read off the closure's table in index space agrees with
+    element arithmetic: the table itself, the conjugation maps, the class
+    partition and every element order."""
     g = built(expr)
-    index = g.element_index()
-    assert len(index) == g.order()
-    for i, e in enumerate(g.elements()):
+    elems, index, kept = g.elements(), g.element_index(), g.reduced_generators()
+    assert len(index) == g.order() == len(elems)
+    for i, e in enumerate(elems):
         assert index[e.key()] == i
         assert e in g
-    assert g._conjugation_maps() == Group._conjugation_maps(g)
+    table, maps = g._walked().table, g.conjugation_maps()
+    assert table.dtype == maps.dtype == np.int32
+    assert table.shape == maps.shape == (len(kept), g.order())
+    conj = []
+    for k, h in enumerate(kept):
+        hinv = h.inv()
+        assert table[k].tolist() == [index[x.op(h).key()] for x in elems]
+        conj.append([index[hinv.op(x).op(h).key()] for x in elems])
+        assert maps[k].tolist() == conj[-1]
+    # the kept generators generate the group, so their conjugation orbits
+    # are the classes
+    orbit_of = {}
+    for i in range(len(elems)):
+        if i in orbit_of:
+            continue
+        orbit, stack = {i}, [i]
+        while stack:
+            j = stack.pop()
+            for m in conj:
+                if m[j] not in orbit:
+                    orbit.add(m[j])
+                    stack.append(m[j])
+        for j in orbit:
+            orbit_of[j] = min(orbit)
+    classes = g.conjugacy_classes()
+    assert [c.tolist() for c in classes] == [
+        sorted(j for j in orbit_of if orbit_of[j] == i) for i in sorted(set(orbit_of.values()))
+    ]
+    assert g.element_orders() == [element_order_naive(x) for x in elems]
+    if not isinstance(g, MatrixGroup):
+        assert g.element_orders() == [perm_order(x) for x in elems]
+
+
+@pytest.mark.parametrize("expr", ["PSL(2,7)", "PSL(2,9)", "PSL(4,2)", "PSU(3,3)"])
+def test_scalar_quotient_matches_projective_closure(expr):
+    """PSL and PSU read off the enumerated SL and SU agree with the group
+    that a closure of normalized generators under projective multiplication
+    builds."""
+    derived = group_for(expr)
+    f = derived.field
+    closed = MatrixGroup([MatrixElement(f, g.rows, True) for g in derived.generators], f,
+                         derived.n, projective=True)
+    assert derived.order() == closed.order()
+    assert derived.spectrum() == closed.spectrum()
+    assert (sorted(len(c) for c in derived.conjugacy_classes())
+            == sorted(len(c) for c in closed.conjugacy_classes()))
+    assert np.array_equal(derived.element_index().keys, closed.element_index().keys)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 2)])
+def test_batched_product_matches_mat_mul(p, k):
+    """_bmul and _bnormalize agree with mat_mul and mat_normalize on random
+    batches over GF(2), GF(4), GF(8) and GF(9)."""
+    f = field_make(p, k)
+    add_t, mul_t, inv_t = f.np_tables()
+    rng = np.random.default_rng(10 * p + k)
+    for n in (2, 3, 4):
+        a = rng.integers(0, f.q, (40, 1, n, n)).astype(np.uint16)
+        b = rng.integers(0, f.q, (1, 3, n, n)).astype(np.uint16)
+        prod = _bmul(add_t, mul_t, a, b)
+        normed = _bnormalize(mul_t, inv_t, prod)
+        assert prod.shape == normed.shape == (40, 3, n, n)
+        for i in range(40):
+            for j in range(3):
+                want = mat_mul(f, a[i, 0].tolist(), b[0, j].tolist())
+                assert prod[i, j].tolist() == [list(r) for r in want]
+                if any(map(any, want)):
+                    assert normed[i, j].tolist() == [list(r) for r in mat_normalize(f, want)]
 
 
 def test_key_width_limit():

@@ -1,6 +1,6 @@
 import pytest
+from oracles import element_order_naive, perm_order
 
-from sameorder.core import element_order_naive
 from sameorder.errors import InvalidParameterError
 from sameorder.perms import (
     Permutation,
@@ -10,7 +10,6 @@ from sameorder.perms import (
     frobenius_generators,
     perm_from_cycles,
     perm_identity,
-    perm_order,
     permutation_group,
 )
 
