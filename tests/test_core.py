@@ -110,8 +110,8 @@ def test_family_orders_from_parameters():
 @pytest.mark.parametrize("expr", ["C(24)", "D(12)", "Dic(5)", "F(7,3,2)",
                                   "SL(2,3)", "S(4)", "A(5)", "S(5)", "PSL(2,7)"])
 def test_element_order_oracles_agree(built, expr):
-    """Element orders, from cycle lengths or the numpy power walk of a
-    matrix group, match the naive power walk, |G| <= 200."""
+    """Element orders, from one power walk per class in the closure's
+    table, match the naive power walk, |G| <= 200."""
     g = built(expr)
     assert g.order() <= 200
     assert g.element_orders() == [element_order_naive(x) for x in g.elements()]
