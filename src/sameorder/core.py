@@ -342,7 +342,7 @@ class Group:
 
     # -- normal closures, simplicity, solvability -------------------------------
 
-    def _normal_closure(self, indices, stop_size):
+    def _normal_closure(self, indices, stop_size, known=None):
         """Normal closure of the elements at the given indices, once the classes are known.
 
         The subgroup the classes holding them generate, walked as _subgroup
@@ -350,7 +350,8 @@ class Group:
         positions of the kept generators), or None once the count passes
         stop_size: a subgroup with more than half the group's elements is the
         whole group, so callers pass stop_size = order // 2 and treat None as
-        "everything".
+        "everything".  So does a round that reaches a position marked in known:
+        being normal, the closure then holds a whole class known to generate G.
         """
         gens = np.flatnonzero(np.isin(self._class_of, self._class_of[indices]))
         inside = np.zeros(len(self._class_of), dtype=bool)
@@ -370,7 +371,7 @@ class Group:
                 inside[fresh] = True
                 members.append(fresh)
                 count += len(fresh)
-                if self._passes(count, stop_size):
+                if self._passes(count, stop_size) or known is not None and known[fresh].any():
                     return None
                 frontier, mults = fresh, maps
 
@@ -379,15 +380,18 @@ class Group:
 
         Any such subgroup contains an element of prime order (Cauchy) whose
         whole conjugacy class sits inside it, so it is enough that the normal
-        closure of every prime-order class is the full group.
+        closure of every prime-order class is the full group.  After the first
+        success, a walk stops where it meets a class already known to succeed.
         """
         if self._simple is None:
-            n = self.order()
-            orders = self.element_orders()
-            self._simple = n > 1 and all(
-                self._normal_closure([c[0]], n // 2) is None
-                for c in self.conjugacy_classes() if is_prime(orders[c[0]])
-            )
+            n, orders, known = self.order(), self.element_orders(), None
+            self._simple = n > 1
+            for c in (c for c in self.conjugacy_classes() if is_prime(orders[c[0]])):
+                if self._normal_closure([c[0]], n // 2, known) is not None:
+                    self._simple = False
+                    break
+                known = np.zeros(n, dtype=bool) if known is None else known
+                known[c] = True
         return self._simple
 
     def derived_series(self) -> tuple:

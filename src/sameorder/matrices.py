@@ -1,17 +1,16 @@
 """Matrix groups over finite fields: SL, PSL, SU, PSU.
 
-Elements are dense n x n matrices of field codes.  All arithmetic indexes the
-field's dense add/mul tables: single products go through their Python rows,
-and a MatrixGroup's closure runs on numpy batches over the same tables.
-After the closure the group lives in index space (see core) and reads no
-field table again.
+Elements are dense n x n matrices of field codes.  Single products go
+through the field's add/mul tables in Python.  After the closure the group
+lives in index space (see core) and reads no field table again.
 
 Inside a MatrixGroup an element is identified by its packed key: the n*n
 codes, (q-1).bit_length() bits each, in one uint64 with the first entry
 highest, so key order is row-major lexicographic order.  A group stores its
-elements as uint16 rows and indexes them by the sorted keys; MatrixElement
-objects are built only on request.  n^2 * bits <= 64 is checked before a
-group is built.
+elements as keys alone, unpacked only for MatrixElement objects and to
+normalize.  n^2 * bits <= 64 is checked before a group is built.  Row i of
+x * h is (row i of x) * h, so the closure multiplies by a kept generator h
+with one lookup per row of x's key in h's row table.
 
 Projective groups (PSL, PSU) represent each coset of the scalars by its
 multiple whose first nonzero entry in row-major order is 1; two special
@@ -139,8 +138,7 @@ class MatrixElement(GroupElement):
     def key(self) -> int:
         # packed as pack_keys packs a batch, so both land in the same index
         if self._key is None:
-            rows = np.array(self.rows, dtype=np.uint16)
-            self._key = int(pack_keys(rows, self.field.q))
+            self._key = int(pack_keys(np.array(self.rows, dtype=np.uint16), self.field.q))
         return self._key
 
     def __repr__(self):
@@ -168,15 +166,22 @@ def key_bits(q: int, n: int) -> int:
 
 
 def pack_keys(codes, q: int):
-    """Packed uint64 keys of matrices over GF(q), shape (..., n, n) -> (...).
-
-    Entries never overlap, so the dot product with the place values is an
-    exact bitwise concatenation, first entry highest.
-    """
+    """Packed uint64 keys of r x n blocks over GF(q), shape (..., r, n) -> (...):
+    element keys for n x n matrices, row codes for 1 x n rows.  Entries never
+    overlap, so the dot product with the place values is an exact bitwise
+    concatenation, first entry highest."""
     n = codes.shape[-1]
-    shifts = np.arange(n * n - 1, -1, -1, dtype=np.uint64) * np.uint64(key_bits(q, n))
-    flat = codes.reshape(codes.shape[:-2] + (n * n,)).astype(np.uint64)
+    flat = codes.reshape(codes.shape[:-2] + (codes.shape[-2] * n,)).astype(np.uint64)
+    shifts = np.arange(flat.shape[-1] - 1, -1, -1, dtype=np.uint64) * np.uint64(key_bits(q, n))
     return flat @ (np.uint64(1) << shifts)
+
+
+def unpack_keys(keys, q: int, n: int):
+    """The uint16 codes of n x n keys, shape (...) -> (..., n, n)."""
+    bits = key_bits(q, n)
+    shifts = np.arange(n * n - 1, -1, -1, dtype=np.uint64) * np.uint64(bits)
+    codes = keys[..., None] >> shifts & np.uint64((1 << bits) - 1)
+    return codes.astype(np.uint16).reshape(keys.shape + (n, n))
 
 
 def _locate(sorted_keys, keys):
@@ -211,12 +216,9 @@ class KeyIndex:
 
 
 def _bmul(add_t, mul_t, a, b):
-    """Batched matrix product C[..., i, j] = sum_k A[..., i, k] B[..., k, j].
-
-    Leading dimensions broadcast; entries are field codes.  Each k is one
-    gather from the flattened mul table at a * q + b and one from the
-    flattened add table, so no product tensor over all k is built.
-    """
+    """Batched matrix product C[..., i, j] = sum_k A[..., i, k] B[..., k, j] of
+    field codes, leading dimensions broadcasting: per k, one gather from the
+    flattened mul table at a * q + b and one from the flattened add table."""
     q = len(add_t)
     add_f, mul_f = add_t.ravel(), mul_t.ravel()
     a = a.astype(np.intp) * q
@@ -235,7 +237,17 @@ def _bnormalize(mul_t, inv_t, m):
     return mul_t[inv_t[lead][..., None], flat].reshape(shape)
 
 
-_CHUNK = 2048
+def row_table(field: FiniteField, h):
+    """T_h[c] = packed row v * h for each row v packed as c, from one _bmul over
+    all 2^(bits * n) codes; a code naming no row (q not a power of two) gets
+    a stand-in with clipped entries, never read."""
+    add_t, mul_t, _ = field.np_tables()
+    n, q = len(h), field.q
+    rows = np.indices((1 << key_bits(q, n),) * n, dtype=np.uint16).reshape(n, -1).T[:, None]
+    return pack_keys(_bmul(add_t, mul_t, np.minimum(rows, q - 1), np.array(h)), q)
+
+
+_CHUNK = 65536
 
 
 class MatrixGroup(Group):
@@ -250,23 +262,22 @@ class MatrixGroup(Group):
         self.projective = projective
 
     def _subgroup(self, gens, stop_size=None):
-        """Group._subgroup on numpy batches over the field tables.
+        """Group._subgroup on packed keys and the kept generators' row tables.
 
-        Each chunk of products is packed, deduplicated with a 1-D np.unique
-        and looked up in the sorted key array, into which the new keys are
-        merged.  The lookup gives the position each product lands on, and the
-        first product to reach a new key its parent and letter.  elements is
-        the uint16 rows and index a KeyIndex.
+        Each chunk of products is deduplicated with a 1-D np.unique and looked
+        up in the sorted key array, into which the new keys are merged.  The
+        lookup gives the position each product lands on, and the first
+        product to reach a new key its parent and letter.  elements is the
+        keys and index a KeyIndex.
         """
-        add_t, mul_t, inv_t = self.field.np_tables()
+        _, mul_t, inv_t = self.field.np_tables()
         n, q = self.n, self.field.q
-        gen_rows = np.array([g.rows for g in gens], dtype=np.uint16).reshape(-1, n, n)
-        gen_keys = pack_keys(gen_rows, q)
-        ident = np.array(self.identity.rows, dtype=np.uint16)[None]
-        keys = pack_keys(ident, q)  # sorted
+        width = key_bits(q, n) * n  # bits of one row, the key's last row lowest
+        gen_keys = np.array([g.key() for g in gens], dtype=np.uint64)
+        keys = np.array([self.identity.key()], dtype=np.uint64)  # sorted
         positions = np.zeros(1, dtype=np.int32)  # element position of each key
-        stored, count, start = [ident], 1, 0
-        kept, table = [], []  # table[k]: pieces of R's row k, in position order
+        stored, count, start = [keys], 1, 0
+        kept, row_tables, table = [], keys[:0], []  # table[k]: R's row k in pieces, by position
         parent, letter, layers = [np.zeros(1, dtype=np.int32)], [np.zeros(1, dtype=np.int32)], [1]
         while True:
             # the next generator not already in the subgroup
@@ -275,17 +286,19 @@ class MatrixGroup(Group):
                 break
             start += int(missing[0])
             kept.append(start)
+            row_tables = np.concatenate([row_tables, row_table(self.field, gens[start].rows)])
             table.append([])
             frontier, first, mults = np.concatenate(stored), 0, np.array([len(kept) - 1])
             while len(frontier):
                 fresh = []
-                mult_rows = gen_rows[np.array(kept)[mults]][None]
                 for s in range(0, len(frontier), _CHUNK):
-                    prod = _bmul(add_t, mul_t, frontier[s:s + _CHUNK, None], mult_rows)
+                    x, prod = frontier[s:s + _CHUNK, None], np.uint64(0)
+                    for shift in np.arange(n, dtype=np.uint64) * np.uint64(width):
+                        rows = (x >> shift & np.uint64((1 << width) - 1)).astype(np.intp)
+                        prod = prod | row_tables[mults << width | rows] << shift
                     if self.projective:
-                        prod = _bnormalize(mul_t, inv_t, prod)
-                    cand, src, landed = np.unique(pack_keys(prod, q).ravel(),
-                                                  return_index=True, return_inverse=True)
+                        prod = pack_keys(_bnormalize(mul_t, inv_t, unpack_keys(prod, q, n)), q)
+                    cand, src, landed = np.unique(prod, return_index=True, return_inverse=True)
                     at, found = _locate(keys, cand)
                     pos = positions[np.minimum(at, len(keys) - 1)]
                     new = cand[~found]
@@ -301,10 +314,10 @@ class MatrixGroup(Group):
                     keys = np.insert(keys, at[~found], new)
                     positions = np.insert(positions, at[~found], pos[~found])
                     count += len(new)
-                    fresh.append(prod.reshape(-1, n, n)[src[~found]])
+                    fresh.append(new)
                     if self._passes(count, stop_size):
                         return None
-                frontier = np.concatenate(fresh or [ident[:0]])
+                frontier = np.concatenate(fresh or [keys[:0]])
                 if len(frontier):
                     layers.append(count)
                 stored.append(frontier)
@@ -315,7 +328,7 @@ class MatrixGroup(Group):
                        np.concatenate(letter), layers)
 
     def _element_objects(self) -> list:
-        rows = self._walked().elements.tolist()
+        rows = unpack_keys(self._walked().elements, self.field.q, self.n).tolist()
         return [MatrixElement(self.field, r, self.projective) for r in rows]
 
 
@@ -456,7 +469,7 @@ def su_group(n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
 def projectivize(parent: MatrixGroup, name=None) -> MatrixGroup:
     """parent modulo its scalars, read off parent's enumeration: no second closure.
 
-    One normalize pass over parent's rows and a 1-D np.unique of their keys
+    One normalize pass over parent's keys and a 1-D np.unique of the results
     give the coset map.  Each coset sits at its first member's position, so
     the identity stays first and tree parents stay before their children,
     and the table and tree are parent's at those members, through the map.
@@ -465,9 +478,9 @@ def projectivize(parent: MatrixGroup, name=None) -> MatrixGroup:
         return parent
     field, c = parent.field, parent._walked()
     _, mul_t, inv_t = field.np_tables()
-    rows = _bnormalize(mul_t, inv_t, c.elements)
-    keys, first, coset = np.unique(pack_keys(rows, field.q), return_index=True,
-                                   return_inverse=True)
+    normed = pack_keys(_bnormalize(mul_t, inv_t, unpack_keys(c.elements, field.q, parent.n)),
+                       field.q)
+    keys, first, coset = np.unique(normed, return_index=True, return_inverse=True)
     position = np.empty(len(keys), dtype=np.int32)  # of each sorted key
     position[np.argsort(first)] = np.arange(len(keys))
     members, to_quotient = np.sort(first), position[coset.reshape(-1)]
@@ -479,7 +492,7 @@ def projectivize(parent: MatrixGroup, name=None) -> MatrixGroup:
                            name=name or (f"P{parent.name}" if parent.name else None),
                            cap=parent.cap)
     quotient._closure = Closure(
-        rows[members], KeyIndex(keys, position), normalized(c.kept),
+        normed[members], KeyIndex(keys, position), normalized(c.kept),
         to_quotient[c.table[:, members]], to_quotient[c.parent[members]],
         c.letter[members], np.searchsorted(members, c.layers).tolist())
     return quotient

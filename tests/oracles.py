@@ -21,3 +21,24 @@ def perm_order(p) -> int:
     for c in p.cycles():
         order = math.lcm(order, len(c))
     return order
+
+
+def normal_closure_order_naive(elements, x) -> int:
+    """Order of the smallest normal subgroup holding x, by element arithmetic:
+    every conjugate g^-1 x g, then products of those until nothing new."""
+    conjugates = {}
+    for g in elements:
+        c = g.inv().op(x).op(g)
+        conjugates[c.key()] = c
+    identity = x.op(x.inv())
+    reached, frontier = {identity.key()}, [identity]
+    while frontier:
+        fresh = []
+        for y in frontier:
+            for c in conjugates.values():
+                z = y.op(c)
+                if z.key() not in reached:
+                    reached.add(z.key())
+                    fresh.append(z)
+        frontier = fresh
+    return len(reached)

@@ -1,7 +1,8 @@
 import random
 
+import numpy as np
 import pytest
-from oracles import element_order_naive
+from oracles import element_order_naive, normal_closure_order_naive
 
 from sameorder import dsl, group_for
 from sameorder.core import (
@@ -15,6 +16,7 @@ from sameorder.core import (
 from sameorder.errors import CapExceededError, InvalidParameterError, NoWitnessError
 from sameorder.fields import field_make
 from sameorder.matrices import MatrixGroup, sl_generators
+from sameorder.numtheory import is_prime
 from sameorder.perms import family_order, symmetric_generators
 
 AXIOM_GROUPS = [
@@ -214,6 +216,53 @@ def test_abelian_detection(built):
 ])
 def test_simplicity(built, expr, simple):
     assert built(expr).is_simple() is simple
+
+
+def _prime_classes_with_masks(g):
+    """Each prime-order class, with the mask is_simple hands its walk: the
+    earlier prime-order classes whose normal closure is the whole group
+    (None until the first), here taken from the walk with no mask."""
+    n, orders, known = g.order(), g.element_orders(), None
+    for c in g.conjugacy_classes():
+        if not is_prime(orders[c[0]]):
+            continue
+        yield c, known
+        if g._normal_closure([c[0]], n // 2) is None:
+            known = np.zeros(n, dtype=bool) if known is None else known
+            known[c] = True
+
+
+@pytest.mark.parametrize("expr", ["SL(2,5)", "S(6)", "A(5)", "D(15)", "cex3"])
+def test_simplicity_matches_element_arithmetic(built, expr):
+    """Every prime-order class's normal closure, walked with the mask of
+    classes known to generate the group, against conjugating and multiplying
+    elements; with stop_size = |G| only the mask can end a walk early."""
+    g = built(expr)
+    n, elements = g.order(), g.elements()
+    exits, closures = 0, []
+    for c, known in _prime_classes_with_masks(g):
+        want = normal_closure_order_naive(elements, elements[c[0]])
+        closures.append(want)
+        got = g._normal_closure([c[0]], n // 2, known)
+        assert (got is None) == (want == n)
+        if got is not None:
+            assert got[0] == want
+        if known is not None and want == n:
+            assert g._normal_closure([c[0]], n, known) is None
+            exits += 1
+    assert g.is_simple() == (n > 1 and all(w == n for w in closures))
+    if expr == "SL(2,5)":
+        # an order-5 class walks to SL(2,5); the other and the order-3 class
+        # exit at it, and -1 gives {1, -1}
+        assert exits == 2 and closures == [120, 120, 120, 2]
+
+
+@pytest.mark.parametrize("expr", ["A(8)", "S(8)"])
+def test_simplicity_exit_matches_full_walk(built, expr):
+    g = built(expr)
+    n = g.order()
+    for c, known in _prime_classes_with_masks(g):
+        assert g._normal_closure([c[0]], n // 2, known) == g._normal_closure([c[0]], n // 2)
 
 
 def test_derived_series_and_solvability(built):

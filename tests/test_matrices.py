@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 from oracles import element_order_naive, perm_order
 
-from sameorder import group_for
+from sameorder import group_for, matrices
 from sameorder.errors import InvalidParameterError, OrderMismatchError
 from sameorder.fields import FiniteField, field_make
 from sameorder.matrices import (
@@ -24,6 +25,7 @@ from sameorder.matrices import (
     projectivize,
     psl_group,
     psu_group,
+    row_table,
     sl_generators,
     sl_group,
     su_generators,
@@ -214,12 +216,22 @@ def test_matrix_element_key_is_stable():
     assert hash(a) == hash(b)
 
 
-@pytest.mark.parametrize("expr", ["PSL(2,7)", "SL(2,3)", "PSU(3,3)", "S(5)", "D(6)", "cex3"])
+def projective_closure(expr):
+    """The group of expr's normalized generators under projective products,
+    enumerated by its own closure rather than read off SL or SU."""
+    derived = group_for(expr)
+    f = derived.field
+    return MatrixGroup([MatrixElement(f, g.rows, True) for g in derived.generators], f,
+                       derived.n, projective=True)
+
+
+@pytest.mark.parametrize("expr", ["PSL(2,7)", "SL(2,3)", "PSU(3,3)", "S(5)", "D(6)", "cex3",
+                                  "SL(3,2)", "PSL(2,8)", "projective PSL(2,9)"])
 def test_packed_index_and_conjugation_maps_match_generic(built, expr):
     """Everything read off the closure's table in index space agrees with
     element arithmetic: the table itself, the conjugation maps, the class
     partition and every element order."""
-    g = built(expr)
+    g = projective_closure(expr.split()[1]) if expr.startswith("projective") else built(expr)
     elems, index, kept = g.elements(), g.element_index(), g.reduced_generators()
     assert len(index) == g.order() == len(elems)
     for i, e in enumerate(elems):
@@ -263,15 +275,30 @@ def test_scalar_quotient_matches_projective_closure(expr):
     """PSL and PSU read off the enumerated SL and SU agree with the group
     that a closure of normalized generators under projective multiplication
     builds."""
-    derived = group_for(expr)
-    f = derived.field
-    closed = MatrixGroup([MatrixElement(f, g.rows, True) for g in derived.generators], f,
-                         derived.n, projective=True)
+    derived, closed = group_for(expr), projective_closure(expr)
     assert derived.order() == closed.order()
     assert derived.spectrum() == closed.spectrum()
     assert (sorted(len(c) for c in derived.conjugacy_classes())
             == sorted(len(c) for c in closed.conjugacy_classes()))
     assert np.array_equal(derived.element_index().keys, closed.element_index().keys)
+
+
+@pytest.mark.parametrize("projective", [False, True])
+def test_chunked_walk_matches_one_chunk(monkeypatch, projective):
+    """A frontier split over many chunks gives the same group, and every
+    table entry and tree edge still matches element arithmetic."""
+    f = field_make(3, 2)
+    gens = [MatrixElement(f, g.rows, projective) for g in sl_generators(2, f)]
+    whole = MatrixGroup(gens, f, 2, projective=projective, cap=720)
+    monkeypatch.setattr(matrices, "_CHUNK", 7)
+    chunked = MatrixGroup(gens, f, 2, projective=projective, cap=720)
+    assert chunked.order() == whole.order() == (360 if projective else 720)
+    assert np.array_equal(chunked.element_index().keys, whole.element_index().keys)
+    c, elems, index = chunked._walked(), chunked.elements(), chunked.element_index()
+    for k, h in enumerate(c.kept):
+        assert c.table[k].tolist() == [index[x.op(h).key()] for x in elems]
+    for x in range(1, len(elems)):
+        assert elems[c.parent[x]].op(c.kept[c.letter[x]]) == elems[x]
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 2)])
@@ -293,6 +320,29 @@ def test_batched_product_matches_mat_mul(p, k):
                 assert prod[i, j].tolist() == [list(r) for r in want]
                 if any(map(any, want)):
                     assert normed[i, j].tolist() == [list(r) for r in mat_normalize(f, want)]
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 2), (17, 1), (5, 2)])
+def test_row_tables_match_mat_mul(p, k):
+    """Over GF(2), GF(4), GF(8), GF(9), GF(17) and GF(25), for each degree the
+    key width allows, the row table of a random h sends every row code to
+    the packed row of mat_mul of that row by h."""
+    f = field_make(p, k)
+    rng = random.Random(10 * p + k)
+    for n in range(1, 5):
+        if n * n * key_bits(f.q, 1) > KEY_BITS:
+            continue
+        bits = key_bits(f.q, n)
+        h = [[rng.randrange(f.q) for _ in range(n)] for _ in range(n)]
+        table = row_table(f, h).tolist()
+        assert len(table) == 2 ** (bits * n)
+
+        def code(row):  # first entry highest
+            return sum(c << bits * (n - 1 - i) for i, c in enumerate(row))
+
+        zero = [[0] * n] * (n - 1)
+        for v in itertools.product(range(f.q), repeat=n):
+            assert table[code(v)] == code(mat_mul(f, [v] + zero, h)[0])
 
 
 def test_key_width_limit():
