@@ -40,7 +40,7 @@ from .matrices import (
     sl_group,
     su_group,
 )
-from .perms import Permutation, family_group, permutation_group
+from .perms import Permutation, PermutationGroup, family_group, permutation_group
 from .reports import ENGINE_VERSION, build_report, report_for
 from .verify import counterexample_report, hunt_report, theorem_report
 
@@ -63,6 +63,7 @@ __all__ = [
     "NoWitnessError",
     "OrderMismatchError",
     "Permutation",
+    "PermutationGroup",
     "Spectrum",
     "VerificationError",
     "build_report",

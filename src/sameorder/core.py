@@ -1,18 +1,19 @@
 """Finite group engine.
 
-A group is held as a generating set of elements.  One walk,
-``Group._subgroup`` (batched for matrix groups), enumerates it and keeps the
-table of right multiplications by the kept generators, R[k, x] = position of
-x * kept[k]: the coset table of the trivial subgroup.  All structure is then
-read off R in index space, never off an element: the walk's spanning tree
-writes each element as a word in the kept generators, left multiplication is
-one gather per tree layer, the conjugacy classes are the orbits of the
-conjugation maps, an element's order is a class function found by one power
-walk per class, and normal closures (simplicity, derived series) are the
-kept-generator walk on sets of positions.  Elements meet the small
-``GroupElement`` contract: permutations and matrices over a finite field.
-A direct product is never enumerated: ``DirectProduct`` answers from its
-factors.
+A group is held as a generating set of elements.  A subclass's batched walk
+on element keys enumerates it (``perms.PermutationGroup`` on bytes,
+``matrices.MatrixGroup`` on packed ints) and keeps the table of right
+multiplications by the kept generators, R[k, x] = position of x * kept[k]:
+the coset table of the trivial subgroup.  ``Group`` itself never multiplies
+elements.  All structure is read off R in index space: the walk's spanning
+tree writes each element as a word in the kept generators, left
+multiplication is one gather per tree layer, the conjugacy classes are the
+orbits of the conjugation maps, an element's order is a class function found
+by one power walk per class, and normal closures (simplicity, derived
+series) are the kept-generator walk on sets of positions.  Elements meet
+the small ``GroupElement`` contract: permutations and matrices over a
+finite field.  A direct product is never enumerated: ``DirectProduct``
+answers from its factors.
 
 Elements compare by canonical keys, never by identity or repr.
 """
@@ -20,7 +21,6 @@ Elements compare by canonical keys, never by identity or repr.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import reduce
@@ -40,8 +40,8 @@ class GroupElement:
     Subclasses supply an associative product, inverses, and a canonical
     encoding: key() values (bytes for a permutation, a packed int for a
     matrix) are equal iff the elements are equal.  Nothing else is asked:
-    orders and all other structure are read off the group's multiplication
-    table, never off an element.
+    the closures multiply keys, and orders and all other structure are read
+    off the group's multiplication table, never off an element.
     """
 
     __slots__ = ()
@@ -153,7 +153,8 @@ Closure = namedtuple("Closure", "elements index kept table parent letter layers"
 
 
 class Group:
-    """A permutation or matrix group, enumerated on demand from its generators.
+    """A group in index space, enumerated on demand from its generators by a
+    subclass's _subgroup.
 
     Derived data is computed lazily and cached; instances are immutable
     afterwards and safe to share read-only across threads, since racing
@@ -173,45 +174,13 @@ class Group:
     # -- enumeration ---------------------------------------------------------
 
     def _subgroup(self, gens, stop_size=None) -> Closure | None:
-        """The Closure of the subgroup generated by gens.
+        """The Closure of the subgroup generated by gens, walked by the subclass
+        on its own element keys (perms.PermutationGroup, matrices.MatrixGroup).
 
-        A new generator multiplies every element known so far once, and the
-        elements it brings in then take every kept generator until nothing
-        new appears (a finite group needs no inverses), so each product is
-        formed once and each row of R fills in position order.  Returns None
-        once the count passes stop_size; raises CapExceededError past the cap.
+        Returns None once the count passes stop_size; raises CapExceededError
+        past the cap, both through _passes.
         """
-        elems = [self.identity]
-        index = {self.identity.key(): 0}
-        # C ints, not Python lists of ints: the table is |G| * kept entries
-        kept, table, parent, letter, layers = [], [], array("i", [0]), array("i", [0]), [1]
-        for g in gens:
-            if g.key() in index:
-                continue
-            kept.append(g)
-            table.append(array("i"))
-            frontier, first, mults = list(elems), 0, [(len(kept) - 1, table[-1], g)]
-            while frontier:
-                fresh = []
-                for px, x in enumerate(frontier, first):
-                    for k, row, h in mults:
-                        y = x.op(h)
-                        pos = index.setdefault(y.key(), len(elems))
-                        if pos == len(elems):
-                            elems.append(y)
-                            fresh.append(y)
-                            parent.append(px)
-                            letter.append(k)
-                            if self._passes(len(elems), stop_size):
-                                return None
-                        row.append(pos)
-                if fresh:
-                    layers.append(len(elems))
-                frontier, first = fresh, len(elems) - len(fresh)
-                mults = [(k, row, h) for k, (row, h) in enumerate(zip(table, kept))]
-        table = np.frombuffer(b"".join(table), dtype=np.intc).reshape(len(kept), len(elems))
-        return Closure(elems, index, kept, table, np.frombuffer(parent, dtype=np.intc),
-                       np.frombuffer(letter, dtype=np.intc), layers)
+        raise NotImplementedError
 
     def _passes(self, count, stop_size) -> bool:
         """True once count passes stop_size; raises once it passes the cap.
@@ -233,12 +202,10 @@ class Group:
             self._enumerate()
         return self._closure
 
-    def _element_objects(self) -> list:
-        return self._walked().elements
-
     def elements(self) -> list:
-        """The elements as objects; position i is index i everywhere."""
-        return self._element_objects()
+        """The elements as objects, built from the closure's keys by the
+        subclass; position i is index i everywhere."""
+        raise NotImplementedError
 
     def element_index(self):
         """Position of each element by key: index[g.key()] is g's position."""

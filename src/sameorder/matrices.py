@@ -23,7 +23,7 @@ runs its own closure, renormalizing every product.
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -237,6 +237,22 @@ def _bnormalize(mul_t, inv_t, m):
     return mul_t[inv_t[lead][..., None], flat].reshape(shape)
 
 
+def _bdet(add_t, mul_t, neg, m):
+    """Batched determinant of n x n blocks of field codes, shape (..., n, n) -> (...),
+    by the Leibniz sum over the n! permutations, each term a product of n
+    table gathers (n <= 4 here), negated for an odd permutation."""
+    n = m.shape[-1]
+    det = np.zeros(m.shape[:-2], dtype=np.uint16)
+    for perm in permutations(range(n)):
+        term = m[..., 0, perm[0]]
+        for i in range(1, n):
+            term = mul_t[term, m[..., i, perm[i]]]
+        if sum(a > b for a, b in combinations(perm, 2)) % 2:
+            term = neg[term]
+        det = add_t[det, term]
+    return det
+
+
 def row_table(field: FiniteField, h):
     """T_h[c] = packed row v * h for each row v packed as c, from one _bmul over
     all 2^(bits * n) codes; a code naming no row (q not a power of two) gets
@@ -262,7 +278,7 @@ class MatrixGroup(Group):
         self.projective = projective
 
     def _subgroup(self, gens, stop_size=None):
-        """Group._subgroup on packed keys and the kept generators' row tables.
+        """The closure on packed keys and the kept generators' row tables.
 
         Each chunk of products is deduplicated with a 1-D np.unique and looked
         up in the sorted key array, into which the new keys are merged.  The
@@ -327,7 +343,7 @@ class MatrixGroup(Group):
                        table.reshape(len(kept), count), np.concatenate(parent),
                        np.concatenate(letter), layers)
 
-    def _element_objects(self) -> list:
+    def elements(self) -> list:
         rows = unpack_keys(self._walked().elements, self.field.q, self.n).tolist()
         return [MatrixElement(self.field, r, self.projective) for r in rows]
 
@@ -384,15 +400,6 @@ def sl_generators(n: int, field: FiniteField) -> list:
     return gens
 
 
-def hermitian_product(field: FiniteField, q: int, x, y) -> int:
-    """h(x, y) = sum_a x[a] * conj(y[n-1-a]), conjugation being t -> t^q."""
-    n = len(x)
-    s = 0
-    for a in range(n):
-        s = field.add(s, field.mul(x[a], field.pow(y[n - 1 - a], q)))
-    return s
-
-
 def preserves_form(g: MatrixElement, q: int) -> bool:
     """Whether g* J g = J for the antidiagonal form (g* = conjugate transpose)."""
     field, rows = g.field, g.rows
@@ -411,40 +418,34 @@ def su_generators(n: int, q: int, field: FiniteField | None = None) -> list:
     """Unitary transvections for SU(n, q) on GF(q^2).
 
     One transvection per (isotropic projective point v, scalar lambda with
-    lambda^q = -lambda, lambda != 0); the matrix is I + lambda * v * (v^s)^T J,
+    lambda^q = -lambda, lambda != 0), points in lexicographic order and
+    lambda ascending within each; the matrix is I + lambda * v * (v^s)^T J,
     which preserves the antidiagonal Hermitian form and has determinant 1.
+    The point search and both checks run batched on the field's tables.
     """
     classical_order("SU", n, q)  # validates n and q
     if field is None:
         field = field_make(*_field_params(q, double=True))
-    lambdas = [
-        lam for lam in range(1, field.q) if field.pow(lam, q) == field.neg(lam)
-    ]
-    points = []
-    for v in product(range(field.q), repeat=n):
-        nz = next((x for x in v if x), None)
-        if nz != 1:
-            continue  # zero vector, or not the scaled projective representative
-        if hermitian_product(field, q, v, v) == 0:
-            points.append(v)
-    gens = []
-    for v in points:
-        for lam in lambdas:
-            rows = []
-            for a in range(n):
-                va = field.mul(lam, v[a])
-                row = []
-                for b in range(n):
-                    x = field.mul(va, field.pow(v[n - 1 - b], q))
-                    if a == b:
-                        x = field.add(x, 1)
-                    row.append(x)
-                rows.append(tuple(row))
-            g = MatrixElement(field, rows)
-            assert preserves_form(g, q), "transvection failed the form check"
-            assert mat_det(field, rows) == 1, "transvection determinant is not 1"
-            gens.append(g)
-    return gens
+    add_t, mul_t, _ = field.np_tables()
+    conj = np.array([field.pow(c, q) for c in range(field.q)], dtype=np.uint16)
+    neg = np.array(field.neg_row, dtype=np.uint16)
+    codes = np.arange(1, field.q)
+    lambdas = codes[conj[codes] == neg[codes]]
+    v = np.indices((field.q,) * n, dtype=np.uint16).reshape(n, -1).T  # lexicographic
+    v = v[v[np.arange(len(v)), (v != 0).argmax(axis=1)] == 1]  # first nonzero entry 1
+    w = conj[v[:, ::-1]]  # w[a] = conj(v[n-1-a])
+    h = mul_t[v[:, 0], w[:, 0]]
+    for a in range(1, n):
+        h = add_t[h, mul_t[v[:, a], w[:, a]]]
+    v, w = v[h == 0], w[h == 0]  # isotropic: h(v, v) = sum_a v[a] * conj(v[n-1-a]) = 0
+    g = mul_t[mul_t[lambdas[:, None, None], v[:, None, :, None]], w[:, None, None, :]]
+    diag = np.arange(n)
+    g[..., diag, diag] = add_t[g[..., diag, diag], 1]
+    g = g.reshape(-1, n, n)
+    form = _bmul(add_t, mul_t, conj[g].swapaxes(-1, -2), g[:, ::-1])  # g* J g
+    assert (form == np.eye(n, dtype=np.uint16)[::-1]).all(), "a transvection failed the form check"
+    assert (_bdet(add_t, mul_t, neg, g) == 1).all(), "a transvection's determinant is not 1"
+    return [MatrixElement(field, rows) for rows in g.tolist()]
 
 
 def sl_group(n: int, q: int, cap=DEFAULT_CAP, field: FiniteField | None = None) -> MatrixGroup:

@@ -1,4 +1,10 @@
-"""Permutation elements and the standard family constructors.
+"""Permutation elements, permutation groups and the standard family constructors.
+
+A permutation is the bytes of its image array, and those bytes are its key.
+A PermutationGroup enumerates itself on the keys alone: right multiplication
+by a kept generator h is one bytes.translate through h's 256-entry table,
+taken for a whole frontier in one list comprehension, and a Permutation
+object is built only when elements() asks for one.
 
 Families: cyclic C(n), dihedral D(n), dicyclic Dic(n) (so Q8 = Dic(2)),
 symmetric S(n), alternating A(n), the semidirect products F(m,n,k) of a
@@ -11,8 +17,11 @@ notation is 1-indexed.
 from __future__ import annotations
 
 import math
+from array import array
 
-from .core import DEFAULT_CAP, Group, GroupElement
+import numpy as np
+
+from .core import DEFAULT_CAP, Closure, Group, GroupElement
 from .errors import InvalidParameterError
 from .numtheory import multiplicative_order
 
@@ -35,17 +44,26 @@ class Permutation(GroupElement):
         self._key = bytes(images)
         self._table = None
 
+    @classmethod
+    def from_key(cls, key: bytes) -> "Permutation":
+        """The permutation whose key is key, which a valid permutation produced."""
+        out = cls.__new__(cls)
+        out._key, out._table = key, None
+        return out
+
     @property
     def images(self) -> tuple:
         return tuple(self._key)
 
+    def table(self) -> bytes:
+        """The 256-entry bytes.translate table: images, then the points past the degree."""
+        if self._table is None:
+            self._table = self._key + bytes(range(len(self._key), 256))
+        return self._table
+
     def op(self, other: "Permutation") -> "Permutation":
         """self then other: images[i] = other(self(i))."""
-        if other._table is None:  # bytes.translate takes a 256-entry table
-            other._table = other._key + bytes(range(len(other._key), 256))
-        out = Permutation.__new__(Permutation)
-        out._key, out._table = self._key.translate(other._table), None
-        return out
+        return Permutation.from_key(self._key.translate(other.table()))
 
     def inv(self) -> "Permutation":
         out = [0] * len(self._key)
@@ -114,7 +132,64 @@ def check_degree(degree: int):
         )
 
 
-def permutation_group(generators, name=None, cap=DEFAULT_CAP) -> Group:
+class PermutationGroup(Group):
+    """Group of permutations of one point set, enumerated on bytes keys."""
+
+    def _subgroup(self, gens, stop_size=None):
+        """The Closure of the subgroup generated by gens, walked on keys.
+
+        A new generator multiplies every element known so far once, and the
+        elements it brings in then take every kept generator until nothing
+        new appears (a finite group needs no inverses), so each product is
+        formed once and each row of R fills in position order.  A round takes
+        one batch per kept generator h: the frontier's products in one
+        translate through h's table, then their positions in one pass of
+        lookups in the index.  Right multiplication by h is one-to-one, so a
+        batch holds no key twice, and each product the index lacks is a new
+        element: only those cost more Python work, and they take the next
+        positions in batch order.  elements is the keys in position order.  Returns None once the count passes
+        stop_size and raises CapExceededError past the cap, checked after
+        each batch.
+        """
+        keys = [self.identity.key()]
+        index = {keys[0]: 0}
+        # C ints, not Python lists of ints: the table is |G| * kept entries
+        kept, rows = [], []
+        parent, letter, layers = array("i", [0]), array("i", [0]), [1]
+        for g in gens:
+            if g.key() in index:
+                continue
+            kept.append(g)
+            rows.append(array("i"))
+            frontier, first, mults = list(keys), 0, [len(kept) - 1]
+            while frontier:
+                for k in mults:
+                    t = kept[k].table()
+                    ys = [x.translate(t) for x in frontier]
+                    pos = list(map(index.get, ys))
+                    i = 0
+                    for _ in range(pos.count(None)):
+                        i = pos.index(None, i)
+                        pos[i] = index[ys[i]] = len(keys)
+                        keys.append(ys[i])
+                        parent.append(first + i)
+                        letter.append(k)
+                    rows[k].extend(pos)
+                    if self._passes(len(keys), stop_size):
+                        return None
+                first, frontier = first + len(frontier), keys[first + len(frontier):]
+                if frontier:
+                    layers.append(len(keys))
+                mults = range(len(kept))
+        table = np.frombuffer(b"".join(rows), dtype=np.intc).reshape(len(kept), len(keys))
+        return Closure(keys, index, kept, table, np.frombuffer(parent, dtype=np.intc),
+                       np.frombuffer(letter, dtype=np.intc), layers)
+
+    def elements(self) -> list:
+        return [Permutation.from_key(k) for k in self._walked().elements]
+
+
+def permutation_group(generators, name=None, cap=DEFAULT_CAP) -> PermutationGroup:
     if not generators:
         raise InvalidParameterError("a permutation group needs at least one generator")
     deg = generators[0].degree()
@@ -122,7 +197,7 @@ def permutation_group(generators, name=None, cap=DEFAULT_CAP) -> Group:
     for g in generators:
         if g.degree() != deg:
             raise InvalidParameterError("generators act on different point counts")
-    return Group(generators, perm_identity(deg), name=name, cap=cap)
+    return PermutationGroup(generators, perm_identity(deg), name=name, cap=cap)
 
 
 # -- family constructors --------------------------------------------------------
@@ -297,7 +372,7 @@ def family_order(family: str, params, cap: int = DEFAULT_CAP) -> int:
     return {"C": 1, "D": 2, "Dic": 4}[family] * n
 
 
-def family_group(family: str, params, name=None, cap=DEFAULT_CAP) -> Group:
+def family_group(family: str, params, name=None, cap=DEFAULT_CAP) -> PermutationGroup:
     family_order(family, params)
     builder, _ = FAMILY_BUILDERS[family]
     return permutation_group(builder(*params), name=name, cap=cap)

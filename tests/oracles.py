@@ -42,3 +42,30 @@ def normal_closure_order_naive(elements, x) -> int:
                     fresh.append(z)
         frontier = fresh
     return len(reached)
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def symmetric_spectrum_formula(n: int, alternating: bool = False) -> dict:
+    """Order spectrum of S(n) or A(n) by cycle type: n! / prod(k^m_k m_k!)
+    permutations of each type, of order the lcm of its parts, even when
+    n minus the number of cycles is."""
+    counts = {}
+    for parts in _partitions(n):
+        if alternating and (n - len(parts)) % 2:
+            continue
+        size = math.factorial(n)
+        for k in set(parts):
+            m = parts.count(k)
+            size //= k**m * math.factorial(m)
+        order = math.lcm(*parts)
+        counts[order] = counts.get(order, 0) + size
+    return dict(sorted(counts.items()))

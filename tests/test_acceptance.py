@@ -9,7 +9,7 @@ import json
 import random
 import time
 
-from oracles import element_order_naive
+from oracles import element_order_naive, symmetric_spectrum_formula
 
 from sameorder import group_for, noniso_certificate, spectrum_checks
 from sameorder.fields import field_make
@@ -172,3 +172,17 @@ def test_criterion_8_hunt_rediscovers_collisions_under_30s():
     assert json.dumps(rep, sort_keys=True) == json.dumps(rerun, sort_keys=True)
     assert dt < 30.0
     _report(8, f"hunt(168,2) found {len(found)} collisions, stable output", dt)
+
+
+def test_criterion_9_a9_spectrum_under_10s():
+    """A(9) has 181440 elements, past every group the benchmark builds; its
+    spectrum takes about 0.5 s.  A closure whose work per batch grows with
+    the batch squared (searching each batch from its start for every new
+    element, say) takes minutes here."""
+    t0 = time.perf_counter()
+    spectrum = group_for("A(9)").spectrum().counts
+    dt = time.perf_counter() - t0
+    assert spectrum == symmetric_spectrum_formula(9, alternating=True)
+    assert sum(spectrum.values()) == 181440
+    assert dt < 10.0
+    _report(9, "spectrum of A(9) matches its cycle types", dt)

@@ -8,7 +8,6 @@ from sameorder import dsl, group_for
 from sameorder.core import (
     DEFAULT_CAP,
     DirectProduct,
-    Group,
     Spectrum,
     noniso_certificate,
     spectrum_checks,
@@ -17,7 +16,7 @@ from sameorder.errors import CapExceededError, InvalidParameterError, NoWitnessE
 from sameorder.fields import field_make
 from sameorder.matrices import MatrixGroup, sl_generators
 from sameorder.numtheory import is_prime
-from sameorder.perms import family_order, symmetric_generators
+from sameorder.perms import family_order, permutation_group, symmetric_generators
 
 AXIOM_GROUPS = [
     "C(12)",
@@ -51,12 +50,12 @@ def test_group_axioms_sampled(built, expr):
 
 def test_closure_is_generator_order_independent():
     base = symmetric_generators(4)
-    reference = {g.key() for g in Group(base, base[0].op(base[0].inv())).elements()}
+    reference = {g.key() for g in permutation_group(base).elements()}
     rng = random.Random(5)
     for _ in range(10):
         gens = base[:]
         rng.shuffle(gens)
-        got = {g.key() for g in Group(gens, base[0].op(base[0].inv())).elements()}
+        got = {g.key() for g in permutation_group(gens).elements()}
         assert got == reference
 
 
@@ -72,9 +71,8 @@ def test_closure_cap():
     # a walk that adds a batch at once keeps the order of the two checks, as
     # if counting one by one: a stop_size past the cap still raises, one up
     # to the cap stops the walk
-    s4 = symmetric_generators(4)
     for grp in (MatrixGroup(sl_generators(2, f), f, 2, cap=10),
-                Group(s4, s4[0].op(s4[0].inv()), cap=10)):
+                permutation_group(symmetric_generators(4), cap=10)):
         for stop_size in (11, 100):
             with pytest.raises(CapExceededError):
                 grp._subgroup(grp.generators, stop_size=stop_size)

@@ -134,10 +134,32 @@ def test_permutation_and_matrix_engines_agree(built, exprs):
     assert all(inv == invariants[0] for inv in invariants[1:]), exprs
 
 
+def su_transvections_scalar(n, q):
+    """The transvections of su_generators, one field operation at a time."""
+    f = field_make(*matrices._field_params(q, double=True))
+    conj = [f.pow(c, q) for c in range(f.q)]
+    out = []
+    for v in itertools.product(range(f.q), repeat=n):
+        h = 0
+        for a in range(n):
+            h = f.add(h, f.mul(v[a], conj[v[n - 1 - a]]))
+        if next((x for x in v if x), None) != 1 or h:
+            continue
+        for lam in range(1, f.q):
+            if conj[lam] == f.neg(lam):
+                out.append(tuple(tuple(f.add(f.mul(f.mul(lam, v[a]), conj[v[n - 1 - b]]),
+                                             int(a == b)) for b in range(n))
+                                 for a in range(n)))
+    return out
+
+
 def test_su_generators_preserve_form_and_det():
-    for n, q in [(3, 3), (4, 2)]:
+    """The batched construction gives, in order, the transvections that scalar
+    field arithmetic gives, and each passes the scalar form and determinant
+    checks."""
+    for n, q in [(3, 3), (3, 4), (3, 5), (4, 2)]:
         gens = su_generators(n, q)
-        assert gens
+        assert [g.rows for g in gens] == su_transvections_scalar(n, q)
         for g in gens:
             assert preserves_form(g, q)
             assert mat_det(g.field, g.rows) == 1
@@ -226,18 +248,27 @@ def projective_closure(expr):
 
 
 @pytest.mark.parametrize("expr", ["PSL(2,7)", "SL(2,3)", "PSU(3,3)", "S(5)", "D(6)", "cex3",
-                                  "SL(3,2)", "PSL(2,8)", "projective PSL(2,9)"])
+                                  "SL(3,2)", "PSL(2,8)", "projective PSL(2,9)", "A(6)",
+                                  "C(12)", "Perm[(1,2,3,4,5,6,7), (1,2)]"])
 def test_packed_index_and_conjugation_maps_match_generic(built, expr):
     """Everything read off the closure's table in index space agrees with
-    element arithmetic: the table itself, the conjugation maps, the class
+    element arithmetic: the element objects and their keys, the table
+    itself, the spanning tree and its rounds, the conjugation maps, the class
     partition and every element order."""
     g = projective_closure(expr.split()[1]) if expr.startswith("projective") else built(expr)
     elems, index, kept = g.elements(), g.element_index(), g.reduced_generators()
-    assert len(index) == g.order() == len(elems)
+    c = g._walked()
+    assert len(index) == g.order() == len(elems) == len(c.elements)
     for i, e in enumerate(elems):
+        assert e.key() == c.elements[i]
         assert index[e.key()] == i
         assert e in g
-    table, maps = g._walked().table, g.conjugation_maps()
+    for x in range(1, len(elems)):
+        assert elems[c.parent[x]].op(kept[c.letter[x]]) == elems[x]
+    assert c.layers[0] == 1 and c.layers[-1] == len(elems)
+    for a, b in zip(c.layers, c.layers[1:]):  # a quotient's rounds may be empty
+        assert a <= b and c.parent[a:b].max(initial=-1) < a
+    table, maps = c.table, g.conjugation_maps()
     assert table.dtype == maps.dtype == np.int32
     assert table.shape == maps.shape == (len(kept), g.order())
     conj = []

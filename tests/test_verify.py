@@ -33,7 +33,10 @@ def hunt168():
 GOLDEN = Path(__file__).parent / "golden"
 
 GOLDEN_EXPRESSIONS = ["PSL(2,7)", "SL(2,3)", "PSU(3,3)", "C(7) x SL(2,3)",
-                      "PSL(2,8) x C(2)", "S(4) x S(4)", "Q(8)"]
+                      "PSL(2,8) x C(2)", "S(4) x S(4)", "Q(8)",
+                      # permutation groups beyond S(4) x S(4); the last is
+                      # PSL(3,2) acting on the seven points of the Fano plane
+                      "S(8)", "A(8)", "Perm[(1,2,3,4,5,6,7), (1,2)(3,6)]"]
 
 
 def _golden(name: str) -> str:
