@@ -147,9 +147,9 @@ class PermutationGroup(Group):
         lookups in the index.  Right multiplication by h is one-to-one, so a
         batch holds no key twice, and each product the index lacks is a new
         element: only those cost more Python work, and they take the next
-        positions in batch order.  elements is the keys in position order.  Returns None once the count passes
-        stop_size and raises CapExceededError past the cap, checked after
-        each batch.
+        positions in batch order.  elements is the keys in position order.
+        Returns None once the count passes stop_size and raises
+        CapExceededError past the cap, checked after each batch.
         """
         keys = [self.identity.key()]
         index = {keys[0]: 0}

@@ -175,10 +175,10 @@ def test_criterion_8_hunt_rediscovers_collisions_under_30s():
 
 
 def test_criterion_9_a9_spectrum_under_10s():
-    """A(9) has 181440 elements, past every group the benchmark builds; its
-    spectrum takes about 0.5 s.  A closure whose work per batch grows with
-    the batch squared (searching each batch from its start for every new
-    element, say) takes minutes here."""
+    """A(9) has 181440 elements, more than any group the benchmark builds;
+    its spectrum takes about 0.5 s on a 2-vCPU VM.  A closure whose work per
+    batch grows with the batch squared (searching each batch from its start
+    for every new element, say) takes about 40 s here."""
     t0 = time.perf_counter()
     spectrum = group_for("A(9)").spectrum().counts
     dt = time.perf_counter() - t0
