@@ -29,7 +29,7 @@ from .errors import (
     OrderMismatchError,
     VerificationError,
 )
-from .fields import FiniteField, field_make
+from .fields import FiniteField
 from .matrices import (
     MatrixElement,
     MatrixGroup,
@@ -71,7 +71,6 @@ __all__ = [
     "counterexample_report",
     "eval_expr",
     "family_group",
-    "field_make",
     "group_for",
     "hunt_report",
     "noniso_certificate",

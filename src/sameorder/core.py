@@ -144,17 +144,17 @@ class NonIsoCertificate:
         return d
 
 
-# What a subgroup walk found: elements as it stores them, index from key to
-# position, kept (the generators not in the subgroup of those kept before them)
+# What a group's walk found: elements as it stores them (keys in position
+# order), kept (the generators not in the subgroup of those kept before them)
 # and the int32 table R[k, x] = position of x * kept[k].  Its discoveries are a
 # spanning tree, x = parent[x] * kept[letter[x]], found in rounds
 # layers[i]:layers[i + 1] whose parents all sit before layers[i].
-Closure = namedtuple("Closure", "elements index kept table parent letter layers")
+Closure = namedtuple("Closure", "elements kept table parent letter layers")
 
 
 class Group:
     """A group in index space, enumerated on demand from its generators by a
-    subclass's _subgroup.
+    subclass's _walk.
 
     Derived data is computed lazily and cached; instances are immutable
     afterwards and safe to share read-only across threads, since racing
@@ -173,33 +173,18 @@ class Group:
 
     # -- enumeration ---------------------------------------------------------
 
-    def _subgroup(self, gens, stop_size=None) -> Closure | None:
-        """The Closure of the subgroup generated by gens, walked by the subclass
+    def _walk(self) -> Closure:
+        """The Closure of the group, walked from self.generators by the subclass
         on its own element keys (perms.PermutationGroup, matrices.MatrixGroup).
 
-        Returns None once the count passes stop_size; raises CapExceededError
-        past the cap, both through _passes.
+        Raises CapExceededError once the count passes the cap, checked after
+        each batch.
         """
         raise NotImplementedError
 
-    def _passes(self, count, stop_size) -> bool:
-        """True once count passes stop_size; raises once it passes the cap.
-
-        A batched walk may jump past both bounds at once; the one a count
-        going up by one would pass first decides, stop_size on a tie.
-        """
-        if stop_size is not None and stop_size <= self.cap:
-            return count > stop_size
-        if count > self.cap:
-            raise CapExceededError(self.cap)
-        return False
-
-    def _enumerate(self):
-        self._closure = self._subgroup(self.generators)
-
     def _walked(self) -> Closure:
         if self._closure is None:
-            self._enumerate()
+            self._closure = self._walk()
         return self._closure
 
     def elements(self) -> list:
@@ -207,18 +192,11 @@ class Group:
         subclass; position i is index i everywhere."""
         raise NotImplementedError
 
-    def element_index(self):
-        """Position of each element by key: index[g.key()] is g's position."""
-        return self._walked().index
-
     def order(self) -> int:
         return self._walked().table.shape[1]
 
     def reduced_generators(self) -> list:
         return self._walked().kept
-
-    def __contains__(self, g):
-        return g.key() in self.element_index()
 
     # -- index space: conjugacy classes and element orders ---------------------
 
@@ -312,8 +290,8 @@ class Group:
     def _normal_closure(self, indices, stop_size, known=None):
         """Normal closure of the elements at the given indices, once the classes are known.
 
-        The subgroup the classes holding them generate, walked as _subgroup
-        walks but on positions, by left multiplication.  Returns (order,
+        The subgroup the classes holding them generate, walked as _walk walks
+        but on positions, by left multiplication.  Returns (order,
         positions of the kept generators), or None once the count passes
         stop_size: a subgroup with more than half the group's elements is the
         whole group, so callers pass stop_size = order // 2 and treat None as
@@ -338,7 +316,7 @@ class Group:
                 inside[fresh] = True
                 members.append(fresh)
                 count += len(fresh)
-                if self._passes(count, stop_size) or known is not None and known[fresh].any():
+                if count > stop_size or known is not None and known[fresh].any():
                     return None
                 frontier, mults = fresh, maps
 

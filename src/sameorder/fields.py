@@ -1,8 +1,9 @@
 """Exact arithmetic for the finite fields GF(p^k), q = p^k <= 512.
 
 Elements are integer codes in ``[0, q)``.  The base-p digits of a code are the
-coefficients of a polynomial over GF(p), reduced modulo a fixed monic
-irreducible modulus of degree k.  Discrete exp/log tables come from a
+coefficients of a polynomial over GF(p), reduced modulo the lexicographically
+smallest monic irreducible polynomial of degree k, so each q has exactly one
+field and one code for each element.  Discrete exp/log tables come from a
 generator of the multiplicative group, and every field carries dense q-by-q
 add and mul tables built from them: scalar operations index their rows and
 vectorized matrix arithmetic indexes the numpy copies.  The size limit keeps
@@ -88,22 +89,11 @@ def field_size(p: int, k: int) -> int:
 class FiniteField:
     """GF(p^k) on integer codes, with table-backed operations."""
 
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None = None):
-        q = field_size(p, k)
-        if modulus is None:
-            modulus = _smallest_irreducible(p, k)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise InvalidParameterError(
-                    f"modulus must be monic of degree {k}, got {modulus}"
-                )
-            if not _poly_is_irreducible(modulus, p):
-                raise InvalidParameterError(f"modulus {modulus} is reducible over GF({p})")
+    def __init__(self, p: int, k: int):
+        self.q = field_size(p, k)
         self.p = p
         self.k = k
-        self.q = q
-        self.modulus = modulus
+        self.modulus = _smallest_irreducible(p, k)
         self._p_pows = [p**i for i in range(k)]
         self._build_exp_log()
         self._build_dense_tables()
@@ -206,15 +196,10 @@ class FiniteField:
     def __eq__(self, other):
         if not isinstance(other, FiniteField):
             return NotImplemented
-        return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
+        return (self.p, self.k) == (other.p, other.k)
 
     def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        return hash((self.p, self.k))
 
     def __repr__(self):
         return f"GF({self.q})"
-
-
-def field_make(p: int, k: int) -> FiniteField:
-    """GF(p^k) with the lexicographically smallest monic irreducible modulus."""
-    return FiniteField(p, k)

@@ -7,10 +7,14 @@ lives in index space (see core) and reads no field table again.
 Inside a MatrixGroup an element is identified by its packed key: the n*n
 codes, (q-1).bit_length() bits each, in one uint64 with the first entry
 highest, so key order is row-major lexicographic order.  A group stores its
-elements as keys alone, unpacked only for MatrixElement objects and to
-normalize.  n^2 * bits <= 64 is checked before a group is built.  Row i of
-x * h is (row i of x) * h, so the closure multiplies by a kept generator h
-with one lookup per row of x's key in h's row table.
+elements as keys alone, in position order, unpacked only for MatrixElement
+objects and to normalize; the sorted copy the closure looks products up in
+is dropped when the walk ends.  n^2 * bits <= 64 is checked before a group
+is built.  Row i of x * h is (row i of x) * h, so the closure multiplies by
+a kept generator h with one lookup per row of x's key in h's row table.
+
+The constructors build their own field: GF(q) for SL and PSL, GF(q^2) for
+SU and PSU, each with the one modulus that fields.FiniteField uses.
 
 Projective groups (PSL, PSU) represent each coset of the scalars by its
 multiple whose first nonzero entry in row-major order is 1; two special
@@ -28,8 +32,8 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .core import DEFAULT_CAP, Closure, Group, GroupElement
-from .errors import InvalidParameterError, OrderMismatchError
-from .fields import FiniteField, field_make, field_size
+from .errors import CapExceededError, InvalidParameterError, OrderMismatchError
+from .fields import FiniteField, field_size
 from .numtheory import prime_power
 
 
@@ -191,27 +195,6 @@ def _locate(sorted_keys, keys):
     return at, found
 
 
-class KeyIndex:
-    """Element positions by packed key: the sorted keys and their positions."""
-
-    __slots__ = ("keys", "positions")
-
-    def __init__(self, keys, positions):
-        self.keys, self.positions = keys, positions
-
-    def __getitem__(self, key) -> int:
-        at, found = _locate(self.keys, np.array([key], dtype=np.uint64))
-        if not found[0]:
-            raise KeyError(key)
-        return int(self.positions[at[0]])
-
-    def __contains__(self, key) -> bool:
-        return bool(_locate(self.keys, np.array([key], dtype=np.uint64))[1][0])
-
-    def __len__(self):
-        return len(self.keys)
-
-
 # -- batched table arithmetic -----------------------------------------------------
 
 
@@ -277,18 +260,20 @@ class MatrixGroup(Group):
         self.n = n
         self.projective = projective
 
-    def _subgroup(self, gens, stop_size=None):
+    def _walk(self):
         """The closure on packed keys and the kept generators' row tables.
 
         Each chunk of products is deduplicated with a 1-D np.unique and looked
         up in the sorted key array, into which the new keys are merged.  The
         lookup gives the position each product lands on, and the first
         product to reach a new key its parent and letter.  elements is the
-        keys and index a KeyIndex.
+        keys in position order; the sorted keys live only as long as the walk.
+        Raises CapExceededError past the cap, checked after each chunk.
         """
         _, mul_t, inv_t = self.field.np_tables()
         n, q = self.n, self.field.q
         width = key_bits(q, n) * n  # bits of one row, the key's last row lowest
+        gens = self.generators
         gen_keys = np.array([g.key() for g in gens], dtype=np.uint64)
         keys = np.array([self.identity.key()], dtype=np.uint64)  # sorted
         positions = np.zeros(1, dtype=np.int32)  # element position of each key
@@ -331,15 +316,15 @@ class MatrixGroup(Group):
                     positions = np.insert(positions, at[~found], pos[~found])
                     count += len(new)
                     fresh.append(new)
-                    if self._passes(count, stop_size):
-                        return None
+                    if count > self.cap:
+                        raise CapExceededError(self.cap)
                 frontier = np.concatenate(fresh or [keys[:0]])
                 if len(frontier):
                     layers.append(count)
                 stored.append(frontier)
                 first, mults = count - len(frontier), np.arange(len(kept))
         table = np.array([np.concatenate(row) for row in table], dtype=np.int32)
-        return Closure(np.concatenate(stored), KeyIndex(keys, positions), [gens[i] for i in kept],
+        return Closure(np.concatenate(stored), [gens[i] for i in kept],
                        table.reshape(len(kept), count), np.concatenate(parent),
                        np.concatenate(letter), layers)
 
@@ -414,7 +399,7 @@ def preserves_form(g: MatrixElement, q: int) -> bool:
     return True
 
 
-def su_generators(n: int, q: int, field: FiniteField | None = None) -> list:
+def su_generators(n: int, q: int) -> list:
     """Unitary transvections for SU(n, q) on GF(q^2).
 
     One transvection per (isotropic projective point v, scalar lambda with
@@ -424,8 +409,7 @@ def su_generators(n: int, q: int, field: FiniteField | None = None) -> list:
     The point search and both checks run batched on the field's tables.
     """
     classical_order("SU", n, q)  # validates n and q
-    if field is None:
-        field = field_make(*_field_params(q, double=True))
+    field = FiniteField(*_field_params(q, double=True))
     add_t, mul_t, _ = field.np_tables()
     conj = np.array([field.pow(c, q) for c in range(field.q)], dtype=np.uint16)
     neg = np.array(field.neg_row, dtype=np.uint16)
@@ -448,11 +432,10 @@ def su_generators(n: int, q: int, field: FiniteField | None = None) -> list:
     return [MatrixElement(field, rows) for rows in g.tolist()]
 
 
-def sl_group(n: int, q: int, cap=DEFAULT_CAP, field: FiniteField | None = None) -> MatrixGroup:
+def sl_group(n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
     order = classical_order("SL", n, q)
     key_bits(q, n)  # before anything is built
-    if field is None:
-        field = field_make(*_field_params(q))
+    field = FiniteField(*_field_params(q))
     grp = MatrixGroup(sl_generators(n, field), field, n, name=f"SL({n},{q})", cap=cap)
     _check_order(grp, order)
     return grp
@@ -461,8 +444,8 @@ def sl_group(n: int, q: int, cap=DEFAULT_CAP, field: FiniteField | None = None) 
 def su_group(n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
     order = classical_order("SU", n, q)
     key_bits(q * q, n)  # before su_generators walks GF(q^2)^n
-    field = field_make(*_field_params(q, double=True))
-    grp = MatrixGroup(su_generators(n, q, field), field, n, name=f"SU({n},{q})", cap=cap)
+    gens = su_generators(n, q)
+    grp = MatrixGroup(gens, gens[0].field, n, name=f"SU({n},{q})", cap=cap)
     _check_order(grp, order)
     return grp
 
@@ -481,9 +464,9 @@ def projectivize(parent: MatrixGroup, name=None) -> MatrixGroup:
     _, mul_t, inv_t = field.np_tables()
     normed = pack_keys(_bnormalize(mul_t, inv_t, unpack_keys(c.elements, field.q, parent.n)),
                        field.q)
-    keys, first, coset = np.unique(normed, return_index=True, return_inverse=True)
-    position = np.empty(len(keys), dtype=np.int32)  # of each sorted key
-    position[np.argsort(first)] = np.arange(len(keys))
+    _, first, coset = np.unique(normed, return_index=True, return_inverse=True)
+    position = np.empty(len(first), dtype=np.int32)  # of each sorted key
+    position[np.argsort(first)] = np.arange(len(first))
     members, to_quotient = np.sort(first), position[coset.reshape(-1)]
 
     def normalized(gens):
@@ -493,14 +476,14 @@ def projectivize(parent: MatrixGroup, name=None) -> MatrixGroup:
                            name=name or (f"P{parent.name}" if parent.name else None),
                            cap=parent.cap)
     quotient._closure = Closure(
-        normed[members], KeyIndex(keys, position), normalized(c.kept),
+        normed[members], normalized(c.kept),
         to_quotient[c.table[:, members]], to_quotient[c.parent[members]],
         c.letter[members], np.searchsorted(members, c.layers).tolist())
     return quotient
 
 
-def psl_group(n: int, q: int, cap=DEFAULT_CAP, field: FiniteField | None = None) -> MatrixGroup:
-    grp = projectivize(sl_group(n, q, cap=cap, field=field), name=f"PSL({n},{q})")
+def psl_group(n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
+    grp = projectivize(sl_group(n, q, cap=cap), name=f"PSL({n},{q})")
     _check_order(grp, classical_order("PSL", n, q))
     return grp
 

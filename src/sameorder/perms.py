@@ -22,7 +22,7 @@ from array import array
 import numpy as np
 
 from .core import DEFAULT_CAP, Closure, Group, GroupElement
-from .errors import InvalidParameterError
+from .errors import CapExceededError, InvalidParameterError
 from .numtheory import multiplicative_order
 
 # a permutation's key stores each image in one byte
@@ -135,8 +135,8 @@ def check_degree(degree: int):
 class PermutationGroup(Group):
     """Group of permutations of one point set, enumerated on bytes keys."""
 
-    def _subgroup(self, gens, stop_size=None):
-        """The Closure of the subgroup generated by gens, walked on keys.
+    def _walk(self):
+        """The Closure of the group, walked on keys.
 
         A new generator multiplies every element known so far once, and the
         elements it brings in then take every kept generator until nothing
@@ -148,15 +148,14 @@ class PermutationGroup(Group):
         batch holds no key twice, and each product the index lacks is a new
         element: only those cost more Python work, and they take the next
         positions in batch order.  elements is the keys in position order.
-        Returns None once the count passes stop_size and raises
-        CapExceededError past the cap, checked after each batch.
+        Raises CapExceededError past the cap, checked after each batch.
         """
         keys = [self.identity.key()]
         index = {keys[0]: 0}
         # C ints, not Python lists of ints: the table is |G| * kept entries
         kept, rows = [], []
         parent, letter, layers = array("i", [0]), array("i", [0]), [1]
-        for g in gens:
+        for g in self.generators:
             if g.key() in index:
                 continue
             kept.append(g)
@@ -175,14 +174,14 @@ class PermutationGroup(Group):
                         parent.append(first + i)
                         letter.append(k)
                     rows[k].extend(pos)
-                    if self._passes(len(keys), stop_size):
-                        return None
+                    if len(keys) > self.cap:
+                        raise CapExceededError(self.cap)
                 first, frontier = first + len(frontier), keys[first + len(frontier):]
                 if frontier:
                     layers.append(len(keys))
                 mults = range(len(kept))
         table = np.frombuffer(b"".join(rows), dtype=np.intc).reshape(len(kept), len(keys))
-        return Closure(keys, index, kept, table, np.frombuffer(parent, dtype=np.intc),
+        return Closure(keys, kept, table, np.frombuffer(parent, dtype=np.intc),
                        np.frombuffer(letter, dtype=np.intc), layers)
 
     def elements(self) -> list:

@@ -12,7 +12,7 @@ import time
 from oracles import element_order_naive, symmetric_spectrum_formula
 
 from sameorder import group_for, noniso_certificate, spectrum_checks
-from sameorder.fields import field_make
+from sameorder.fields import FiniteField
 from sameorder.matrices import (
     classical_order,
     mat_det,
@@ -141,7 +141,7 @@ def test_criterion_7_property_suites(built, enumerated_product):
 
     psl = projectivize(sl_group(2, 5))
     assert projectivize(psl) is psl
-    f = field_make(7, 1)
+    f = FiniteField(7, 1)
     for _ in range(20):
         rows = [[rng.randrange(7) for _ in range(2)] for _ in range(2)]
         if mat_det(f, rows) == 0:

@@ -188,7 +188,7 @@ def test_field_above_table_limit_exits_2_without_enumerating(capsys, monkeypatch
     def no_enumeration(self):
         raise AssertionError("enumerated a group")
 
-    monkeypatch.setattr(Group, "_enumerate", no_enumeration)
+    monkeypatch.setattr(Group, "_walked", no_enumeration)
     code, out, err = run(capsys, "alpha", "PSL(2,521)")
     assert code == 2
     assert out == ""

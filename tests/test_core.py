@@ -13,7 +13,7 @@ from sameorder.core import (
     spectrum_checks,
 )
 from sameorder.errors import CapExceededError, InvalidParameterError, NoWitnessError
-from sameorder.fields import field_make
+from sameorder.fields import FiniteField
 from sameorder.matrices import MatrixGroup, sl_generators
 from sameorder.numtheory import is_prime
 from sameorder.perms import family_order, permutation_group, symmetric_generators
@@ -64,20 +64,15 @@ def test_closure_cap():
     with pytest.raises(CapExceededError) as exc:
         group_for("Perm[(1,2,3,4,5), (1,2)]", cap=100).order()
     assert exc.value.cap == 100
-    # the batched matrix walk checks the cap too
-    f = field_make(3, 1)
-    with pytest.raises(CapExceededError):
-        MatrixGroup(sl_generators(2, f), f, 2, cap=10).order()
-    # a walk that adds a batch at once keeps the order of the two checks, as
-    # if counting one by one: a stop_size past the cap still raises, one up
-    # to the cap stops the walk
-    for grp in (MatrixGroup(sl_generators(2, f), f, 2, cap=10),
-                permutation_group(symmetric_generators(4), cap=10)):
-        for stop_size in (11, 100):
-            with pytest.raises(CapExceededError):
-                grp._subgroup(grp.generators, stop_size=stop_size)
-        for stop_size in (9, 10):
-            assert grp._subgroup(grp.generators, stop_size=stop_size) is None
+    # both walks add a batch at a time and check the cap after each: a cap
+    # of |G| builds the group, one less refuses it
+    f = FiniteField(3, 1)
+    for build in (lambda cap: permutation_group(symmetric_generators(4), cap=cap),
+                  lambda cap: MatrixGroup(sl_generators(2, f), f, 2, cap=cap)):
+        assert build(24).order() == 24
+        with pytest.raises(CapExceededError) as exc:
+            build(23).order()
+        assert exc.value.cap == 23
 
 
 def test_cap_is_checked_before_anything_is_built(monkeypatch):
@@ -322,12 +317,15 @@ def test_certificate_serialization(built):
     assert "left" in d and "right" in d
 
 
-def test_reduced_generators_generate(built):
-    g = built("PSU(3,3)")
+@pytest.mark.parametrize("expr", ["PSU(3,3)", "S(8)"])
+def test_reduced_generators_generate(built, expr):
+    g = built(expr)
     reduced = g.reduced_generators()
     assert len(reduced) <= len(g.generators)
     # the reduced set alone must reproduce the group
-    rebuilt = MatrixGroup(reduced, g.field, g.n, projective=g.projective)
-    assert rebuilt.order() == g.order()
-    # a generating set passes any stop below the group's order
-    assert g._subgroup(reduced, stop_size=g.order() // 2) is None
+    if isinstance(g, MatrixGroup):
+        rebuilt = MatrixGroup(reduced, g.field, g.n, projective=g.projective)
+    else:
+        rebuilt = permutation_group(reduced)
+    assert (sorted(e.key() for e in rebuilt.elements())
+            == sorted(e.key() for e in g.elements()))

@@ -211,11 +211,12 @@ def test_hunt_builds_each_atom_once(monkeypatch):
     from sameorder.dsl import factors_of, parse_expr, print_expr
 
     enumerated = Counter()
-    enumerate_group = Group._enumerate
+    walked = Group._walked
 
     def counting(self):
-        enumerated[self.name] += 1
-        enumerate_group(self)
+        if self._closure is None:
+            enumerated[self.name] += 1
+        return walked(self)
 
     pools = []
 
@@ -224,7 +225,7 @@ def test_hunt_builds_each_atom_once(monkeypatch):
             super().__init__(*args)
             pools.append(self)
 
-    monkeypatch.setattr(Group, "_enumerate", counting)
+    monkeypatch.setattr(Group, "_walked", counting)
     monkeypatch.setattr(verify, "_AtomPool", Pool)
     rep = hunt_report(60, 3)
     atoms = {print_expr(a) for text in _candidate_expressions(60, 3)
