@@ -36,12 +36,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", dest="as_json",
                         help="emit a JSON document instead of text")
-    common.add_argument("--cache-dir", metavar="PATH", default=None,
-                        help="directory for the per-expression report cache")
     common.add_argument("--max-elements", metavar="N", type=_positive_int, default=DEFAULT_CAP,
                         help="abort enumeration beyond this many elements "
                              f"(default {DEFAULT_CAP})")
-    common.add_argument("--threads", metavar="N", type=_positive_int, default=1,
+    # per-expression queries read the report cache; multi-group commands
+    # take a worker count
+    cached = argparse.ArgumentParser(add_help=False, parents=[common])
+    cached.add_argument("--cache-dir", metavar="PATH", default=None,
+                        help="directory for the per-expression report cache")
+    pooled = argparse.ArgumentParser(add_help=False, parents=[common])
+    pooled.add_argument("--threads", metavar="N", type=_positive_int, default=1,
                         help="worker threads for multi-group commands")
 
     parser = argparse.ArgumentParser(
@@ -51,23 +55,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("alpha", parents=[common],
+    p = sub.add_parser("alpha", parents=[cached],
                        help="same-order type of a group expression")
     p.add_argument("expr", metavar="EXPR")
 
-    p = sub.add_parser("spectrum", parents=[common],
+    p = sub.add_parser("spectrum", parents=[cached],
                        help="full order spectrum and flags of a group expression")
     p.add_argument("expr", metavar="EXPR")
 
-    p = sub.add_parser("invariants", parents=[common],
+    p = sub.add_parser("invariants", parents=[cached],
                        help="run structural checks on a group expression")
     p.add_argument("expr", metavar="EXPR")
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[pooled],
                        help="reproduce and check the packaged claims")
     p.add_argument("what", choices=("theorem", "counterexample"))
 
-    p = sub.add_parser("hunt", parents=[common],
+    p = sub.add_parser("hunt", parents=[pooled],
                        help="search products of standard families for "
                             "same-order-type collisions")
     p.add_argument("--order", type=_positive_int, required=True)

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapExceededError, NoWitnessError
-from .numtheory import factorize, is_prime, totient
+from .numtheory import factorize, is_prime, prime_power, totient
 
 DEFAULT_CAP = 1_000_000
 
@@ -64,8 +64,7 @@ class GroupElement:
         return hash(self.key())
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Order spectrum: how many elements have each order.
 
     counts maps element order t to s_t, keys ascending; group_order rides
@@ -120,8 +119,7 @@ def spectrum_checks(spec: Spectrum) -> list:
     return checks
 
 
-@dataclass(frozen=True)
-class NonIsoCertificate:
+class NonIsoCertificate(NamedTuple):
     """Witness that two groups are not isomorphic.
 
     reason is one of order-mismatch, spectrum-mismatch, center-size-mismatch,
@@ -469,15 +467,8 @@ def _witness_order(diffs: dict) -> int:
     subgroup structure); falls back to the largest differing order if the
     spectra only disagree at composite-support orders.
     """
-    pps = [t for t in diffs if _is_prime_power(t)]
+    pps = [t for t in diffs if prime_power(t) is not None]
     return max(pps) if pps else max(diffs)
-
-
-def _is_prime_power(t: int) -> bool:
-    if t < 2:
-        return False
-    f = factorize(t)
-    return len(f) == 1
 
 
 def noniso_certificate(a, b) -> NonIsoCertificate | None:

@@ -10,14 +10,18 @@ Families: C, D, Dic, Q, S, A, F take integers; SL, PSL, SU, PSU take
 (degree, field size); Perm lists explicit generators in 1-indexed
 disjoint-cycle notation, commas separating generators; cex3 is the fixed
 order-168 construction and takes no parameters.  Q(n) is sugar for
-Dic(n/4).  Products flatten, so reassociation changes nothing.  All parse
-errors carry the byte offset of the offending token.
+Dic(n/4).  Products flatten, so reassociation changes nothing.
+
+Names and integers are ASCII ([A-Za-z][A-Za-z0-9]* and [0-9]+); any other
+character but whitespace and ( ) [ ] , is a syntax error.  All parse errors
+carry the character offset of the offending token.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from collections import namedtuple
 
 from . import perms
 from .core import DEFAULT_CAP, DirectProduct, Group
@@ -39,65 +43,32 @@ PERM_FAMILIES = {"C", "D", "Dic", "S", "A", "F", "cex3"}
 MATRIX_FAMILIES = {"SL": sl_group, "PSL": psl_group, "SU": su_group, "PSU": psu_group}
 
 
-@dataclass(frozen=True)
-class Atom:
-    family: str
-    params: tuple
-
-
-@dataclass(frozen=True)
-class PermAtom:
-    """Explicit generators: each a tuple of cycles of 1-indexed points."""
-
-    gens: tuple
-
-
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
+# An expression's nodes.  A PermAtom's gens are tuples of cycles of
+# 1-indexed points.
+Atom = namedtuple("Atom", "family params")
+PermAtom = namedtuple("PermAtom", "gens")
+Product = namedtuple("Product", "factors")
 
 
 # -- lexer ----------------------------------------------------------------------
 
-_SYMBOLS = {"(": "LP", ")": "RP", "[": "LB", "]": "RB", ",": "COMMA"}
+_TOKEN = re.compile(r"""
+    (?P<INT>[0-9]+) | (?P<NAME>[A-Za-z][A-Za-z0-9]*)
+  | (?P<LP>\() | (?P<RP>\)) | (?P<LB>\[) | (?P<RB>\]) | (?P<COMMA>,)
+  | (?P<SPACE>\s+) | (?P<BAD>.)
+""", re.VERBOSE)
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+_Token = namedtuple("_Token", "kind text pos")
 
 
 def _tokenize(text: str) -> list:
     toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _SYMBOLS:
-            toks.append(_Token(_SYMBOLS[c], c, i))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Token("INT", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and text[j].isalnum():
-                j += 1
-            toks.append(_Token("NAME", text[i:j], i))
-            i = j
-            continue
-        raise DslSyntaxError(f"unexpected character {c!r}", position=i)
-    toks.append(_Token("END", "", n))
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "BAD":
+            raise DslSyntaxError(f"unexpected character {m.group()!r}", position=m.start())
+        if m.lastgroup != "SPACE":
+            toks.append(_Token(m.lastgroup, m.group(), m.start()))
+    toks.append(_Token("END", "", len(text)))
     return toks
 
 

@@ -193,13 +193,5 @@ class FiniteField:
         """(add, mul, inv) uint16 arrays for vectorized indexing."""
         return self._np_tables
 
-    def __eq__(self, other):
-        if not isinstance(other, FiniteField):
-            return NotImplemented
-        return (self.p, self.k) == (other.p, other.k)
-
-    def __hash__(self):
-        return hash((self.p, self.k))
-
     def __repr__(self):
         return f"GF({self.q})"

@@ -103,14 +103,15 @@ def cache_store(cache_dir: str, expression: str, rep: dict):
 
 def report_for(expression: str, cap: int, cache_dir: str | None = None) -> dict:
     """Report for an expression, consulting the cache when one is configured."""
-    from .dsl import group_for, normalize_expr
+    from .dsl import eval_expr, parse_expr, print_expr
 
-    normalized = normalize_expr(expression)
+    ast = parse_expr(expression)
+    normalized = print_expr(ast)
     if cache_dir is not None:
         cached = cache_load(cache_dir, normalized)
         if cached is not None:
             return cached
-    rep = build_report(normalized, group_for(normalized, cap))
+    rep = build_report(normalized, eval_expr(ast, cap))
     if cache_dir is not None:
         cache_store(cache_dir, normalized, rep)
     return rep

@@ -35,19 +35,6 @@ THREE_PRIME_SIMPLE_GROUPS = (
 
 ALPHA_FIVE = {"PSL(2,7)", "PSL(2,8)", "PSL(2,9)"}
 
-# order -> the unique nonabelian simple group of that order with three
-# prime divisors, used as the collision reference in hunts
-SIMPLE_BY_ORDER = {
-    60: "PSL(2,5)",
-    168: "PSL(2,7)",
-    360: "PSL(2,9)",
-    504: "PSL(2,8)",
-    2448: "PSL(2,17)",
-    5616: "PSL(3,3)",
-    6048: "PSU(3,3)",
-    25920: "PSU(4,2)",
-}
-
 COUNTEREXAMPLES = ("Dic(2) x F(7,3,2)", "C(7) x SL(2,3)", "cex3")
 
 
@@ -333,10 +320,15 @@ def hunt_report(order: int, max_factors: int, cap: int = DEFAULT_CAP,
     is built once per call and shared by the candidates that use it.
     """
     base = {"order": order, "max_factors": max_factors}
-    if order not in SIMPLE_BY_ORDER:
+    # the collision reference: the unique nonabelian simple group of this
+    # order with three prime divisors
+    by_order = {classical_order(family, *params): text
+                for text in THREE_PRIME_SIMPLE_GROUPS
+                for family, params in [parse_expr(text)]}
+    if order not in by_order:
         return {**base, "collisions": [],
                 "note": f"no simple catalog group of order {order} (nonabelian)"}
-    simple_expr = SIMPLE_BY_ORDER[order]
+    simple_expr = by_order[order]
     simple = group_for(simple_expr, cap)
     target_card = len(simple.alpha())
 

@@ -113,6 +113,9 @@ def test_parse_error_exits_2(capsys):
     assert out == ""
     assert err.startswith("error:")
     assert "offset 12" in err
+    # a non-ASCII digit is not an integer of the language
+    code, out, err = run(capsys, "alpha", "C(²)")
+    assert (code, out, err) == (2, "", "error: unexpected character '²' (at offset 2)\n")
 
 
 def test_invalid_parameter_exits_2(capsys):
@@ -133,6 +136,13 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
+    assert exc.value.code == 2
+    # each subcommand takes only the flags it reads
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "S(4)", "--threads", "2"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["hunt", "--order", "60", "--cache-dir", "x"])
     assert exc.value.code == 2
 
 

@@ -100,6 +100,12 @@ def test_syntax_errors_carry_positions():
     with pytest.raises(DslSyntaxError):
         parse_expr("C(x)")
 
+    # names and integers are ASCII
+    for text, position in [("C(²)", 2), ("C(٣)", 2), ("Ĉ(3)", 0)]:
+        with pytest.raises(DslSyntaxError, match="unexpected character") as exc:
+            parse_expr(text)
+        assert exc.value.position == position
+
 
 def test_unknown_family():
     with pytest.raises(UnknownFamilyError) as exc:

@@ -108,11 +108,6 @@ def test_parameter_validation():
     assert FiniteField(2, 9).q == 512
 
 
-def test_field_equality_keyed_on_construction():
-    assert FiniteField(3, 2) == FiniteField(3, 2)
-    assert FiniteField(3, 2) != FiniteField(3, 1)
-
-
 def test_random_spot_checks_large_field():
     f = FiniteField(2, 8)
     rng = random.Random(11)

@@ -23,12 +23,10 @@ from sameorder.matrices import (
     mat_normalize,
     preserves_form,
     projectivize,
-    psu_group,
     row_table,
     sl_generators,
     sl_group,
     su_generators,
-    su_group,
 )
 
 

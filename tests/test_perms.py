@@ -3,10 +3,8 @@ from oracles import element_order_naive, perm_order
 
 from sameorder.errors import InvalidParameterError
 from sameorder.perms import (
-    Permutation,
     cex3_generators,
     dicyclic_generators,
-    family_group,
     frobenius_generators,
     perm_from_cycles,
     perm_identity,

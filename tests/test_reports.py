@@ -2,7 +2,6 @@ import hashlib
 import json
 import os
 
-from sameorder import group_for
 from sameorder.reports import (
     ENGINE_VERSION,
     build_report,
