@@ -33,8 +33,8 @@ from .fields import FiniteField
 from .matrices import (
     MatrixElement,
     MatrixGroup,
+    classical_group,
     classical_order,
-    projectivize,
     psl_group,
     psu_group,
     sl_group,
@@ -67,6 +67,7 @@ __all__ = [
     "Spectrum",
     "VerificationError",
     "build_report",
+    "classical_group",
     "classical_order",
     "counterexample_report",
     "eval_expr",
@@ -78,7 +79,6 @@ __all__ = [
     "parse_expr",
     "permutation_group",
     "print_expr",
-    "projectivize",
     "psl_group",
     "psu_group",
     "report_for",

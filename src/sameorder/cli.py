@@ -26,8 +26,8 @@ from .verify import counterexample_report, hunt_report, theorem_report
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for counts and limits: an integer of at least 1."""
-    if not text.isdecimal() or int(text) < 1:
+    """argparse type for counts and limits: ASCII digits, at least 1."""
+    if not (text.isascii() and text.isdecimal()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
 

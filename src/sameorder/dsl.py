@@ -32,7 +32,7 @@ from .errors import (
     InvalidParameterError,
     UnknownFamilyError,
 )
-from .matrices import classical_order, psl_group, psu_group, sl_group, su_group
+from .matrices import classical_group, classical_order
 
 ARITY = {
     "C": 1, "D": 1, "Dic": 1, "Q": 1, "S": 1, "A": 1, "F": 3,
@@ -40,7 +40,6 @@ ARITY = {
 }
 
 PERM_FAMILIES = {"C", "D", "Dic", "S", "A", "F", "cex3"}
-MATRIX_FAMILIES = {"SL": sl_group, "PSL": psl_group, "SU": su_group, "PSU": psu_group}
 
 
 # An expression's nodes.  A PermAtom's gens are tuples of cycles of
@@ -244,11 +243,7 @@ def _eval_atom(ast, cap: int) -> Group:
         return perms.permutation_group(gens, name=name, cap=cap)
     if ast.family in PERM_FAMILIES:
         return perms.family_group(ast.family, ast.params, name=name, cap=cap)
-    builder = MATRIX_FAMILIES[ast.family]
-    n, q = ast.params
-    grp = builder(n, q, cap=cap)
-    grp.name = name
-    return grp
+    return classical_group(ast.family, *ast.params, cap=cap)  # named as print_expr names it
 
 
 def factors_of(ast) -> tuple:

@@ -13,15 +13,18 @@ is dropped when the walk ends.  n^2 * bits <= 64 is checked before a group
 is built.  Row i of x * h is (row i of x) * h, so the closure multiplies by
 a kept generator h with one lookup per row of x's key in h's row table.
 
-The constructors build their own field: GF(q) for SL and PSL, GF(q^2) for
+classical_group, the one constructor (sl_group, psl_group, su_group and
+psu_group wrap it), builds its own field: GF(q) for SL and PSL, GF(q^2) for
 SU and PSU, each with the one modulus that fields.FiniteField uses.
 
-Projective groups (PSL, PSU) represent each coset of the scalars by its
-multiple whose first nonzero entry in row-major order is 1; two special
-linear matrices normalize alike exactly when they differ by a scalar of
-determinant one.  projectivize reads the quotient off the enumerated SL or
-SU group, with no second closure; a MatrixGroup built with projective=True
-runs its own closure, renormalizing every product.
+A projective group represents each coset of the scalars by its multiple
+whose first nonzero entry in row-major order is 1; two special linear
+matrices normalize alike exactly when they differ by a scalar of
+determinant one.  A MatrixGroup built with projective=True normalizes its
+generators and walks the quotient itself, renormalizing every product.
+PSL and PSU are projective only when their scalars are nontrivial; with
+gcd(n, q - 1) = 1 (gcd(n, q + 1) = 1 for PSU) they are SL or SU under the
+P name.
 """
 
 from __future__ import annotations
@@ -254,6 +257,9 @@ class MatrixGroup(Group):
 
     def __init__(self, generators, field: FiniteField, n: int,
                  projective: bool = False, name=None, cap=DEFAULT_CAP):
+        if projective:  # the walk looks generators up among normalized keys
+            generators = [MatrixElement(field, mat_normalize(field, g.rows), True)
+                          for g in generators]
         ident = MatrixElement(field, mat_identity_rows(n), projective)
         super().__init__(generators, ident, name=name, cap=cap)
         self.field = field
@@ -432,66 +438,38 @@ def su_generators(n: int, q: int) -> list:
     return [MatrixElement(field, rows) for rows in g.tolist()]
 
 
-def sl_group(n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
-    order = classical_order("SL", n, q)
-    key_bits(q, n)  # before anything is built
-    field = FiniteField(*_field_params(q))
-    grp = MatrixGroup(sl_generators(n, field), field, n, name=f"SL({n},{q})", cap=cap)
-    _check_order(grp, order)
-    return grp
+def classical_group(family: str, n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
+    """SL, PSL, SU or PSU of degree n over GF(q), checked against its order formula.
 
-
-def su_group(n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
-    order = classical_order("SU", n, q)
-    key_bits(q * q, n)  # before su_generators walks GF(q^2)^n
-    gens = su_generators(n, q)
-    grp = MatrixGroup(gens, gens[0].field, n, name=f"SU({n},{q})", cap=cap)
-    _check_order(grp, order)
-    return grp
-
-
-def projectivize(parent: MatrixGroup, name=None) -> MatrixGroup:
-    """parent modulo its scalars, read off parent's enumeration: no second closure.
-
-    One normalize pass over parent's keys and a 1-D np.unique of the results
-    give the coset map.  Each coset sits at its first member's position, so
-    the identity stays first and tree parents stay before their children,
-    and the table and tree are parent's at those members, through the map.
+    A P-group is projective only when its scalars are nontrivial, that is
+    when its order formula differs from the linear one; it then walks the
+    quotient itself, from normalized generators.  Otherwise it is the linear
+    group under the P name.
     """
-    if parent.projective:
-        return parent
-    field, c = parent.field, parent._walked()
-    _, mul_t, inv_t = field.np_tables()
-    normed = pack_keys(_bnormalize(mul_t, inv_t, unpack_keys(c.elements, field.q, parent.n)),
-                       field.q)
-    _, first, coset = np.unique(normed, return_index=True, return_inverse=True)
-    position = np.empty(len(first), dtype=np.int32)  # of each sorted key
-    position[np.argsort(first)] = np.arange(len(first))
-    members, to_quotient = np.sort(first), position[coset.reshape(-1)]
+    order = classical_order(family, n, q)
+    unitary = family.endswith("SU")
+    key_bits(q * q if unitary else q, n)  # before anything is built
+    gens = su_generators(n, q) if unitary else sl_generators(n, FiniteField(*_field_params(q)))
+    projective = order != classical_order(family.removeprefix("P"), n, q)
+    grp = MatrixGroup(gens, gens[0].field, n, projective, name=f"{family}({n},{q})", cap=cap)
+    _check_order(grp, order)
+    return grp
 
-    def normalized(gens):
-        return [MatrixElement(field, mat_normalize(field, g.rows), True) for g in gens]
 
-    quotient = MatrixGroup(normalized(parent.generators), field, parent.n, projective=True,
-                           name=name or (f"P{parent.name}" if parent.name else None),
-                           cap=parent.cap)
-    quotient._closure = Closure(
-        normed[members], normalized(c.kept),
-        to_quotient[c.table[:, members]], to_quotient[c.parent[members]],
-        c.letter[members], np.searchsorted(members, c.layers).tolist())
-    return quotient
+def sl_group(n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
+    return classical_group("SL", n, q, cap)
 
 
 def psl_group(n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
-    grp = projectivize(sl_group(n, q, cap=cap), name=f"PSL({n},{q})")
-    _check_order(grp, classical_order("PSL", n, q))
-    return grp
+    return classical_group("PSL", n, q, cap)
+
+
+def su_group(n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
+    return classical_group("SU", n, q, cap)
 
 
 def psu_group(n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
-    grp = projectivize(su_group(n, q, cap=cap), name=f"PSU({n},{q})")
-    _check_order(grp, classical_order("PSU", n, q))
-    return grp
+    return classical_group("PSU", n, q, cap)
 
 
 def _check_order(grp: MatrixGroup, expected: int):

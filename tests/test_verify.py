@@ -231,8 +231,8 @@ def test_hunt_builds_each_atom_once(monkeypatch):
     atoms = {print_expr(a) for text in _candidate_expressions(60, 3)
              for a in factors_of(parse_expr(text))}
     assert rep["candidates_searched"] == 53
-    # PSL(2,5) is read off an enumerated SL(2,5), which runs the only closure
-    assert set(enumerated) == (atoms - {"PSL(2,5)"}) | {"SL(2,5)"}
+    # PSL(2,5), the simple reference, is no atom and runs its own walk
+    assert set(enumerated) == atoms | {"PSL(2,5)"}
     assert max(enumerated.values()) == 1
     # each atom is dropped after the last candidate that uses it
     assert pools[0].built == {}
