@@ -10,10 +10,12 @@ tree writes each element as a word in the kept generators, left
 multiplication is one gather per tree layer, the conjugacy classes are the
 orbits of the conjugation maps, an element's order is a class function found
 by one power walk per class, and normal closures (simplicity, derived
-series) are the kept-generator walk on sets of positions.  Elements meet
-the small ``GroupElement`` contract: permutations and matrices over a
-finite field.  A direct product is never enumerated: ``DirectProduct``
-answers from its factors.
+series) are the kept-generator walk on a bool mask over positions.  Left
+maps, class numbering and normal-closure rounds are linear passes over |G|
+with no sort: a set of positions is a mask, read in position order.
+Elements meet the small ``GroupElement`` contract: permutations and
+matrices over a finite field.  A direct product is never enumerated:
+``DirectProduct`` answers from its factors.
 
 Elements compare by canonical keys, never by identity or repr.
 """
@@ -199,12 +201,21 @@ class Group:
     # -- index space: conjugacy classes and element orders ---------------------
 
     def _left_maps(self, s):
-        """int32 L with L[i, x] the position of s[i] * x: one gather per tree layer."""
+        """int32 L with L[i, x] the position of s[i] * x: one gather per tree
+        layer from the flat table, so each map costs a linear pass over |G|
+        with no sort."""
         c = self._walked()
-        out = np.empty((len(s), c.table.shape[1]), dtype=np.int32)
+        n = c.table.shape[1]
+        # R[k, y] sits at k * n + y of the flat table.  Each kept generator at
+        # least doubles the order walked so far, so there are at most
+        # log2(n) of them (20 at the default cap) and R has fewer than 2**31
+        # entries, which int32 offsets index, up to n ~ 8 * 10**7.
+        flat = c.table.ravel()
+        offset = c.letter.astype(np.int32 if flat.size < 2**31 else np.int64, copy=False) * n
+        out = np.empty((len(s), n), dtype=np.int32)
         out[:, 0] = s
         for a, b in zip(c.layers, c.layers[1:]):  # s * x = (s * parent) * letter
-            out[:, a:b] = c.table[c.letter[a:b], out[:, c.parent[a:b]]]
+            out[:, a:b] = flat[offset[a:b] + out[:, c.parent[a:b]]]
         return out
 
     def conjugation_maps(self):
@@ -219,9 +230,11 @@ class Group:
 
         The orbits of the conjugation maps: each element takes the smallest
         label of itself and its images, then the label of its label, until
-        nothing changes.  Classes come out ordered by their smallest element
-        index (the identity's singleton class first), each an ascending int
-        array.
+        nothing changes.  The roots are numbered by a running count, a linear
+        pass, and the members grouped by a stable sort on the class numbers,
+        a linear radix sort up to 65536 classes.  Classes come out ordered by
+        their smallest element index (the identity's singleton class first),
+        each an ascending int array.
         """
         if self._classes is None:
             maps = self.conjugation_maps()
@@ -233,10 +246,15 @@ class Group:
                 if np.array_equal(new, label):
                     break
                 label = new
-            class_of = np.unique(label, return_inverse=True)[1].reshape(-1)
-            self._class_of = class_of
-            self._classes = np.split(np.argsort(class_of, kind="stable"),
-                                     np.cumsum(np.bincount(class_of))[:-1])
+            # the roots, label[x] == x, numbered in ascending order; int32 like
+            # every other position array, which halves the peak at the cap
+            rank = np.cumsum(label == np.arange(len(label), dtype=np.int32), dtype=np.int32)
+            rank -= 1
+            class_of = self._class_of = rank[label]
+            # a stable sort of 8- or 16-bit ints is numpy's radix sort, one
+            # counting pass; only a group with over 65536 classes compares
+            members = np.argsort(class_of.astype(np.min_scalar_type(rank[-1])), kind="stable")
+            self._classes = np.split(members, np.cumsum(np.bincount(class_of))[:-1])
         return self._classes
 
     def center_order(self) -> int:
@@ -289,14 +307,21 @@ class Group:
         """Normal closure of the elements at the given indices, once the classes are known.
 
         The subgroup the classes holding them generate, walked as _walk walks
-        but on positions, by left multiplication.  Returns (order,
-        positions of the kept generators), or None once the count passes
-        stop_size: a subgroup with more than half the group's elements is the
-        whole group, so callers pass stop_size = order // 2 and treat None as
-        "everything".  So does a round that reaches a position marked in known:
-        being normal, the closure then holds a whole class known to generate G.
+        but on positions, by left multiplication.  Members are marks in a
+        bool mask over positions: a round marks each map's image of the
+        frontier, and its new members are the marks the round added, so a
+        round is a linear pass over |G| with no sort and comes out ascending.
+
+        Returns (order, positions of the kept generators), or None once the
+        count passes stop_size: a subgroup with more than half the group's
+        elements is the whole group, so callers pass stop_size = order // 2
+        and treat None as "everything".  So does a round that reaches a
+        position marked in known: being normal, the closure then holds a
+        whole class known to generate G.
         """
-        gens = np.flatnonzero(np.isin(self._class_of, self._class_of[indices]))
+        wanted = np.zeros(len(self._classes), dtype=bool)
+        wanted[self._class_of[indices]] = True
+        gens = np.flatnonzero(wanted[self._class_of])
         inside = np.zeros(len(self._class_of), dtype=bool)
         inside[0] = True
         members, count, kept, maps, start = [np.zeros(1, dtype=np.intp)], 1, [], [], 0
@@ -309,9 +334,10 @@ class Group:
             maps.append(self._left_maps(gens[start:start + 1])[0])
             frontier, mults = np.concatenate(members), maps[-1:]
             while frontier.size:
-                reached = np.concatenate([m[frontier] for m in mults])
-                fresh = np.unique(reached[~inside[reached]])
-                inside[fresh] = True
+                before = inside.copy()
+                for m in mults:
+                    inside[m[frontier]] = True
+                fresh = np.flatnonzero(inside > before)
                 members.append(fresh)
                 count += len(fresh)
                 if count > stop_size or known is not None and known[fresh].any():
@@ -341,8 +367,8 @@ class Group:
         """Orders along the derived series, plus the solvable flag.
 
         Each term is the normal closure of the commutators a^-1 b^-1 a b of
-        the previous term's kept generators, from left multiplication maps
-        (a^-1 is what left multiplication by a sends to the identity).
+        the previous term's kept generators, from their left multiplication
+        maps L_a and the inverse maps, L_a^-1 = L_{a^-1}, one scatter each.
         Every term is characteristic in the one before, hence normal in the
         group, so its normal closure in the group is its normal closure in
         the previous term.  Stops when the order stabilizes or hits 1.
@@ -351,10 +377,13 @@ class Group:
             self.conjugacy_classes()
             # the kept generators sit where R takes the identity
             gens, cur_order = self._walked().table[:, 0], self.order()
-            orders = [cur_order]
+            orders, everything = [cur_order], np.arange(cur_order, dtype=np.int32)
             while cur_order > 1:
                 left = self._left_maps(gens)
-                left_inv = self._left_maps(np.argmax(left == 0, axis=1))
+                # one row at a time: numpy widens each index row to intp
+                left_inv = np.empty_like(left)
+                for row, inverse in zip(left, left_inv):
+                    inverse[row] = everything
                 a, b = np.triu_indices(len(gens), 1)
                 comms = left_inv[a, left_inv[b, left[a, np.asarray(gens)[b]]]]
                 sub = self._normal_closure(comms, cur_order // 2)

@@ -23,6 +23,22 @@ def perm_order(p) -> int:
     return order
 
 
+def _generated(identity, gens) -> list:
+    """Elements of the subgroup the given elements generate: products of
+    them from the identity until nothing new."""
+    reached, frontier = {identity.key(): identity}, [identity]
+    while frontier:
+        fresh = []
+        for y in frontier:
+            for c in gens:
+                z = y.op(c)
+                if z.key() not in reached:
+                    reached[z.key()] = z
+                    fresh.append(z)
+        frontier = fresh
+    return list(reached.values())
+
+
 def normal_closure_order_naive(elements, x) -> int:
     """Order of the smallest normal subgroup holding x, by element arithmetic:
     every conjugate g^-1 x g, then products of those until nothing new."""
@@ -30,18 +46,25 @@ def normal_closure_order_naive(elements, x) -> int:
     for g in elements:
         c = g.inv().op(x).op(g)
         conjugates[c.key()] = c
-    identity = x.op(x.inv())
-    reached, frontier = {identity.key()}, [identity]
-    while frontier:
-        fresh = []
-        for y in frontier:
-            for c in conjugates.values():
-                z = y.op(c)
-                if z.key() not in reached:
-                    reached.add(z.key())
-                    fresh.append(z)
-        frontier = fresh
-    return len(reached)
+    return len(_generated(x.op(x.inv()), list(conjugates.values())))
+
+
+def derived_series_naive(elements) -> tuple:
+    """Orders along the derived series and the solvable flag, by element
+    arithmetic: each term is generated by the commutators a^-1 b^-1 a b of
+    all pairs in the term before, until the order repeats or reaches 1."""
+    identity = elements[0].op(elements[0].inv())
+    term, orders = list(elements), [len(elements)]
+    while orders[-1] > 1 and (len(orders) < 2 or orders[-1] != orders[-2]):
+        inverses = [a.inv() for a in term]
+        commutators = {}
+        for a, a_inv in zip(term, inverses):
+            for b, b_inv in zip(term, inverses):
+                c = a_inv.op(b_inv).op(a).op(b)
+                commutators[c.key()] = c
+        term = _generated(identity, list(commutators.values()))
+        orders.append(len(term))
+    return tuple(orders), orders[-1] == 1
 
 
 def _partitions(n, largest=None):

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from oracles import element_order_naive, normal_closure_order_naive
+from oracles import derived_series_naive, element_order_naive, normal_closure_order_naive
 
 from sameorder import dsl, group_for
 from sameorder.core import (
@@ -270,6 +270,41 @@ def test_derived_series_and_solvability(built):
     assert built("SL(2,5)").derived_series() == ((120, 120), False)
     assert built("D(12)").derived_series() == ((24, 6, 1), True)
     assert built("F(21,3,4)").derived_series() == ((63, 7, 1), True)
+
+
+# a matrix group also built as a permutation group: its action on row vectors
+# (SL), or an isomorphic permutation family (PSL(2,5) = A(5))
+OTHER_ENGINE = {"SL(2,3)": None, "SL(2,5)": None, "A(5)": "PSL(2,5)"}
+
+
+@pytest.mark.parametrize("expr", ["S(4)", "S(5)", "SL(2,3)", "SL(2,5)", "D(12)",
+                                  "F(21,3,4)", "cex3", "A(5)"])
+def test_derived_series_matches_element_arithmetic(built, enumerated_product, expr):
+    """derived_series against commutator subgroups closed by element
+    arithmetic, on the permutation and the matrix engine where both build
+    the group; the oracle multiplies the permutations, which is fast."""
+    engines = [built(expr)]
+    if expr in OTHER_ENGINE:
+        other = OTHER_ENGINE[expr]
+        engines.append(enumerated_product(engines[0]) if other is None else built(other))
+    assert len({type(g) for g in engines}) == len(engines)
+    want = derived_series_naive(next(g for g in engines if not isinstance(g, MatrixGroup))
+                                .elements())
+    assert [g.derived_series() for g in engines] == [want] * len(engines)
+
+
+@pytest.mark.parametrize("expr", ["S(6)", "PSU(3,3)", "C(12)"])
+def test_class_labels_number_classes_by_smallest_member(built, expr):
+    """Class i holds exactly the positions numbered i, ascending, and the
+    classes come in order of their smallest member, the identity's first."""
+    g = built(expr)
+    classes = g.conjugacy_classes()
+    for i, c in enumerate(classes):
+        assert (g._class_of[c] == i).all() and (np.diff(c) > 0).all()
+    assert classes[0].tolist() == [0]
+    firsts = [int(c[0]) for c in classes]
+    assert all(a < b for a, b in zip(firsts, firsts[1:]))
+    assert sum(len(c) for c in classes) == g.order() == len(g._class_of)
 
 
 def test_odd_prime_witness(built):

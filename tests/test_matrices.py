@@ -241,6 +241,28 @@ def positions(c):
 FULL_CHECK_ORDER = 2000
 
 
+@pytest.mark.parametrize("expr", ["S(5)", "A(6)", "cex3", "PSL(2,7)", "PSU(3,3)"])
+def test_left_maps_match_generic(built, expr):
+    """L[i, x] is the position of s_i * x, by element arithmetic, for the
+    kept generators and a seeded sample of other positions s_i (at sampled
+    positions x above FULL_CHECK_ORDER); inverting each map by scatter, as
+    derived_series does, gives the left maps of the inverses."""
+    g = built(expr)
+    elems, c = g.elements(), g._walked()
+    index, n = positions(c), g.order()
+    rng = random.Random(n)
+    s = c.table[:, 0].tolist() + rng.sample(range(n), 6)
+    at = range(n) if n <= FULL_CHECK_ORDER else sorted(rng.sample(range(n), 300))
+    left = g._left_maps(s)
+    assert left.dtype == np.int32 and left.shape == (len(s), n)
+    for i, si in enumerate(s):
+        assert left[i, at].tolist() == [index[elems[si].op(elems[x]).key()] for x in at]
+    inverse = np.empty_like(left)
+    for row, inv in zip(left, inverse):
+        inv[row] = np.arange(n, dtype=np.int32)
+    assert (inverse == g._left_maps([index[elems[si].inv().key()] for si in s])).all()
+
+
 @pytest.mark.parametrize("expr", ["PSL(2,7)", "SL(2,3)", "PSU(3,3)", "S(5)", "D(6)", "cex3",
                                   "SL(3,2)", "PSL(2,8)", "A(6)",
                                   "C(12)", "Perm[(1,2,3,4,5,6,7), (1,2)]"])
