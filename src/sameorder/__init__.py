@@ -30,17 +30,8 @@ from .errors import (
     VerificationError,
 )
 from .fields import FiniteField
-from .matrices import (
-    MatrixElement,
-    MatrixGroup,
-    classical_group,
-    classical_order,
-    psl_group,
-    psu_group,
-    sl_group,
-    su_group,
-)
-from .perms import Permutation, PermutationGroup, family_group, permutation_group
+from .matrices import MatrixElement, MatrixGroup, classical_group, classical_order
+from .perms import Permutation, PermutationGroup, permutation_group
 from .reports import ENGINE_VERSION, build_report, report_for
 from .verify import counterexample_report, hunt_report, theorem_report
 
@@ -71,7 +62,6 @@ __all__ = [
     "classical_order",
     "counterexample_report",
     "eval_expr",
-    "family_group",
     "group_for",
     "hunt_report",
     "noniso_certificate",
@@ -79,12 +69,8 @@ __all__ = [
     "parse_expr",
     "permutation_group",
     "print_expr",
-    "psl_group",
-    "psu_group",
     "report_for",
-    "sl_group",
     "spectrum_checks",
     "spectrum_direct_product",
-    "su_group",
     "theorem_report",
 ]

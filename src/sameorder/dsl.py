@@ -39,8 +39,6 @@ ARITY = {
     "SL": 2, "PSL": 2, "SU": 2, "PSU": 2, "cex3": 0,
 }
 
-PERM_FAMILIES = {"C", "D", "Dic", "S", "A", "F", "cex3"}
-
 
 # An expression's nodes.  A PermAtom's gens are tuples of cycles of
 # 1-indexed points.
@@ -227,7 +225,7 @@ def _atom_order(ast, cap: int) -> int:
     if isinstance(ast, PermAtom):
         perms.check_degree(_perm_degree(ast))
         return 1
-    if ast.family in PERM_FAMILIES:
+    if ast.family in perms.FAMILY_BUILDERS:
         return perms.family_order(ast.family, ast.params, cap)
     return classical_order(ast.family, *ast.params)
 
@@ -240,10 +238,11 @@ def _eval_atom(ast, cap: int) -> Group:
             perms.perm_from_cycles([tuple(p - 1 for p in c) for c in cycles], degree)
             for cycles in ast.gens
         ]
-        return perms.permutation_group(gens, name=name, cap=cap)
-    if ast.family in PERM_FAMILIES:
-        return perms.family_group(ast.family, ast.params, name=name, cap=cap)
-    return classical_group(ast.family, *ast.params, cap=cap)  # named as print_expr names it
+    elif ast.family in perms.FAMILY_BUILDERS:
+        gens = perms.FAMILY_BUILDERS[ast.family](*ast.params)
+    else:
+        return classical_group(ast.family, *ast.params, cap=cap)  # named as print_expr names it
+    return perms.permutation_group(gens, name=name, cap=cap)
 
 
 def factors_of(ast) -> tuple:

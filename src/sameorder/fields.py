@@ -135,15 +135,13 @@ class FiniteField:
     def _build_dense_tables(self):
         q, p, k = self.q, self.p, self.k
         codes = np.arange(q)
-        if k == 1:
-            add = (codes[:, None] + codes[None, :]) % p
-        else:
-            add = np.zeros((q, q), dtype=np.int64)
-            scale = 1
-            for i in range(k):
-                di = (codes // scale) % p
-                add += ((di[:, None] + di[None, :]) % p) * scale
-                scale *= p
+        # digit by digit: each base-p digit of a code adds mod p
+        add = np.zeros((q, q), dtype=np.int64)
+        scale = 1
+        for _ in range(k):
+            di = (codes // scale) % p
+            add += ((di[:, None] + di[None, :]) % p) * scale
+            scale *= p
         exp = np.array(self._exp, dtype=np.int64)
         log = np.array(self._log, dtype=np.int64)
         mul = exp[(log[:, None] + log[None, :]) % (q - 1)]

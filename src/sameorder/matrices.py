@@ -13,9 +13,9 @@ is dropped when the walk ends.  n^2 * bits <= 64 is checked before a group
 is built.  Row i of x * h is (row i of x) * h, so the closure multiplies by
 a kept generator h with one lookup per row of x's key in h's row table.
 
-classical_group, the one constructor (sl_group, psl_group, su_group and
-psu_group wrap it), builds its own field: GF(q) for SL and PSL, GF(q^2) for
-SU and PSU, each with the one modulus that fields.FiniteField uses.
+classical_group, the one constructor, builds its own field: GF(q) for SL and
+PSL, GF(q^2) for SU and PSU, each with the one modulus that
+fields.FiniteField uses.
 
 A projective group represents each coset of the scalars by its multiple
 whose first nonzero entry in row-major order is 1; two special linear
@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import DEFAULT_CAP, Closure, Group, GroupElement
 from .errors import CapExceededError, InvalidParameterError, OrderMismatchError
-from .fields import FiniteField, field_size
+from .fields import MAX_FIELD_SIZE, FiniteField
 from .numtheory import prime_power
 
 
@@ -343,7 +343,14 @@ class MatrixGroup(Group):
 
 
 def _field_params(q: int, double: bool = False) -> tuple:
-    """(p, k) of GF(q), or of GF(q^2) when double."""
+    """(p, k) of GF(q), or of GF(q^2) when double.
+
+    The field's size is checked against MAX_FIELD_SIZE before q is factored.
+    """
+    size = q * q if double else q
+    if size > MAX_FIELD_SIZE:
+        raise InvalidParameterError(f"field size {size} exceeds the supported maximum "
+                                    f"MAX_FIELD_SIZE = {MAX_FIELD_SIZE}")
     pp = prime_power(q)
     if pp is None:
         raise InvalidParameterError(f"{q} is not a prime power")
@@ -364,7 +371,7 @@ def classical_order(family: str, n: int, q: int) -> int:
     degrees = (3, 4) if unitary else (2, 3, 4)
     if n not in degrees:
         raise InvalidParameterError(f"{family} degree {n} unsupported (need one of {degrees})")
-    field_size(*_field_params(q, unitary))
+    _field_params(q, unitary)
     if unitary and (n, q) == (3, 2):
         raise InvalidParameterError(f"{family}(3,2) unsupported: its unitary transvections "
                                     "generate a subgroup of order 54, not all of SU(3,2) (216)")
@@ -454,22 +461,6 @@ def classical_group(family: str, n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup
     grp = MatrixGroup(gens, gens[0].field, n, projective, name=f"{family}({n},{q})", cap=cap)
     _check_order(grp, order)
     return grp
-
-
-def sl_group(n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
-    return classical_group("SL", n, q, cap)
-
-
-def psl_group(n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
-    return classical_group("PSL", n, q, cap)
-
-
-def su_group(n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
-    return classical_group("SU", n, q, cap)
-
-
-def psu_group(n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
-    return classical_group("PSU", n, q, cap)
 
 
 def _check_order(grp: MatrixGroup, expected: int):

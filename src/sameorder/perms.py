@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import DEFAULT_CAP, Closure, Group, GroupElement
 from .errors import CapExceededError, InvalidParameterError
-from .numtheory import multiplicative_order
+from .numtheory import divisors
 
 # a permutation's key stores each image in one byte
 MAX_DEGREE = 256
@@ -271,8 +271,13 @@ def alternating_generators(n: int) -> list:
     return [three, big]
 
 
-def _check_frobenius(m: int, n: int, k: int):
-    """Raise unless F(m,n,k) is defined; see frobenius_generators."""
+def _check_frobenius(m: int, n: int, k: int, cap: int = DEFAULT_CAP):
+    """Raise unless F(m,n,k) is defined; see frobenius_generators.
+
+    The cheap conditions come first.  Whether k's order is exactly n is
+    asked only when m*n <= cap, from the divisors of n, so a modulus is
+    never factored: a larger group is past the cap and is never built.
+    """
     if m < 2:
         raise InvalidParameterError(f"F({m},{n},{k}): modulus must be >= 2")
     if n < 1 or k < 0:
@@ -286,7 +291,9 @@ def _check_frobenius(m: int, n: int, k: int):
         raise InvalidParameterError(
             f"F({m},{n},{k}): {k}^{n} = {pow(kk, n, m)} (mod {m}), need 1"
         )
-    d = multiplicative_order(kk, m)
+    if m * n > cap:
+        return
+    d = next(e for e in divisors(n) if pow(kk, e, m) == 1)
     if d != n:
         raise InvalidParameterError(
             f"F({m},{n},{k}): {k} has multiplicative order {d} (mod {m}), need exactly {n}"
@@ -330,33 +337,27 @@ def cex3_generators() -> list:
 
 
 FAMILY_BUILDERS = {
-    "C": (cyclic_generators, 1),
-    "D": (dihedral_generators, 1),
-    "Dic": (dicyclic_generators, 1),
-    "S": (symmetric_generators, 1),
-    "A": (alternating_generators, 1),
-    "F": (frobenius_generators, 3),
-    "cex3": (cex3_generators, 0),
+    "C": cyclic_generators,
+    "D": dihedral_generators,
+    "Dic": dicyclic_generators,
+    "S": symmetric_generators,
+    "A": alternating_generators,
+    "F": frobenius_generators,
+    "cex3": cex3_generators,
 }
 
 
 def family_order(family: str, params, cap: int = DEFAULT_CAP) -> int:
     """Order of a named family's group from its parameters, which it validates.
 
-    Allocates nothing.  The factorials of S(n) and A(n) stop once past cap,
-    so the answer is exact up to cap and only known to exceed it beyond.
+    The family and the parameter count are the parser's to check.  Allocates
+    nothing.  The factorials of S(n) and A(n) stop once past cap, so the
+    answer is exact up to cap and only known to exceed it beyond.
     """
-    if family not in FAMILY_BUILDERS:
-        raise InvalidParameterError(f"unknown permutation family {family!r}")
-    _, arity = FAMILY_BUILDERS[family]
-    if len(params) != arity:
-        raise InvalidParameterError(
-            f"{family} takes {arity} parameter(s), got {len(params)}"
-        )
     if family == "cex3":
         return 168
     if family == "F":
-        _check_frobenius(*params)
+        _check_frobenius(*params, cap)
         return params[0] * params[1]
     (n,) = params
     if n < 1:
@@ -369,10 +370,3 @@ def family_order(family: str, params, cap: int = DEFAULT_CAP) -> int:
                 break
         return order
     return {"C": 1, "D": 2, "Dic": 4}[family] * n
-
-
-def family_group(family: str, params, name=None, cap=DEFAULT_CAP) -> PermutationGroup:
-    family_order(family, params)
-    builder, _ = FAMILY_BUILDERS[family]
-    return permutation_group(builder(*params), name=name, cap=cap)
-

@@ -86,7 +86,7 @@ def cache_load(cache_dir: str, expression: str) -> dict | None:
             print(f"warning: stale cache entry for {expression!r} (engine version "
                   f"{rep.get('engine_version')!r}); recomputing", file=sys.stderr)
             return None
-    except (OSError, json.JSONDecodeError):
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
         pass
     print(f"warning: corrupt cache entry for {expression!r}; recomputing", file=sys.stderr)
     return None

@@ -17,7 +17,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 from .core import DEFAULT_CAP, DirectProduct, noniso_certificate
-from .dsl import eval_expr, factors_of, group_for, parse_expr
+from .dsl import Atom, Product, eval_expr, group_for, parse_expr, print_expr
 from .errors import VerificationError
 from .matrices import classical_order
 from .numtheory import divisors, factorize, multiplicative_order, prime_power
@@ -187,13 +187,13 @@ def _factorial_atoms(n: int) -> list:
     k, f = 3, 6
     while f <= n:
         if n % f == 0:
-            out.append((f, f"S({k})"))
+            out.append((f, Atom("S", (k,))))
         k += 1
         f *= k
     k, f = 4, 12
     while f <= n:
         if n % f == 0:
-            out.append((f, f"A({k})"))
+            out.append((f, Atom("A", (k,))))
         k += 1
         f = math.factorial(k) // 2
     return out
@@ -216,7 +216,7 @@ def _frobenius_atoms(n: int) -> list:
                 sub = frozenset(pow(k, e, m) for e in range(nn))
                 if sub not in seen:
                     seen.add(sub)
-                    out.append((m * nn, f"F({m},{nn},{k})"))
+                    out.append((m * nn, Atom("F", (m, nn, k))))
     return out
 
 
@@ -230,13 +230,13 @@ def _sl_atoms(n: int) -> list:
                 if o > n:
                     break
                 if n % o == 0:
-                    out.append((o, f"SL({d},{q})"))
+                    out.append((o, Atom("SL", (d, q))))
             q += 1
     return out
 
 
 def _candidate_atoms(n: int) -> list:
-    """(order, expression) for every searched atom of order dividing n.
+    """(order, Atom) for every searched atom of order dividing n, by text.
 
     Families whose small cases literally rebuild a cyclic atom (D(1), Dic(1),
     S(2), A(3)) start above those, so the expression list stays duplicate-light
@@ -246,38 +246,39 @@ def _candidate_atoms(n: int) -> list:
     for d in divisors(n):
         if d < 2:
             continue
-        atoms.append((d, f"C({d})"))
+        atoms.append((d, Atom("C", (d,))))
         if d % 2 == 0 and d // 2 >= 2:
-            atoms.append((d, f"D({d // 2})"))
+            atoms.append((d, Atom("D", (d // 2,))))
         if d % 4 == 0 and d // 4 >= 2:
-            atoms.append((d, f"Dic({d // 4})"))
+            atoms.append((d, Atom("Dic", (d // 4,))))
     atoms.extend(_factorial_atoms(n))
     atoms.extend(_frobenius_atoms(n))
     atoms.extend(_sl_atoms(n))
-    atoms.sort(key=lambda a: (a[1],))
+    atoms.sort(key=lambda a: print_expr(a[1]))
     return atoms
 
 
-def _candidate_expressions(order: int, max_factors: int) -> list:
+def _candidate_expressions(order: int, max_factors: int) -> dict:
+    """{text: atoms} for every candidate, sorted by its print_expr text."""
     atoms = _candidate_atoms(order)
-    out = []
+    out = {}
 
     def rec(start: int, remaining: int, parts: list):
         if remaining == 1:
             if parts:
-                out.append(" x ".join(parts))
+                out[print_expr(Product(tuple(parts)))] = tuple(parts)
             return
         if len(parts) >= max_factors:
             return
         for idx in range(start, len(atoms)):
-            o, text = atoms[idx]
+            o, atom = atoms[idx]
             if remaining % o == 0:
-                parts.append(text)
+                parts.append(atom)
                 rec(idx, remaining // o, parts)
                 parts.pop()
 
     rec(0, order, [])
-    return sorted(out)
+    return dict(sorted(out.items()))
 
 
 class _AtomPool:
@@ -332,8 +333,7 @@ def hunt_report(order: int, max_factors: int, cap: int = DEFAULT_CAP,
     simple = group_for(simple_expr, cap)
     target_card = len(simple.alpha())
 
-    exprs = _candidate_expressions(order, max_factors)
-    factors = {text: factors_of(parse_expr(text)) for text in exprs}
+    factors = _candidate_expressions(order, max_factors)
     atoms = _AtomPool(factors.values(), cap)
 
     def examine(text: str):
@@ -355,11 +355,11 @@ def hunt_report(order: int, max_factors: int, cap: int = DEFAULT_CAP,
         finally:
             atoms.release(factors[text])
 
-    found = [r for r in _pmap(examine, exprs, threads) if r is not None]
+    found = [r for r in _pmap(examine, factors, threads) if r is not None]
     return {
         **base,
         "simple": simple_expr,
         "simple_alpha": list(simple.alpha()),
-        "candidates_searched": len(exprs),
+        "candidates_searched": len(factors),
         "collisions": found,
     }

@@ -209,6 +209,29 @@ def test_field_above_table_limit_exits_2_without_enumerating(capsys, monkeypatch
     assert "MAX_FIELD_SIZE = 512" in err
 
 
+@pytest.mark.parametrize("expr, code, message", [
+    ("SL(2,1000000000000000003)", 2, "MAX_FIELD_SIZE = 512"),
+    ("PSU(3,1000000000000000003)", 2, "MAX_FIELD_SIZE = 512"),
+    # F's cheap conditions hold and F has more elements than the cap, so
+    # whether 1 has order exactly 1 is never asked
+    ("F(1000000000000000003,1,1)", 1, "exceeds the cap"),
+])
+def test_huge_parameters_are_refused_before_factoring(capsys, monkeypatch, expr, code, message):
+    from sameorder import numtheory
+
+    factorize = numtheory.factorize
+
+    def small_only(n):
+        # trial division of a number this size would not end
+        assert n < 10**12, f"factorized {n}"
+        return factorize(n)
+
+    monkeypatch.setattr(numtheory, "factorize", small_only)
+    got, out, err = run(capsys, "alpha", expr)
+    assert (got, out) == (code, "")
+    assert err.count("\n") == 1 and message in err
+
+
 def test_permutation_degree_limit_exits_2(capsys, monkeypatch):
     from sameorder import dsl, group_for
 

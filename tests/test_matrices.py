@@ -14,6 +14,7 @@ from sameorder.matrices import (
     MatrixGroup,
     _bmul,
     _bnormalize,
+    classical_group,
     classical_order,
     key_bits,
     mat_det,
@@ -23,10 +24,8 @@ from sameorder.matrices import (
     mat_normalize,
     pack_keys,
     preserves_form,
-    psl_group,
     row_table,
     sl_generators,
-    sl_group,
     su_generators,
     unpack_keys,
 )
@@ -198,7 +197,8 @@ def test_scalar_normalization_is_scale_invariant():
 
 
 def test_projective_quotient_by_scalar_subgroup():
-    assert sl_group(2, 7).order() // psl_group(2, 7).order() == 2  # scalars {I, -I}
+    sl, psl = classical_group("SL", 2, 7), classical_group("PSL", 2, 7)
+    assert sl.order() // psl.order() == 2  # scalars {I, -I}
 
 
 def test_projective_group_normalizes_its_generators():
@@ -407,7 +407,7 @@ def test_key_width_limit():
         with pytest.raises(InvalidParameterError, match="at most 64 bits"):
             key_bits(q, n)
     with pytest.raises(InvalidParameterError, match="at most 64 bits"):
-        sl_group(3, 131, cap=10**18)
+        classical_group("SL", 3, 131, cap=10**18)
     a = MatrixElement(FiniteField(2, 4), [[0] * 4] * 3 + [[15, 15, 15, 15]])
     assert a.key() == 2**16 - 1
 

@@ -73,15 +73,16 @@ def test_cache_miss_returns_none(tmp_path):
 def test_corrupt_cache_recovers(tmp_path, capsys):
     path = cache_path(str(tmp_path), "C(6)")
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("{not json")
-    assert cache_load(str(tmp_path), "C(6)") is None
-    assert "corrupt" in capsys.readouterr().err
+    for payload in (b"{not json", b"\xff\xfe"):  # not JSON, not UTF-8
+        with open(path, "wb") as fh:
+            fh.write(payload)
+        assert cache_load(str(tmp_path), "C(6)") is None
+        assert "corrupt" in capsys.readouterr().err
 
-    rep = report_for("C(6)", 10_000, str(tmp_path))
-    assert rep["order"] == 6
-    # the bad file was replaced with a loadable one
-    assert cache_load(str(tmp_path), "C(6)") == rep
+        rep = report_for("C(6)", 10_000, str(tmp_path))
+        assert rep["order"] == 6
+        # the bad file was replaced with a loadable one
+        assert cache_load(str(tmp_path), "C(6)") == rep
 
 
 def test_cache_rejects_mismatched_expression(tmp_path, built, capsys):

@@ -48,6 +48,9 @@ def test_golden_claim_reports(theorem, counterexample, hunt168):
     assert render_json(theorem) == _golden("theorem.json")
     assert render_json(counterexample) == _golden("counterexample.json")
     assert render_json(hunt168) == _golden("hunt_168_2.json")
+    # the two hunts of the benchmark's collisions workload
+    assert render_json(hunt_report(168, 3)) == _golden("hunt_168_3.json")
+    assert render_json(hunt_report(60, 3)) == _golden("hunt_60_3.json")
 
 
 @pytest.mark.parametrize("expr", GOLDEN_EXPRESSIONS)
@@ -208,7 +211,7 @@ def test_hunt_builds_each_atom_once(monkeypatch):
 
     from sameorder import verify
     from sameorder.core import Group
-    from sameorder.dsl import factors_of, parse_expr, print_expr
+    from sameorder.dsl import print_expr
 
     enumerated = Counter()
     walked = Group._walked
@@ -228,8 +231,8 @@ def test_hunt_builds_each_atom_once(monkeypatch):
     monkeypatch.setattr(Group, "_walked", counting)
     monkeypatch.setattr(verify, "_AtomPool", Pool)
     rep = hunt_report(60, 3)
-    atoms = {print_expr(a) for text in _candidate_expressions(60, 3)
-             for a in factors_of(parse_expr(text))}
+    atoms = {print_expr(a) for factors in _candidate_expressions(60, 3).values()
+             for a in factors}
     assert rep["candidates_searched"] == 53
     # PSL(2,5), the simple reference, is no atom and runs its own walk
     assert set(enumerated) == atoms | {"PSL(2,5)"}
@@ -247,7 +250,7 @@ def test_hunt_without_catalog_group():
 
 
 def test_hunt_candidates_are_sorted_and_unique():
-    exprs = _candidate_expressions(168, 2)
+    exprs = list(_candidate_expressions(168, 2))
     assert exprs == sorted(exprs)
     assert len(exprs) == len(set(exprs))
     assert "C(7) x SL(2,3)" in exprs
