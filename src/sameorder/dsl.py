@@ -239,6 +239,7 @@ def _eval_atom(ast, cap: int) -> Group:
             for cycles in ast.gens
         ]
     elif ast.family in perms.FAMILY_BUILDERS:
+        perms.check_degree(perms.family_degree(ast.family, ast.params))  # before any allocation
         gens = perms.FAMILY_BUILDERS[ast.family](*ast.params)
     else:
         return classical_group(ast.family, *ast.params, cap=cap)  # named as print_expr names it

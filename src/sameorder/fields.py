@@ -150,13 +150,9 @@ class FiniteField:
         self.add_rows = add.tolist()
         self.mul_rows = mul.tolist()
         self.neg_row = (add == 0).argmax(axis=1).tolist()
-        inv = np.zeros(q, dtype=np.uint16)
-        for c in range(1, q):
-            inv[c] = self.inv(c)
         self._np_tables = (
             add.astype(np.uint16),
             mul.astype(np.uint16),
-            inv,
         )
 
     # -- scalar operations -------------------------------------------------
@@ -187,8 +183,8 @@ class FiniteField:
             return 1 if e == 0 else 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
-    def np_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(add, mul, inv) uint16 arrays for vectorized indexing."""
+    def np_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(add, mul) uint16 arrays for vectorized indexing."""
         return self._np_tables
 
     def __repr__(self):

@@ -8,23 +8,23 @@ Inside a MatrixGroup an element is identified by its packed key: the n*n
 codes, (q-1).bit_length() bits each, in one uint64 with the first entry
 highest, so key order is row-major lexicographic order.  A group stores its
 elements as keys alone, in position order, unpacked only for MatrixElement
-objects and to normalize; the sorted copy the closure looks products up in
-is dropped when the walk ends.  n^2 * bits <= 64 is checked before a group
-is built.  Row i of x * h is (row i of x) * h, so the closure multiplies by
-a kept generator h with one lookup per row of x's key in h's row table.
+objects; the sorted copy the closure looks products up in is dropped when
+the walk ends.  n^2 * bits <= 64 is checked before a group is built.  Row i
+of x * h is (row i of x) * h, so the closure multiplies by a kept generator
+h with one lookup per row of x's key in h's row table.
 
 classical_group, the one constructor, builds its own field: GF(q) for SL and
 PSL, GF(q^2) for SU and PSU, each with the one modulus that
 fields.FiniteField uses.
 
-A projective group represents each coset of the scalars by its multiple
-whose first nonzero entry in row-major order is 1; two special linear
-matrices normalize alike exactly when they differ by a scalar of
-determinant one.  A MatrixGroup built with projective=True normalizes its
-generators and walks the quotient itself, renormalizing every product.
-PSL and PSU are projective only when their scalars are nontrivial; with
-gcd(n, q - 1) = 1 (gcd(n, q + 1) = 1 for PSU) they are SL or SU under the
-P name.
+A MatrixGroup is a group of matrices modulo a subgroup Z of scalars, given
+as field codes; a linear group has Z = (1,).  Each coset xZ is represented
+by its member with the least packed key, which is also the least rows tuple;
+the walk multiplies x by s*h for each kept generator h and each s in Z and
+keeps the least product.  PSL and PSU are SL and SU modulo the scalars they
+contain, gcd(n, q - 1) of them (gcd(n, q + 1) for PSU).  With Z all of
+GF(q)* the least multiple is the one whose first nonzero entry in row-major
+order is 1.
 """
 
 from __future__ import annotations
@@ -109,38 +109,23 @@ def mat_det(field: FiniteField, rows) -> int:
     return det
 
 
-def mat_normalize(field: FiniteField, rows) -> tuple:
-    """Scale so the first nonzero entry in row-major order is 1."""
-    for row in rows:
-        for x in row:
-            if x:
-                if x == 1:
-                    return rows
-                s = field.inv(x)
-                return tuple(tuple(field.mul(s, y) for y in r) for r in rows)
-    raise InvalidParameterError("zero matrix cannot be normalized")
-
-
 class MatrixElement(GroupElement):
-    __slots__ = ("field", "rows", "projective", "_key")
+    """The coset of rows modulo the scalars, stored as its least multiple."""
 
-    def __init__(self, field: FiniteField, rows, projective: bool = False):
+    __slots__ = ("field", "rows", "scalars", "_key")
+
+    def __init__(self, field: FiniteField, rows, scalars=(1,)):
+        mr = field.mul_rows
         self.field = field
-        self.rows = tuple(tuple(r) for r in rows)
-        self.projective = projective
+        self.rows = min(tuple(tuple(mr[s][x] for x in r) for r in rows) for s in scalars)
+        self.scalars = scalars
         self._key = None
 
     def op(self, other: "MatrixElement") -> "MatrixElement":
-        prod = mat_mul(self.field, self.rows, other.rows)
-        if self.projective:
-            prod = mat_normalize(self.field, prod)
-        return MatrixElement(self.field, prod, self.projective)
+        return MatrixElement(self.field, mat_mul(self.field, self.rows, other.rows), self.scalars)
 
     def inv(self) -> "MatrixElement":
-        r = mat_inv(self.field, self.rows)
-        if self.projective:
-            r = mat_normalize(self.field, r)
-        return MatrixElement(self.field, r, self.projective)
+        return MatrixElement(self.field, mat_inv(self.field, self.rows), self.scalars)
 
     def key(self) -> int:
         # packed as pack_keys packs a batch, so both land in the same index
@@ -215,14 +200,6 @@ def _bmul(add_t, mul_t, a, b):
     return out
 
 
-def _bnormalize(mul_t, inv_t, m):
-    shape = m.shape
-    flat = m.reshape(shape[:-2] + (shape[-1] * shape[-2],))
-    first = (flat != 0).argmax(axis=-1)
-    lead = np.take_along_axis(flat, first[..., None], axis=-1)[..., 0]
-    return mul_t[inv_t[lead][..., None], flat].reshape(shape)
-
-
 def _bdet(add_t, mul_t, neg, m):
     """Batched determinant of n x n blocks of field codes, shape (..., n, n) -> (...),
     by the Leibniz sum over the n! permutations, each term a product of n
@@ -243,7 +220,7 @@ def row_table(field: FiniteField, h):
     """T_h[c] = packed row v * h for each row v packed as c, from one _bmul over
     all 2^(bits * n) codes; a code naming no row (q not a power of two) gets
     a stand-in with clipped entries, never read."""
-    add_t, mul_t, _ = field.np_tables()
+    add_t, mul_t = field.np_tables()
     n, q = len(h), field.q
     rows = np.indices((1 << key_bits(q, n),) * n, dtype=np.uint16).reshape(n, -1).T[:, None]
     return pack_keys(_bmul(add_t, mul_t, np.minimum(rows, q - 1), np.array(h)), q)
@@ -253,18 +230,17 @@ _CHUNK = 65536
 
 
 class MatrixGroup(Group):
-    """Group of matrices over one field, with vectorized internals."""
+    """Matrices over one field modulo scalars, the codes of a subgroup of its units."""
 
     def __init__(self, generators, field: FiniteField, n: int,
-                 projective: bool = False, name=None, cap=DEFAULT_CAP):
-        if projective:  # the walk looks generators up among normalized keys
-            generators = [MatrixElement(field, mat_normalize(field, g.rows), True)
-                          for g in generators]
-        ident = MatrixElement(field, mat_identity_rows(n), projective)
+                 scalars=(1,), name=None, cap=DEFAULT_CAP):
+        # the walk looks generators up among least multiples
+        generators = [MatrixElement(field, g.rows, scalars) for g in generators]
+        ident = MatrixElement(field, mat_identity_rows(n), scalars)
         super().__init__(generators, ident, name=name, cap=cap)
         self.field = field
         self.n = n
-        self.projective = projective
+        self.scalars = scalars
 
     def _walk(self):
         """The closure on packed keys and the kept generators' row tables.
@@ -274,11 +250,13 @@ class MatrixGroup(Group):
         lookup gives the position each product lands on, and the first
         product to reach a new key its parent and letter.  elements is the
         keys in position order; the sorted keys live only as long as the walk.
+        A kept generator h has a row table of s*h for each s in scalars (h's
+        read through s*I's), and a product's key is the least over the scalars.
         Raises CapExceededError past the cap, checked after each chunk.
         """
-        _, mul_t, inv_t = self.field.np_tables()
-        n, q = self.n, self.field.q
+        n, q, nz = self.n, self.field.q, len(self.scalars)
         width = key_bits(q, n) * n  # bits of one row, the key's last row lowest
+        scales = [row_table(self.field, np.diag([z] * n)) for z in self.scalars]
         gens = self.generators
         gen_keys = np.array([g.key() for g in gens], dtype=np.uint64)
         keys = np.array([self.identity.key()], dtype=np.uint64)  # sorted
@@ -293,18 +271,18 @@ class MatrixGroup(Group):
                 break
             start += int(missing[0])
             kept.append(start)
-            row_tables = np.concatenate([row_tables, row_table(self.field, gens[start].rows)])
+            t = row_table(self.field, gens[start].rows)
+            row_tables = np.concatenate([row_tables] + [scale[t] for scale in scales])
             table.append([])
             frontier, first, mults = np.concatenate(stored), 0, np.array([len(kept) - 1])
             while len(frontier):
-                fresh = []
+                fresh, letter_tables = [], mults * nz + np.arange(nz)[:, None, None]
                 for s in range(0, len(frontier), _CHUNK):
                     x, prod = frontier[s:s + _CHUNK, None], np.uint64(0)
                     for shift in np.arange(n, dtype=np.uint64) * np.uint64(width):
                         rows = (x >> shift & np.uint64((1 << width) - 1)).astype(np.intp)
-                        prod = prod | row_tables[mults << width | rows] << shift
-                    if self.projective:
-                        prod = pack_keys(_bnormalize(mul_t, inv_t, unpack_keys(prod, q, n)), q)
+                        prod = prod | row_tables[letter_tables << width | rows] << shift
+                    prod = prod.min(axis=0)  # over the scalars
                     cand, src, landed = np.unique(prod, return_index=True, return_inverse=True)
                     at, found = _locate(keys, cand)
                     pos = positions[np.minimum(at, len(keys) - 1)]
@@ -336,10 +314,11 @@ class MatrixGroup(Group):
 
     def elements(self) -> list:
         rows = unpack_keys(self._walked().elements, self.field.q, self.n).tolist()
-        return [MatrixElement(self.field, r, self.projective) for r in rows]
+        return [MatrixElement(self.field, r, self.scalars) for r in rows]
 
 
 # -- classical constructors --------------------------------------------------------
+# The builders take parameters that classical_order has validated.
 
 
 def _field_params(q: int, double: bool = False) -> tuple:
@@ -384,7 +363,6 @@ def classical_order(family: str, n: int, q: int) -> int:
 
 def sl_generators(n: int, field: FiniteField) -> list:
     """Elementary transvections I + lambda*E_ij over an additive field basis."""
-    classical_order("SL", n, field.q)  # validates n
     lambdas = [field.p**t for t in range(field.k)]
     gens = []
     for i in range(n):
@@ -421,9 +399,8 @@ def su_generators(n: int, q: int) -> list:
     which preserves the antidiagonal Hermitian form and has determinant 1.
     The point search and both checks run batched on the field's tables.
     """
-    classical_order("SU", n, q)  # validates n and q
     field = FiniteField(*_field_params(q, double=True))
-    add_t, mul_t, _ = field.np_tables()
+    add_t, mul_t = field.np_tables()
     conj = np.array([field.pow(c, q) for c in range(field.q)], dtype=np.uint16)
     neg = np.array(field.neg_row, dtype=np.uint16)
     codes = np.arange(1, field.q)
@@ -445,20 +422,25 @@ def su_generators(n: int, q: int) -> list:
     return [MatrixElement(field, rows) for rows in g.tolist()]
 
 
-def classical_group(family: str, n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
-    """SL, PSL, SU or PSU of degree n over GF(q), checked against its order formula.
+def classical_scalars(family: str, n: int, q: int, field: FiniteField) -> tuple:
+    """The scalars s*I of SL or SU(n, q) that the P-group is taken modulo, as
+    codes in field: s^n = 1, and s^(q+1) = 1 (s times its conjugate s^q) for
+    PSU; s^(q-1) = 1 holds for all s in GF(q)*.  (1,) for SL and SU."""
+    if not family.startswith("P"):
+        return (1,)
+    e = q + 1 if family == "PSU" else q - 1
+    return tuple(s for s in range(1, field.q) if field.pow(s, n) == field.pow(s, e) == 1)
 
-    A P-group is projective only when its scalars are nontrivial, that is
-    when its order formula differs from the linear one; it then walks the
-    quotient itself, from normalized generators.  Otherwise it is the linear
-    group under the P name.
-    """
+
+def classical_group(family: str, n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
+    """SL, PSL, SU or PSU of degree n over GF(q), checked against its order
+    formula; PSL and PSU walk SL and SU modulo classical_scalars."""
     order = classical_order(family, n, q)
     unitary = family.endswith("SU")
     key_bits(q * q if unitary else q, n)  # before anything is built
     gens = su_generators(n, q) if unitary else sl_generators(n, FiniteField(*_field_params(q)))
-    projective = order != classical_order(family.removeprefix("P"), n, q)
-    grp = MatrixGroup(gens, gens[0].field, n, projective, name=f"{family}({n},{q})", cap=cap)
+    scalars = classical_scalars(family, n, q, gens[0].field)
+    grp = MatrixGroup(gens, gens[0].field, n, scalars, name=f"{family}({n},{q})", cap=cap)
     _check_order(grp, order)
     return grp
 

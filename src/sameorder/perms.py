@@ -271,7 +271,7 @@ def alternating_generators(n: int) -> list:
     return [three, big]
 
 
-def _check_frobenius(m: int, n: int, k: int, cap: int = DEFAULT_CAP):
+def _check_frobenius(m: int, n: int, k: int, cap: int):
     """Raise unless F(m,n,k) is defined; see frobenius_generators.
 
     The cheap conditions come first.  Whether k's order is exactly n is
@@ -306,7 +306,6 @@ def frobenius_generators(m: int, n: int, k: int) -> list:
     Requires k to have multiplicative order exactly n mod m, which also
     forces gcd(k, m) = 1; the group has order m*n and acts on m points.
     """
-    _check_frobenius(m, n, k)
     kk = k % m
     shift = Permutation([(x + 1) % m for x in range(m)])
     mult = Permutation([(kk * x) % m for x in range(m)])
@@ -345,6 +344,14 @@ FAMILY_BUILDERS = {
     "F": frobenius_generators,
     "cex3": cex3_generators,
 }
+
+
+def family_degree(family: str, params) -> int:
+    """The points a family's builder acts on, from its validated parameters."""
+    if family == "cex3":
+        return 13
+    n = params[0]  # F(m,n,k) acts on m points
+    return {"D": 2 * n if n <= 2 else n, "Dic": 4 * n}.get(family, n)
 
 
 def family_order(family: str, params, cap: int = DEFAULT_CAP) -> int:

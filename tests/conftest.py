@@ -24,11 +24,11 @@ def _point_images(group) -> list:
     """Image lists of the group's generators acting on points.
 
     Permutations keep their own points; a matrix acts on the row vectors of
-    GF(q)^n, which is faithful for a linear (not projective) group.
+    GF(q)^n, which is faithful for a linear group (no scalars but 1).
     """
     if not isinstance(group, MatrixGroup):
         return [g.images for g in group.generators]
-    assert not group.projective
+    assert group.scalars == (1,)
     f, n = group.field, group.n
     vectors = list(itertools.product(range(f.q), repeat=n))
     index = {v: i for i, v in enumerate(vectors)}

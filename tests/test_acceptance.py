@@ -13,7 +13,7 @@ from oracles import element_order_naive, symmetric_spectrum_formula
 
 from sameorder import group_for, noniso_certificate, spectrum_checks
 from sameorder.fields import FiniteField
-from sameorder.matrices import classical_order, mat_det, mat_normalize
+from sameorder.matrices import MatrixElement, classical_order, mat_det
 from sameorder.numtheory import factorize
 from sameorder.verify import hunt_report, theorem_report
 
@@ -138,10 +138,13 @@ def test_criterion_7_property_suites(built, enumerated_product):
         rows = [[rng.randrange(7) for _ in range(2)] for _ in range(2)]
         if mat_det(f, rows) == 0:
             continue
-        base = tuple(map(tuple, mat_normalize(f, rows)))
-        for c in range(1, 7):
-            scaled = [[f.mul(c, x) for x in row] for row in rows]
-            assert tuple(map(tuple, mat_normalize(f, scaled))) == base
+        for z in ((1, 6), tuple(range(1, 7))):  # the scalars of PSL(2,7), all of GF(7)*
+            base = MatrixElement(f, rows, z).rows
+            for c in z:
+                scaled = [[f.mul(c, x) for x in row] for row in rows]
+                assert MatrixElement(f, scaled, z).rows == base
+            if len(z) == 6:
+                assert next(x for row in base for x in row if x) == 1
 
     for expr in ("C(24)", "S(4)", "SL(2,3)"):
         g = built(expr)

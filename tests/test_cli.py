@@ -256,6 +256,26 @@ def test_permutation_degree_limit_exits_2(capsys, monkeypatch):
     assert "at most 256 points" in err
 
 
+@pytest.mark.parametrize("expr,cap", [("C(1000000)", "2000000"),
+                                      ("F(1000003,2,1000002)", "3000000")])
+def test_family_degree_limit_exits_2_before_building(capsys, monkeypatch, expr, cap):
+    """A family atom under the cap given but over 256 points is refused from
+    its parameters: the builder, which would allocate a list of that many
+    points, never runs."""
+    from sameorder import perms
+
+    def build(*args):
+        raise AssertionError("ran a family builder past the degree limit")
+
+    for family in ("C", "F"):
+        monkeypatch.setitem(perms.FAMILY_BUILDERS, family, build)
+    code, out, err = run(capsys, "alpha", expr, "--max-elements", cap)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "at most 256 points" in err
+
+
 def test_matrix_key_width_limit_exits_2(capsys, monkeypatch):
     from sameorder import matrices
 

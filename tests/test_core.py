@@ -359,7 +359,7 @@ def test_reduced_generators_generate(built, expr):
     assert len(reduced) <= len(g.generators)
     # the reduced set alone must reproduce the group
     if isinstance(g, MatrixGroup):
-        rebuilt = MatrixGroup(reduced, g.field, g.n, projective=g.projective)
+        rebuilt = MatrixGroup(reduced, g.field, g.n, g.scalars)
     else:
         rebuilt = permutation_group(reduced)
     assert (sorted(e.key() for e in rebuilt.elements())

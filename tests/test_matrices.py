@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -13,15 +14,14 @@ from sameorder.matrices import (
     MatrixElement,
     MatrixGroup,
     _bmul,
-    _bnormalize,
     classical_group,
     classical_order,
+    classical_scalars,
     key_bits,
     mat_det,
     mat_identity_rows,
     mat_inv,
     mat_mul,
-    mat_normalize,
     pack_keys,
     preserves_form,
     row_table,
@@ -177,38 +177,64 @@ def test_form_preserved_on_random_generator_products():
 
 
 def test_scalar_normalization_is_scale_invariant():
-    """canonical(c*M) = canonical(M) for every nonzero scalar c."""
+    """MatrixElement(f, s*M, Z).rows is the same for every s in Z, for Z the
+    scalars of PSL(n,q) and for Z all of GF(q)*, where it is also the
+    multiple whose first nonzero entry is 1."""
     rng = random.Random(23)
-    for p, k in [(7, 1), (3, 2)]:
+    for p, k, n in [(7, 1, 2), (3, 2, 2), (7, 1, 3), (2, 2, 3)]:
         f = FiniteField(p, k)
         codes = list(range(f.q))
-        made = 0
-        while made < 100:
-            rows = [[rng.choice(codes) for _ in range(2)] for _ in range(2)]
-            if mat_det(f, rows) == 0:
-                continue
-            made += 1
-            base = tuple(map(tuple, mat_normalize(f, rows)))
-            for c in codes:
-                if c == 0:
+        for z in (classical_scalars("PSL", n, f.q, f), tuple(codes[1:])):
+            made = 0
+            while made < 100:
+                rows = [[rng.choice(codes) for _ in range(n)] for _ in range(n)]
+                if mat_det(f, rows) == 0:
                     continue
-                scaled = [[f.mul(c, x) for x in row] for row in rows]
-                assert tuple(map(tuple, mat_normalize(f, scaled))) == base
+                made += 1
+                base = MatrixElement(f, rows, z).rows
+                for c in z:
+                    scaled = [[f.mul(c, x) for x in row] for row in rows]
+                    assert MatrixElement(f, scaled, z).rows == base
+                if len(z) == f.q - 1:
+                    assert next(x for row in base for x in row if x) == 1
 
 
 def test_projective_quotient_by_scalar_subgroup():
     sl, psl = classical_group("SL", 2, 7), classical_group("PSL", 2, 7)
     assert sl.order() // psl.order() == 2  # scalars {I, -I}
+    assert psl.scalars == (1, 6)
 
 
 def test_projective_group_normalizes_its_generators():
-    """A projective walk looks generators up among normalized keys, so a
-    generator given unnormalized is normalized before the walk runs."""
+    """A walk looks generators up among least multiples, so a generator given
+    as another multiple is replaced by its least one before the walk runs."""
     f = FiniteField(5, 1)
-    gens = [MatrixElement(f, [[2, 0], [0, 3]], True), MatrixElement(f, [[1, 1], [0, 1]], True)]
-    grp = MatrixGroup(gens, f, 2, projective=True)
+    gens = [MatrixElement(f, [[2, 0], [0, 3]]), MatrixElement(f, [[1, 1], [0, 1]])]
+    grp = MatrixGroup(gens, f, 2, scalars=(1, 2, 3, 4))
     assert [g.rows for g in grp.generators] == [((1, 0), (0, 4)), ((1, 1), (0, 1))]
     assert grp.order() == 10
+
+
+@pytest.mark.parametrize("family,degrees,sign", [("PSL", (2, 3, 4), -1), ("PSU", (3, 4), 1),
+                                                 ("SL", (2, 3, 4), -1), ("SU", (3, 4), 1)])
+def test_classical_scalars_have_gcd_many_elements(family, degrees, sign):
+    """PSL(n,q) is taken modulo gcd(n, q - 1) scalars and PSU(n,q) modulo
+    gcd(n, q + 1), for every supported degree and prime power q <= 64 whose
+    field is supported; SL and SU modulo the identity alone.  No group is
+    walked."""
+    checked = []
+    for q, n in itertools.product(range(2, 65), degrees):
+        try:
+            classical_order(family, n, q)
+        except InvalidParameterError:
+            continue  # not a prime power, GF(q^2) past the field limit, or (P)SU(3,2)
+        f = FiniteField(*matrices._field_params(q, double=family.endswith("SU")))
+        z = classical_scalars(family, n, q, f)
+        assert z[0] == 1 and list(z) == sorted(set(z))
+        assert len(z) == (math.gcd(n, q + sign) if family[0] == "P" else 1), (n, q)
+        checked.append((n, q))
+    # 27 prime powers q <= 64; 12 with q^2 <= 512, less (3,2) for the unitary groups
+    assert len(checked) == (27 * 3 if family.endswith("L") else 12 * 2 - 1)
 
 
 def test_order_mismatch_guard():
@@ -322,30 +348,38 @@ def test_packed_index_and_conjugation_maps_match_generic(built, expr):
 
 @pytest.mark.parametrize("expr", ["PSL(2,7)", "PSL(2,9)", "PSL(3,4)", "PSL(4,2)", "PSU(3,3)"])
 def test_scalar_quotient_matches_projective_closure(built, expr):
-    """With nontrivial scalars a P-group walks the quotient itself, and its
-    keys are exactly the normalized elements of the linear group.  With
-    trivial scalars it is the linear group, with the same keys."""
+    """A P-group walks the linear group modulo its scalars Z, which are
+    central elements of the linear group, |linear| / |P| of them; its keys
+    are exactly {least key of s*x for s in Z : x in the linear group}, here
+    by mat_mul with the scalar matrices s*I."""
     grp, linear = built(expr), built(expr[1:])
-    f, keys = linear.field, linear._walked().elements
-    if grp.order() == linear.order():
-        assert not grp.projective
-        want = keys
-    else:
-        assert grp.projective
-        rows = unpack_keys(keys, f.q, linear.n).tolist()
-        want = pack_keys(np.array([mat_normalize(f, r) for r in rows], dtype=np.uint16), f.q)
-    assert np.array_equal(np.sort(grp._walked().elements), np.unique(want))
+    f, n, z = linear.field, linear.n, grp.scalars
+    assert len(z) == linear.order() // grp.order()
+    linear_keys = set(linear._walked().elements.tolist())
+    scalar_mats = [[[s if i == j else 0 for j in range(n)] for i in range(n)] for s in z]
+    assert {MatrixElement(f, m).key() for m in scalar_mats} <= linear_keys
+    want, seen = set(), set()
+    for x in unpack_keys(linear._walked().elements, f.q, n).tolist():
+        x = tuple(map(tuple, x))
+        if x not in seen:
+            coset = [x] + [mat_mul(f, m, x) for m in scalar_mats[1:]]
+            seen.update(coset)  # z[0] is 1, and every coset has |Z| members
+            want.add(min(coset))
+    want = pack_keys(np.array(sorted(want), dtype=np.uint16), f.q)
+    assert np.array_equal(np.sort(grp._walked().elements), want)
 
 
 @pytest.mark.parametrize("projective", [False, True])
 def test_chunked_walk_matches_one_chunk(monkeypatch, projective):
-    """A frontier split over many chunks gives the same group, and every
-    table entry and tree edge still matches element arithmetic."""
+    """A frontier split over many chunks gives the same group, SL(2,9) or
+    PSL(2,9), and every table entry and tree edge still matches element
+    arithmetic."""
     f = FiniteField(3, 2)
-    gens = [MatrixElement(f, g.rows, projective) for g in sl_generators(2, f)]
-    whole = MatrixGroup(gens, f, 2, projective=projective, cap=720)
+    z = classical_scalars("PSL" if projective else "SL", 2, 9, f)
+    gens = sl_generators(2, f)
+    whole = MatrixGroup(gens, f, 2, z, cap=720)
     monkeypatch.setattr(matrices, "_CHUNK", 7)
-    chunked = MatrixGroup(gens, f, 2, projective=projective, cap=720)
+    chunked = MatrixGroup(gens, f, 2, z, cap=720)
     assert chunked.order() == whole.order() == (360 if projective else 720)
     c, elems = chunked._walked(), chunked.elements()
     assert np.array_equal(np.sort(c.elements), np.sort(whole._walked().elements))
@@ -358,23 +392,20 @@ def test_chunked_walk_matches_one_chunk(monkeypatch, projective):
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 2)])
 def test_batched_product_matches_mat_mul(p, k):
-    """_bmul and _bnormalize agree with mat_mul and mat_normalize on random
-    batches over GF(2), GF(4), GF(8) and GF(9)."""
+    """_bmul agrees with mat_mul on random batches over GF(2), GF(4), GF(8)
+    and GF(9)."""
     f = FiniteField(p, k)
-    add_t, mul_t, inv_t = f.np_tables()
+    add_t, mul_t = f.np_tables()
     rng = np.random.default_rng(10 * p + k)
     for n in (2, 3, 4):
         a = rng.integers(0, f.q, (40, 1, n, n)).astype(np.uint16)
         b = rng.integers(0, f.q, (1, 3, n, n)).astype(np.uint16)
         prod = _bmul(add_t, mul_t, a, b)
-        normed = _bnormalize(mul_t, inv_t, prod)
-        assert prod.shape == normed.shape == (40, 3, n, n)
+        assert prod.shape == (40, 3, n, n)
         for i in range(40):
             for j in range(3):
                 want = mat_mul(f, a[i, 0].tolist(), b[0, j].tolist())
                 assert prod[i, j].tolist() == [list(r) for r in want]
-                if any(map(any, want)):
-                    assert normed[i, j].tolist() == [list(r) for r in mat_normalize(f, want)]
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 2), (17, 1), (5, 2)])
@@ -413,7 +444,8 @@ def test_key_width_limit():
 
 
 def test_su_rejects_unsupported_dimension():
+    # classical_order validates for the builders, which take its parameters
     with pytest.raises(InvalidParameterError):
-        su_generators(2, 3)
+        classical_order("SU", 2, 3)
     with pytest.raises(InvalidParameterError):
-        sl_generators(5, FiniteField(2, 1))
+        classical_order("SL", 5, 2)

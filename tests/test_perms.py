@@ -3,9 +3,11 @@ from oracles import element_order_naive, perm_order
 
 from sameorder.errors import InvalidParameterError
 from sameorder.perms import (
+    FAMILY_BUILDERS,
     cex3_generators,
     dicyclic_generators,
-    frobenius_generators,
+    family_degree,
+    family_order,
     perm_from_cycles,
     perm_identity,
     permutation_group,
@@ -68,14 +70,24 @@ def test_frobenius_group_spectrum(built):
 
 
 def test_frobenius_parameter_validation():
+    # family_order validates for frobenius_generators, which takes its parameters
     with pytest.raises(InvalidParameterError, match="need 1"):
-        frobenius_generators(7, 3, 3)
+        family_order("F", (7, 3, 3))
     with pytest.raises(InvalidParameterError):
-        frobenius_generators(7, 3, 1)  # order of 1 is 1, not 3
+        family_order("F", (7, 3, 1))  # order of 1 is 1, not 3
     with pytest.raises(InvalidParameterError):
-        frobenius_generators(8, 2, 4)  # gcd(4, 8) != 1
+        family_order("F", (8, 2, 4))  # gcd(4, 8) != 1
     with pytest.raises(InvalidParameterError):
-        frobenius_generators(1, 2, 1)
+        family_order("F", (1, 2, 1))
+
+
+def test_family_degree_matches_the_builders():
+    """family_degree, read from parameters alone, is the degree each builder's
+    permutations have, the bespoke D(1) and D(2) point sets included."""
+    special = {"F": [(3, 2, 2), (7, 3, 2), (8, 2, 3)], "cex3": [()]}
+    for family, builder in FAMILY_BUILDERS.items():
+        for ps in special.get(family, [(n,) for n in range(1, 9)]):
+            assert family_degree(family, ps) == len(builder(*ps)[0].images), (family, ps)
 
 
 def test_quaternion_group(built):

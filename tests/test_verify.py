@@ -36,7 +36,10 @@ GOLDEN_EXPRESSIONS = ["PSL(2,7)", "SL(2,3)", "PSU(3,3)", "C(7) x SL(2,3)",
                       "PSL(2,8) x C(2)", "S(4) x S(4)", "Q(8)",
                       # permutation groups beyond S(4) x S(4); the last is
                       # PSL(3,2) acting on the seven points of the Fano plane
-                      "S(8)", "A(8)", "Perm[(1,2,3,4,5,6,7), (1,2)(3,6)]"]
+                      "S(8)", "A(8)", "Perm[(1,2,3,4,5,6,7), (1,2)(3,6)]",
+                      # P-groups modulo scalars of order 2 over GF(9), of
+                      # order 3 in degree 3, and the unitary PSU(3,5) (order 3)
+                      "PSL(2,9)", "PSL(3,4)", "PSU(3,5)"]
 
 
 def _golden(name: str) -> str:
