@@ -6,13 +6,17 @@ on element keys enumerates it (``perms.PermutationGroup`` on bytes,
 multiplications by the kept generators, R[k, x] = position of x * kept[k]:
 the coset table of the trivial subgroup.  ``Group`` itself never multiplies
 elements.  All structure is read off R in index space: the walk's spanning
-tree writes each element as a word in the kept generators, left
-multiplication is one gather per tree layer, the conjugacy classes are the
-orbits of the conjugation maps, an element's order is a class function found
-by one power walk per class, and normal closures (simplicity, derived
-series) are the kept-generator walk on a bool mask over positions.  Left
-maps, class numbering and normal-closure rounds are linear passes over |G|
-with no sort: a set of positions is a mask, read in position order.
+tree writes each element as a word in the kept generators, so a pass over
+the tree layers, one gather per layer, gives any element's left
+multiplication map.  A group runs one such pass, for the inverse maps L_k^-1
+of its kept generators k; the conjugacy classes are the orbits of the
+conjugation maps R_k read through them, and an element's order is a class
+function found by one power walk per class.  Normal closures (simplicity,
+derived series) walk on a bool mask over positions and queue each kept
+element's conjugates by the kept generators, whose left maps L_k^-1 L_x L_k
+are a scatter and a gather, not a tree pass.  Left maps, class numbering and
+normal-closure rounds are linear passes over |G| with no sort: a set of
+positions is a mask, read in position order.
 Elements meet the small ``GroupElement`` contract: permutations and
 matrices over a finite field.  A direct product is never enumerated:
 ``DirectProduct`` answers from its factors.
@@ -23,8 +27,8 @@ Elements compare by canonical keys, never by identity or repr.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
-from functools import reduce
+from collections import Counter, deque, namedtuple
+from functools import partial, reduce
 from itertools import combinations
 from typing import NamedTuple
 
@@ -152,14 +156,27 @@ class NonIsoCertificate(NamedTuple):
 Closure = namedtuple("Closure", "elements kept table parent letter layers")
 
 
+def _inverted(m):
+    """The inverse of an int32 permutation of positions: one scatter."""
+    out = np.empty_like(m)
+    out[m] = np.arange(len(m), dtype=m.dtype)
+    return out
+
+
+def _commutator(left_a, left_a_inv, left_b, left_b_inv):
+    """L_{a^-1 b^-1 a b} from the left maps of a and b and their inverses."""
+    return left_a_inv[left_b_inv[left_a[left_b]]]
+
+
 class Group:
     """A group in index space, enumerated on demand from its generators by a
     subclass's _walk.
 
     Derived data is computed lazily and cached; instances are immutable
     afterwards and safe to share read-only across threads, since racing
-    recomputations are idempotent.  cap bounds the closure size, guarding
-    against runaway input.
+    recomputations are idempotent: each cache, the inverse left maps too, is
+    assigned once, whole, and never cleared or written in place.  cap bounds
+    the closure size, guarding against runaway input.
     """
 
     def __init__(self, generators, identity, name=None, cap=DEFAULT_CAP):
@@ -168,8 +185,8 @@ class Group:
         self.name = name
         self.cap = cap
         # all computed on first use
-        self._closure = self._class_of = self._classes = self._orders = None
-        self._spectrum = self._simple = self._derived = None
+        self._closure = self._inverses = self._class_of = self._classes = None
+        self._orders = self._spectrum = self._simple = self._derived = None
 
     # -- enumeration ---------------------------------------------------------
 
@@ -218,12 +235,30 @@ class Group:
             out[:, a:b] = flat[offset[a:b] + out[:, c.parent[a:b]]]
         return out
 
+    def _inverse_maps(self):
+        """int32 L_k^-1 for each kept generator k: L_k^-1 = L_{k^-1}, and k^-1
+        sits where R_k takes the identity, so one tree pass gives them all.
+        Kept for the group's life: conjugation maps, normal closures and the
+        derived series read conjugation off them."""
+        if self._inverses is None:
+            table = self._walked().table
+            self._inverses = self._left_maps(np.argmax(table == 0, axis=1))
+        return self._inverses
+
     def conjugation_maps(self):
-        """int32 M, M[k, x] = position of k^-1 x k for kept k: R_k after left
-        multiplication by k^-1, the element R_k sends to the identity."""
+        """int32 M, M[k, x] = position of k^-1 x k for kept k: R_k read
+        through L_k^-1."""
         table = self._walked().table
-        inverses = np.argmax(table == 0, axis=1)
-        return table[np.arange(len(table))[:, None], self._left_maps(inverses)]
+        return table[np.arange(len(table))[:, None], self._inverse_maps()]
+
+    def _conjugated(self, left, k):
+        """L_{k^-1 x k} = L_k^-1 L_x L_k from x's left map L_x and kept k:
+        L_x L_k is a scatter through L_k^-1, out[L_k^-1[y]] = L_x[y], so L_k
+        itself is never made, and L_k^-1 of that is a gather."""
+        inverse = self._inverse_maps()[k]
+        out = np.empty_like(left)
+        out[inverse] = left
+        return inverse[out]
 
     def conjugacy_classes(self) -> list:
         """Partition of element indices into conjugacy classes.
@@ -304,34 +339,49 @@ class Group:
     # -- normal closures, simplicity, solvability -------------------------------
 
     def _normal_closure(self, indices, stop_size, known=None):
-        """Normal closure of the elements at the given indices, once the classes are known.
+        """Normal closure of the elements at the given indices.
 
-        The subgroup the classes holding them generate, walked as _walk walks
-        but on positions, by left multiplication.  Members are marks in a
-        bool mask over positions: a round marks each map's image of the
-        frontier, and its new members are the marks the round added, so a
-        round is a linear pass over |G| with no sort and comes out ascending.
-
-        Returns (order, positions of the kept generators), or None once the
-        count passes stop_size: a subgroup with more than half the group's
-        elements is the whole group, so callers pass stop_size = order // 2
-        and treat None as "everything".  So does a round that reaches a
-        position marked in known: being normal, the closure then holds a
-        whole class known to generate G.
+        Returns (order, positions of the kept generators), or None as
+        _grow_normal does; a seed's left map is one tree pass, made only if
+        the seed is kept.
         """
-        wanted = np.zeros(len(self._classes), dtype=bool)
-        wanted[self._class_of[indices]] = True
-        gens = np.flatnonzero(wanted[self._class_of])
-        inside = np.zeros(len(self._class_of), dtype=bool)
+        seeds = [(i, lambda i=i: self._left_maps([i])[0]) for i in map(int, indices)]
+        grown = self._grow_normal(seeds, stop_size, known)
+        return grown and grown[:2]
+
+    def _grow_normal(self, seeds, stop_size, known=None):
+        """The smallest normal subgroup holding the seeds, walked on positions.
+
+        seeds are (position, make) pairs, make() giving that element's left
+        map.  An element not yet inside is kept: the walk multiplies the
+        members by it, as _walk does but by left multiplication, and queues
+        its conjugate k^-1 x k by each kept generator k of the group, at
+        M_k[x] with left map L_k^-1 L_x L_k (_conjugated), made only if that
+        conjugate is kept in turn.  Once the queue is empty every kept
+        element's conjugates are inside, so the subgroup is normal.  Members
+        are marks in a bool mask over positions: a round marks each map's
+        image of the frontier, and its new members are the marks the round
+        added, so a round is a linear pass over |G| with no sort.
+
+        Returns (order, positions of the kept elements, their left maps), or
+        None once the count passes stop_size: a subgroup with more than half
+        the group's elements is the whole group, so callers pass stop_size =
+        order // 2 and treat None as "everything".  So does a round that
+        reaches a position marked in known: being normal, the closure then
+        holds a whole class known to generate G.
+        """
+        table, inverses = self._walked().table, self._inverse_maps()
+        inside = np.zeros(table.shape[1], dtype=bool)
         inside[0] = True
-        members, count, kept, maps, start = [np.zeros(1, dtype=np.intp)], 1, [], [], 0
-        while True:
-            missing = np.flatnonzero(~inside[gens[start:]])
-            if not missing.size:
-                return count, kept
-            start += int(missing[0])
-            kept.append(int(gens[start]))
-            maps.append(self._left_maps(gens[start:start + 1])[0])
+        members, count, kept, maps, queue = [np.zeros(1, dtype=np.intp)], 1, [], [], deque(seeds)
+        while queue:
+            x, make = queue.popleft()
+            if inside[x]:
+                continue
+            kept.append(x)
+            maps.append(make())
+            queue.extend((int(table[k, inverse[x]]), partial(self._conjugated, maps[-1], k))
+                         for k, inverse in enumerate(inverses))
             frontier, mults = np.concatenate(members), maps[-1:]
             while frontier.size:
                 before = inside.copy()
@@ -343,6 +393,7 @@ class Group:
                 if count > stop_size or known is not None and known[fresh].any():
                     return None
                 frontier, mults = fresh, maps
+        return count, kept, maps
 
     def is_simple(self) -> bool:
         """True iff the group is nontrivial with no proper nontrivial normal subgroup.
@@ -367,33 +418,45 @@ class Group:
         """Orders along the derived series, plus the solvable flag.
 
         Each term is the normal closure of the commutators a^-1 b^-1 a b of
-        the previous term's kept generators, from their left multiplication
-        maps L_a and the inverse maps, L_a^-1 = L_{a^-1}, one scatter each.
-        Every term is characteristic in the one before, hence normal in the
-        group, so its normal closure in the group is its normal closure in
-        the previous term.  Stops when the order stabilizes or hits 1.
+        the previous term's kept generators.  A commutator's position and
+        its left map L_a^-1 L_b^-1 L_a L_b are read off maps already made,
+        with no tree pass: for the group's kept generators, off their inverse
+        maps alone (_kept_commutator), so that L_a is never held beside them;
+        after that, off the left maps the term's closure kept and their
+        inverses, one scatter each.  Every term is characteristic in the one
+        before, hence normal in the group, so its normal closure in the group
+        is its normal closure in the previous term.  Stops when the order
+        stabilizes or hits 1.
         """
         if self._derived is None:
-            self.conjugacy_classes()
             # the kept generators sit where R takes the identity
-            gens, cur_order = self._walked().table[:, 0], self.order()
-            orders, everything = [cur_order], np.arange(cur_order, dtype=np.int32)
+            table, inverses = self._walked().table, self._inverse_maps()
+            gens, cur_order = table[:, 0], self.order()
+            orders = [cur_order]
+            seeds = [(int(inverses[a][inverses[b][table[b, gens[a]]]]),
+                      partial(self._kept_commutator, a, b))
+                     for a, b in combinations(range(len(gens)), 2)]
             while cur_order > 1:
-                left = self._left_maps(gens)
-                # one row at a time: numpy widens each index row to intp
-                left_inv = np.empty_like(left)
-                for row, inverse in zip(left, left_inv):
-                    inverse[row] = everything
-                a, b = np.triu_indices(len(gens), 1)
-                comms = left_inv[a, left_inv[b, left[a, np.asarray(gens)[b]]]]
-                sub = self._normal_closure(comms, cur_order // 2)
+                sub = self._grow_normal(seeds, cur_order // 2)
                 if sub is None:
                     orders.append(cur_order)
                     break
-                cur_order, gens = sub
+                cur_order, gens, left = sub
                 orders.append(cur_order)
+                left_inv = [_inverted(m) for m in left]
+                seeds = [(int(left_inv[a][left_inv[b][left[a][gens[b]]]]),
+                          partial(_commutator, left[a], left_inv[a], left[b], left_inv[b]))
+                         for a, b in combinations(range(len(gens)), 2)]
             self._derived = (tuple(orders), orders[-1] == 1)
         return self._derived
+
+    def _kept_commutator(self, a, b):
+        """L_{a^-1 b^-1 a b} for kept generators a and b: the conjugate of b^-1
+        by a, then L_b, a scatter through L_b^-1."""
+        inverse = self._inverse_maps()[b]
+        out = np.empty_like(inverse)
+        out[inverse] = self._conjugated(inverse, a)
+        return out
 
     def is_solvable(self) -> bool:
         return self.derived_series()[1]

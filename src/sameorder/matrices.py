@@ -230,10 +230,19 @@ _CHUNK = 65536
 
 
 class MatrixGroup(Group):
-    """Matrices over one field modulo scalars, the codes of a subgroup of its units."""
+    """Matrices over one field modulo scalars, the codes of a subgroup of its units.
+
+    Raises InvalidParameterError when scalars are not that: distinct codes of
+    units, holding 1, closed under multiplication.
+    """
 
     def __init__(self, generators, field: FiniteField, n: int,
                  scalars=(1,), name=None, cap=DEFAULT_CAP):
+        units = set(scalars)
+        if not (len(units) == len(scalars) and 1 in units and all(0 < a < field.q for a in units)
+                and all(field.mul(a, b) in units for a in units for b in units)):
+            raise InvalidParameterError(f"scalars {scalars} are not a subgroup of "
+                                        f"the units of {field}")
         # the walk looks generators up among least multiples
         generators = [MatrixElement(field, g.rows, scalars) for g in generators]
         ident = MatrixElement(field, mat_identity_rows(n), scalars)

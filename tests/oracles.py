@@ -41,12 +41,16 @@ def _generated(identity, gens) -> list:
 
 def normal_closure_order_naive(elements, x) -> int:
     """Order of the smallest normal subgroup holding x, by element arithmetic:
-    every conjugate g^-1 x g, then products of those until nothing new."""
-    conjugates = {}
+    every conjugate g^-1 x g, then products of those until nothing new.  A
+    conjugate already generated adds nothing, so only the others are
+    multiplied by."""
+    identity, gens, reached = x.op(x.inv()), [], set()
     for g in elements:
         c = g.inv().op(x).op(g)
-        conjugates[c.key()] = c
-    return len(_generated(x.op(x.inv()), list(conjugates.values())))
+        if c.key() not in reached:
+            gens.append(c)
+            reached = {y.key() for y in _generated(identity, gens)}
+    return len(reached)
 
 
 def derived_series_naive(elements) -> tuple:

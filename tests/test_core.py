@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from oracles import derived_series_naive, element_order_naive, normal_closure_order_naive
 
-from sameorder import dsl, group_for
+from sameorder import core, dsl, group_for
 from sameorder.core import (
     DEFAULT_CAP,
     DirectProduct,
+    Group,
     Spectrum,
     noniso_certificate,
     spectrum_checks,
@@ -225,7 +226,8 @@ def _prime_classes_with_masks(g):
             known[c] = True
 
 
-@pytest.mark.parametrize("expr", ["SL(2,5)", "S(6)", "A(5)", "D(15)", "cex3"])
+@pytest.mark.parametrize("expr", ["SL(2,5)", "S(6)", "A(5)", "D(15)", "cex3",
+                                  "PSL(2,8)", "SL(3,2)"])
 def test_simplicity_matches_element_arithmetic(built, expr):
     """Every prime-order class's normal closure, walked with the mask of
     classes known to generate the group, against conjugating and multiplying
@@ -256,6 +258,59 @@ def test_simplicity_exit_matches_full_walk(built, expr):
     n = g.order()
     for c, known in _prime_classes_with_masks(g):
         assert g._normal_closure([c[0]], n // 2, known) == g._normal_closure([c[0]], n // 2)
+
+
+@pytest.mark.parametrize("expr", ["S(5)", "PSL(2,8)", "PSU(3,3)", "cex3"])
+def test_closure_maps_match_element_arithmetic(monkeypatch, expr):
+    """Every left map the normal closures build from other maps, with no
+    tree pass, against multiplying elements: a kept element's conjugate
+    k^-1 x k by a kept generator k, a commutator a^-1 b^-1 a b of two kept
+    generators, and one of a closure's kept elements.  Checked at every
+    position up to order 1000 and at a seeded sample above; each kept
+    position must also be its map's image of the identity."""
+    g = group_for(expr)  # a fresh group: the derived series is memoized
+    n, elements = g.order(), g.elements()
+    index = {e.key(): i for i, e in enumerate(elements)}
+    gens = [elements[i] for i in g._walked().table[:, 0]]
+    built, grown = [], []
+
+    def comm(a, b):
+        return a.inv().op(b.inv()).op(a).op(b)
+
+    def record(owner, name, kind, element):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            out = fn(*args)
+            built.append((kind, element(*args), out))
+            return out
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    record(Group, "_conjugated", "conjugate",
+           lambda self, left, k: gens[k].inv().op(elements[left[0]]).op(gens[k]))
+    record(Group, "_kept_commutator", "kept commutator",
+           lambda self, a, b: comm(gens[a], gens[b]))
+    record(core, "_commutator", "commutator",
+           lambda a, a_inv, b, b_inv: comm(elements[a[0]], elements[b[0]]))
+    grow = Group._grow_normal
+    monkeypatch.setattr(Group, "_grow_normal",
+                        lambda *args: grown.append(grow(*args)) or grown[-1])
+    g.is_simple()
+    g.derived_series()
+    kinds = {kind for kind, _, _ in built}
+    assert {"conjugate", "kept commutator"} <= kinds
+    # only S(5) keeps a commutator after the first term: A(5) is perfect,
+    # and cex3's second term is abelian
+    assert ("commutator" in kinds) == (expr == "S(5)")
+    rng = random.Random(11)
+    points = range(n) if n <= 1000 else rng.sample(range(n), 300)
+    for kind, want, left in built:
+        want = [index[want.op(elements[y]).key()] for y in points]
+        assert [left[y] for y in points] == want, kind
+    for out in grown:
+        if out is not None:
+            assert [m[0] for m in out[2]] == out[1]
 
 
 def test_derived_series_and_solvability(built):

@@ -205,6 +205,16 @@ def test_projective_quotient_by_scalar_subgroup():
     assert psl.scalars == (1, 6)
 
 
+@pytest.mark.parametrize("scalars", [(1, 2), (2,)])
+def test_scalars_must_be_a_subgroup_of_the_units(scalars):
+    """{1, 2} is not closed in GF(5)* (2 has order 4) and {2} lacks 1; both
+    once gave a walk of a wrong order, 160 for (1, 2)."""
+    f = FiniteField(5, 1)
+    with pytest.raises(InvalidParameterError):
+        MatrixGroup(sl_generators(2, f), f, 2, scalars=scalars)
+    assert MatrixGroup(sl_generators(2, f), f, 2, scalars=(1, 4)).order() == 60
+
+
 def test_projective_group_normalizes_its_generators():
     """A walk looks generators up among least multiples, so a generator given
     as another multiple is replaced by its least one before the walk runs."""
