@@ -11,12 +11,15 @@ the tree layers, one gather per layer, gives any element's left
 multiplication map.  A group runs one such pass, for the inverse maps L_k^-1
 of its kept generators k; the conjugacy classes are the orbits of the
 conjugation maps R_k read through them, and an element's order is a class
-function found by one power walk per class.  Normal closures (simplicity,
-derived series) walk on a bool mask over positions and queue each kept
-element's conjugates by the kept generators, whose left maps L_k^-1 L_x L_k
-are a scatter and a gather, not a tree pass.  Left maps, class numbering and
-normal-closure rounds are linear passes over |G| with no sort: a set of
-positions is a mask, read in position order.
+function found by one power walk per class, which also gives each class's
+powers.  The spectrum sums class sizes per class order.  Simplicity is first
+decided from class data: sizes, orders and powers, with Lagrange and Sylow,
+rule out every order a proper normal subgroup could have.  Where they cannot,
+and for the derived series, normal closures walk on a bool mask over
+positions and queue each kept element's conjugates by the kept generators,
+whose left maps L_k^-1 L_x L_k are a scatter and a gather, not a tree pass.
+Left maps, class numbering and normal-closure rounds are linear passes over
+|G| with no sort: a set of positions is a mask, read in position order.
 Elements meet the small ``GroupElement`` contract: permutations and
 matrices over a finite field.  A direct product is never enumerated:
 ``DirectProduct`` answers from its factors.
@@ -27,7 +30,7 @@ Elements compare by canonical keys, never by identity or repr.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque, namedtuple
+from collections import deque, namedtuple
 from functools import partial, reduce
 from itertools import combinations
 from typing import NamedTuple
@@ -35,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapExceededError, NoWitnessError
-from .numtheory import factorize, is_prime, prime_power, totient
+from .numtheory import divisors, factorize, is_prime, prime_power, totient
 
 DEFAULT_CAP = 1_000_000
 
@@ -186,7 +189,7 @@ class Group:
         self.cap = cap
         # all computed on first use
         self._closure = self._inverses = self._class_of = self._classes = None
-        self._orders = self._spectrum = self._simple = self._derived = None
+        self._powers = self._spectrum = self._simple = self._derived = None
 
     # -- enumeration ---------------------------------------------------------
 
@@ -296,17 +299,22 @@ class Group:
         """The center is the union of the singleton conjugacy classes."""
         return sum(len(c) == 1 for c in self.conjugacy_classes())
 
-    def element_orders(self) -> list:
-        """Orders of all elements, aligned with elements().
+    def _power_classes(self):
+        """(orders, powers): orders[i] is the element order of class i, and
+        powers[i] = (walk, j) says that a member of class i is conjugate to
+        r^j for the root r of the walk, so its k-th power lies in class
+        walk[j * k % len(walk)].
 
         An order is a class function.  Each class not met yet walks the powers
         of its first member r, one lookup in R per letter of r's word in the
-        closure's tree; meeting r^j fixes the order of r^j's class too,
-        m / gcd(j, m) for m the order of r, so a cyclic group takes one walk.
+        closure's tree; walk lists the classes of r^0 = 1, r, ..., r^(m-1) for
+        m the order of r.  Meeting r^j fixes the order of r^j's class too,
+        m / gcd(j, m), and its powers, (r^j)^k = r^(jk), so a cyclic group
+        takes one walk.
         """
-        if self._orders is None:
+        if self._powers is None:
             classes, c = self.conjugacy_classes(), self._walked()
-            rows, orders = list(c.table), [0] * len(classes)
+            rows, orders, powers = list(c.table), [0] * len(classes), [None] * len(classes)
             for i, members in enumerate(classes):
                 if orders[i]:
                     continue
@@ -314,23 +322,31 @@ class Group:
                 while x:
                     word.append(rows[c.letter[x]])
                     x = c.parent[x]
-                powers, x = [members[0]], members[0]
+                positions, x = [0], members[0]
                 while x:
+                    positions.append(x)
                     for row in reversed(word):
                         x = row[x]
-                    powers.append(x)
-                for j, x in enumerate(powers, 1):
-                    orders[self._class_of[x]] = len(powers) // math.gcd(j, len(powers))
-            self._orders = np.array(orders)[self._class_of].tolist()
-        return self._orders
+                walk = self._class_of[positions].tolist()
+                for j, cls in enumerate(walk):
+                    orders[cls] = len(walk) // math.gcd(j, len(walk))
+                    powers[cls] = (walk, j)
+            self._powers = (orders, powers)
+        return self._powers
+
+    def element_orders(self) -> list:
+        """Orders of all elements, aligned with elements(): the class orders
+        of _power_classes read through the class labels.  Not kept; the
+        spectrum and the simplicity test read the class orders."""
+        return np.array(self._power_classes()[0])[self._class_of].tolist()
 
     def spectrum(self) -> Spectrum:
+        """The class sizes summed per class order."""
         if self._spectrum is None:
-            acc = Counter(self.element_orders())
-            self._spectrum = Spectrum(
-                counts={t: acc[t] for t in sorted(acc)},
-                group_order=self.order(),
-            )
+            acc = {}
+            for members, t in zip(self.conjugacy_classes(), self._power_classes()[0]):
+                acc[t] = acc.get(t, 0) + len(members)
+            self._spectrum = Spectrum(counts=dict(sorted(acc.items())), group_order=self.order())
         return self._spectrum
 
     def alpha(self) -> tuple:
@@ -398,21 +414,70 @@ class Group:
     def is_simple(self) -> bool:
         """True iff the group is nontrivial with no proper nontrivial normal subgroup.
 
+        Decided from class data when _simple_by_classes can; otherwise by the
+        normal closures of _simple_by_closures.
+        """
+        if self._simple is None:
+            self._simple = self.order() > 1 and (self._simple_by_classes() is True
+                                                 or self._simple_by_closures())
+        return self._simple
+
+    def _simple_by_classes(self):
+        """True if no d with 1 < d < |G| can be the order of a normal subgroup
+        N, judged from the classes' sizes, orders and powers alone (for a
+        nontrivial group); "undecided" otherwise.
+
+        Such an N is the identity's class plus whole classes whose sizes sum
+        to d, each of an element order dividing d (Lagrange).  With m = |G|/d,
+        N holds the class of x^m for every class x, since (xN)^m = N in G/N.
+        For each prime p with p^e || |G| and p^e | d, N holds a Sylow
+        p-subgroup of G, so all of them, so every class of p-power order
+        (Sylow).  The classes so forced have orders dividing d already: x^m
+        has order o / gcd(o, m) for o the order of x, and lcm(o, m) divides
+        |G|.  For each d, largest first, their sizes must sum to some
+        need <= d, and the other classes of order dividing d must have sizes
+        summing to d - need: one bitset pass in which bit s of reach is set
+        iff some of them sum to s.
+        """
+        n = self.order()
+        orders, powers = self._power_classes()
+        sizes = [len(members) for members in self.conjugacy_classes()]
+        primes = factorize(n)
+        # p for a class of order p^a, a >= 1; 1 for any other class
+        prime_of = [(prime_power(t) or (1,))[0] for t in orders]
+        for d in reversed(divisors(n)[1:-1]):
+            sylow = {p for p, e in primes.items() if d % p**e == 0}
+            forced = {walk[j * (n // d) % len(walk)] for walk, j in powers}
+            forced.update(i for i, p in enumerate(prime_of) if p in sylow)
+            need = sum(sizes[i] for i in forced)
+            if need > d:
+                continue
+            reach, mask = 1, (1 << (d - need + 1)) - 1
+            for i, (s, t) in enumerate(zip(sizes, orders)):
+                if d % t == 0 and i not in forced:
+                    reach = (reach | reach << s) & mask
+            if reach >> (d - need):
+                return "undecided"
+        return True
+
+    def _simple_by_closures(self) -> bool:
+        """True iff the group is nontrivial and no proper nontrivial normal
+        subgroup turns up among the normal closures of its classes.
+
         Any such subgroup contains an element of prime order (Cauchy) whose
         whole conjugacy class sits inside it, so it is enough that the normal
         closure of every prime-order class is the full group.  After the first
         success, a walk stops where it meets a class already known to succeed.
         """
-        if self._simple is None:
-            n, orders, known = self.order(), self.element_orders(), None
-            self._simple = n > 1
-            for c in (c for c in self.conjugacy_classes() if is_prime(orders[c[0]])):
-                if self._normal_closure([c[0]], n // 2, known) is not None:
-                    self._simple = False
-                    break
-                known = np.zeros(n, dtype=bool) if known is None else known
-                known[c] = True
-        return self._simple
+        n, known = self.order(), None
+        for c, t in zip(self.conjugacy_classes(), self._power_classes()[0]):
+            if not is_prime(t):
+                continue
+            if self._normal_closure([c[0]], n // 2, known) is not None:
+                return False
+            known = np.zeros(n, dtype=bool) if known is None else known
+            known[c] = True
+        return n > 1
 
     def derived_series(self) -> tuple:
         """Orders along the derived series, plus the solvable flag.

@@ -1,8 +1,14 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import derived_series_naive, element_order_naive, normal_closure_order_naive
+from oracles import (
+    derived_series_naive,
+    element_order_naive,
+    normal_closure_order_naive,
+    symmetric_spectrum_formula,
+)
 
 from sameorder import core, dsl, group_for
 from sameorder.core import (
@@ -18,6 +24,7 @@ from sameorder.fields import FiniteField
 from sameorder.matrices import MatrixGroup, sl_generators
 from sameorder.numtheory import is_prime
 from sameorder.perms import family_order, permutation_group, symmetric_generators
+from sameorder.verify import THREE_PRIME_SIMPLE_GROUPS, theorem_report
 
 AXIOM_GROUPS = [
     "C(12)",
@@ -113,6 +120,24 @@ def test_element_order_oracles_agree(built, expr):
     assert g.element_orders() == [element_order_naive(x) for x in g.elements()]
 
 
+@pytest.mark.parametrize("expr,cycle_types", [
+    ("S(3)", (3, False)), ("S(5)", (5, False)), ("S(7)", (7, False)), ("A(4)", (4, True)),
+    ("A(6)", (6, True)), ("A(8)", (8, True)), ("PSL(2,8)", None), ("Dic(5)", None),
+    ("F(21,3,4)", None), ("cex3", None), ("PSU(3,3)", None),
+])
+def test_spectrum_sums_class_sizes(built, expr, cycle_types):
+    """The spectrum, summed from class sizes per class order, against
+    counting the element orders, and for S(n) and A(n) against their cycle
+    types."""
+    g = built(expr)
+    counts = g.spectrum().counts
+    assert list(counts) == sorted(counts)
+    assert counts == Counter(g.element_orders())
+    if cycle_types is not None:
+        n, alternating = cycle_types
+        assert counts == symmetric_spectrum_formula(n, alternating=alternating)
+
+
 @pytest.mark.parametrize("expr", AXIOM_GROUPS + ["PSL(2,7)", "Dic(2) x F(7,3,2)",
                                                  "C(7) x SL(2,3)"])
 def test_spectrum_structural_checks(built, expr):
@@ -194,7 +219,7 @@ def test_abelian_detection(built):
         assert (g.center_order() == g.order()) is abelian
 
 
-@pytest.mark.parametrize("expr,simple", [
+SIMPLICITY = [
     ("C(7)", True),
     ("C(6)", False),
     ("C(12)", False),
@@ -207,15 +232,53 @@ def test_abelian_detection(built):
     ("SL(2,5)", False),
     ("SL(3,2)", True),
     ("C(2)", True),
-])
+]
+
+
+@pytest.mark.parametrize("expr,simple", SIMPLICITY)
 def test_simplicity(built, expr, simple):
     assert built(expr).is_simple() is simple
 
 
+M11 = "Perm[(1,2,3,4,5,6,7,8,9,10,11), (3,7,11,8)(4,10,5,6)]"
+M12 = ("Perm[(1,2,3,4,5,6,7,8,9,10,11), (3,7,11,8)(4,10,5,6), "
+       "(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)]")
+
+
+@pytest.mark.parametrize("expr", [expr for expr, _ in SIMPLICITY]
+                         + ["PSU(3,3)", "PSU(4,2)", "PSL(3,4)", M11, M12])
+def test_class_test_agrees_with_closures(built, expr):
+    """Where the class-data test decides, the normal closures agree."""
+    g = built(expr)
+    decided = g._simple_by_classes()
+    assert decided in (True, "undecided")
+    if decided is True:
+        assert g._simple_by_closures() is True
+
+
+@pytest.mark.parametrize("expr,decided", [
+    *((expr, True) for expr in THREE_PRIME_SIMPLE_GROUPS),
+    *((expr, True) for expr in ("A(7)", "A(8)", "PSL(3,4)", "PSU(3,4)", M11)),
+    *((expr, "undecided") for expr in ("A(9)", M12, "S(7)", "S(8)", "SL(2,5)", "cex3")),
+])
+def test_class_test_decides(built, expr, decided):
+    """Which groups the class-data test settles without a normal closure.
+    A(9) and M12 are simple, but class sizes alone cannot tell."""
+    assert built(expr)._simple_by_classes() == decided
+
+
+def test_theorem_report_walks_no_normal_closure(monkeypatch):
+    calls = []
+    grow = Group._grow_normal
+    monkeypatch.setattr(Group, "_grow_normal", lambda *args: calls.append(args) or grow(*args))
+    assert theorem_report()["verified"]
+    assert calls == []
+
+
 def _prime_classes_with_masks(g):
-    """Each prime-order class, with the mask is_simple hands its walk: the
-    earlier prime-order classes whose normal closure is the whole group
-    (None until the first), here taken from the walk with no mask."""
+    """Each prime-order class, with the mask _simple_by_closures hands its
+    walk: the earlier prime-order classes whose normal closure is the whole
+    group (None until the first), here taken from the walk with no mask."""
     n, orders, known = g.order(), g.element_orders(), None
     for c in g.conjugacy_classes():
         if not is_prime(orders[c[0]]):
