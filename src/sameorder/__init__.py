@@ -12,7 +12,6 @@ from .core import (
     DEFAULT_CAP,
     DirectProduct,
     Group,
-    GroupElement,
     NonIsoCertificate,
     Spectrum,
     noniso_certificate,
@@ -30,8 +29,8 @@ from .errors import (
     VerificationError,
 )
 from .fields import FiniteField
-from .matrices import MatrixElement, MatrixGroup, classical_group, classical_order
-from .perms import Permutation, PermutationGroup, permutation_group
+from .matrices import MatrixGroup, classical_group, classical_order
+from .perms import PermutationGroup, permutation_group
 from .reports import ENGINE_VERSION, build_report, report_for
 from .verify import counterexample_report, hunt_report, theorem_report
 
@@ -46,14 +45,11 @@ __all__ = [
     "EngineError",
     "FiniteField",
     "Group",
-    "GroupElement",
     "InvalidParameterError",
-    "MatrixElement",
     "MatrixGroup",
     "NonIsoCertificate",
     "NoWitnessError",
     "OrderMismatchError",
-    "Permutation",
     "PermutationGroup",
     "Spectrum",
     "VerificationError",

@@ -1,10 +1,12 @@
 """Finite group engine.
 
-A group is held as a generating set of elements.  A subclass's batched walk
-on element keys enumerates it (``perms.PermutationGroup`` on bytes,
-``matrices.MatrixGroup`` on packed ints) and keeps the table of right
+A group is held as a generating set, each generator as its key: the bytes of
+a permutation's image array, or the rows of a matrix's field codes.  A
+subclass's batched walk on keys enumerates it (``perms.PermutationGroup`` on
+bytes, ``matrices.MatrixGroup`` on packed ints) and keeps the table of right
 multiplications by the kept generators, R[k, x] = position of x * kept[k]:
-the coset table of the trivial subgroup.  ``Group`` itself never multiplies
+the coset table of the trivial subgroup.  An element is its key and its
+position; there is no element object, and ``Group`` itself never multiplies
 elements.  All structure is read off R in index space: the walk's spanning
 tree writes each element as a word in the kept generators, so a pass over
 the tree layers, one gather per layer, gives any element's left
@@ -19,12 +21,9 @@ and for the derived series, normal closures walk on a bool mask over
 positions and queue each kept element's conjugates by the kept generators,
 whose left maps L_k^-1 L_x L_k are a scatter and a gather, not a tree pass.
 Left maps, class numbering and normal-closure rounds are linear passes over
-|G| with no sort: a set of positions is a mask, read in position order.
-Elements meet the small ``GroupElement`` contract: permutations and
-matrices over a finite field.  A direct product is never enumerated:
-``DirectProduct`` answers from its factors.
-
-Elements compare by canonical keys, never by identity or repr.
+|G| with no sort: a set of positions is a mask, read in position order.  A
+direct product is never enumerated: ``DirectProduct`` answers from its
+factors.
 """
 
 from __future__ import annotations
@@ -41,36 +40,6 @@ from .errors import CapExceededError, NoWitnessError
 from .numtheory import divisors, factorize, is_prime, prime_power, totient
 
 DEFAULT_CAP = 1_000_000
-
-
-class GroupElement:
-    """Contract for group elements.
-
-    Subclasses supply an associative product, inverses, and a canonical
-    encoding: key() values (bytes for a permutation, a packed int for a
-    matrix) are equal iff the elements are equal.  Nothing else is asked:
-    the closures multiply keys, and orders and all other structure are read
-    off the group's multiplication table, never off an element.
-    """
-
-    __slots__ = ()
-
-    def op(self, other: "GroupElement") -> "GroupElement":
-        raise NotImplementedError
-
-    def inv(self) -> "GroupElement":
-        raise NotImplementedError
-
-    def key(self):
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
 
 class Spectrum(NamedTuple):
@@ -151,9 +120,9 @@ class NonIsoCertificate(NamedTuple):
         return d
 
 
-# What a group's walk found: elements as it stores them (keys in position
-# order), kept (the generators not in the subgroup of those kept before them)
-# and the int32 table R[k, x] = position of x * kept[k].  Its discoveries are a
+# What a group's walk found: elements, their keys in position order, kept
+# (the generators not in the subgroup of those kept before them) and the
+# int32 table R[k, x] = position of x * kept[k].  Its discoveries are a
 # spanning tree, x = parent[x] * kept[letter[x]], found in rounds
 # layers[i]:layers[i + 1] whose parents all sit before layers[i].
 Closure = namedtuple("Closure", "elements kept table parent letter layers")
@@ -182,9 +151,8 @@ class Group:
     the closure size, guarding against runaway input.
     """
 
-    def __init__(self, generators, identity, name=None, cap=DEFAULT_CAP):
+    def __init__(self, generators, name=None, cap=DEFAULT_CAP):
         self.generators = list(generators)
-        self.identity = identity
         self.name = name
         self.cap = cap
         # all computed on first use
@@ -206,11 +174,6 @@ class Group:
         if self._closure is None:
             self._closure = self._walk()
         return self._closure
-
-    def elements(self) -> list:
-        """The elements as objects, built from the closure's keys by the
-        subclass; position i is index i everywhere."""
-        raise NotImplementedError
 
     def order(self) -> int:
         return self._walked().table.shape[1]
@@ -335,9 +298,10 @@ class Group:
         return self._powers
 
     def element_orders(self) -> list:
-        """Orders of all elements, aligned with elements(): the class orders
+        """Orders of all elements, aligned with positions: the class orders
         of _power_classes read through the class labels.  Not kept; the
-        spectrum and the simplicity test read the class orders."""
+        spectrum and the simplicity test read the class orders, and this
+        stays because the benchmark's tracer wraps it."""
         return np.array(self._power_classes()[0])[self._class_of].tolist()
 
     def spectrum(self) -> Spectrum:

@@ -163,22 +163,11 @@ class FiniteField:
     def neg(self, a: int) -> int:
         return self.neg_row[a]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         return self.mul_rows[a][b]
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        qm = self.q - 1
-        return self._exp[(qm - self._log[a]) % qm]
-
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a = self.inv(a)
-            e = -e
+        """a^e for e >= 0; a^(q-2) is the inverse of a nonzero a."""
         if a == 0:
             return 1 if e == 0 else 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]

@@ -1,17 +1,17 @@
 """Matrix groups over finite fields: SL, PSL, SU, PSU.
 
-Elements are dense n x n matrices of field codes.  Single products go
-through the field's add/mul tables in Python.  After the closure the group
-lives in index space (see core) and reads no field table again.
+A generator is an n x n matrix given as its rows of field codes.  After the
+closure the group lives in index space (see core) and reads no field table
+again.
 
-Inside a MatrixGroup an element is identified by its packed key: the n*n
-codes, (q-1).bit_length() bits each, in one uint64 with the first entry
-highest, so key order is row-major lexicographic order.  A group stores its
-elements as keys alone, in position order, unpacked only for MatrixElement
-objects; the sorted copy the closure looks products up in is dropped when
-the walk ends.  n^2 * bits <= 64 is checked before a group is built.  Row i
-of x * h is (row i of x) * h, so the closure multiplies by a kept generator
-h with one lookup per row of x's key in h's row table.
+Inside a MatrixGroup an element is its packed key: the n*n codes,
+(q-1).bit_length() bits each, in one uint64 with the first entry highest,
+so key order is row-major lexicographic order.  A group stores its elements
+as keys alone, in position order, and pack_keys is the one place that packs
+them; the sorted copy the closure looks products up in is dropped when the
+walk ends.  n^2 * bits <= 64 is checked before a group is built.  Row i of
+x * h is (row i of x) * h, so the closure multiplies by a kept generator h
+with one lookup per row of x's key in h's row table.
 
 classical_group, the one constructor, builds its own field: GF(q) for SL and
 PSL, GF(q^2) for SU and PSU, each with the one modulus that
@@ -20,11 +20,11 @@ fields.FiniteField uses.
 A MatrixGroup is a group of matrices modulo a subgroup Z of scalars, given
 as field codes; a linear group has Z = (1,).  Each coset xZ is represented
 by its member with the least packed key, which is also the least rows tuple;
-the walk multiplies x by s*h for each kept generator h and each s in Z and
-keeps the least product.  PSL and PSU are SL and SU modulo the scalars they
-contain, gcd(n, q - 1) of them (gcd(n, q + 1) for PSU).  With Z all of
-GF(q)* the least multiple is the one whose first nonzero entry in row-major
-order is 1.
+the group replaces each generator by that member, and the walk multiplies x
+by s*h for each kept generator h and each s in Z and keeps the least
+product.  PSL and PSU are SL and SU modulo the scalars they contain,
+gcd(n, q - 1) of them (gcd(n, q + 1) for PSU).  With Z all of GF(q)* the
+least multiple is the one whose first nonzero entry in row-major order is 1.
 """
 
 from __future__ import annotations
@@ -34,107 +34,10 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .core import DEFAULT_CAP, Closure, Group, GroupElement
+from .core import DEFAULT_CAP, Closure, Group
 from .errors import CapExceededError, InvalidParameterError, OrderMismatchError
 from .fields import MAX_FIELD_SIZE, FiniteField
 from .numtheory import prime_power
-
-
-def mat_identity_rows(n: int) -> tuple:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(field: FiniteField, a, b) -> tuple:
-    n = len(a)
-    mr = field.mul_rows
-    ar = field.add_rows
-    out = []
-    for i in range(n):
-        ai = a[i]
-        row = []
-        for j in range(n):
-            s = 0
-            for k in range(n):
-                s = ar[s][mr[ai[k]][b[k][j]]]
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_inv(field: FiniteField, rows) -> tuple:
-    """Gauss-Jordan inverse; group elements are invertible by construction."""
-    n = len(rows)
-    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise InvalidParameterError("matrix is singular")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        s = field.inv(aug[col][col])
-        aug[col] = [field.mul(s, x) for x in aug[col]]
-        pivrow = aug[col]
-        for r in range(n):
-            f = aug[r][col]
-            if r != col and f:
-                aug[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(aug[r], pivrow)]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def mat_det(field: FiniteField, rows) -> int:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = field.neg(det)
-        det = field.mul(det, m[col][col])
-        sinv = field.inv(m[col][col])
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = field.mul(sinv, m[r][col])
-                m[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[r], m[col])]
-    return det
-
-
-class MatrixElement(GroupElement):
-    """The coset of rows modulo the scalars, stored as its least multiple."""
-
-    __slots__ = ("field", "rows", "scalars", "_key")
-
-    def __init__(self, field: FiniteField, rows, scalars=(1,)):
-        mr = field.mul_rows
-        self.field = field
-        self.rows = min(tuple(tuple(mr[s][x] for x in r) for r in rows) for s in scalars)
-        self.scalars = scalars
-        self._key = None
-
-    def op(self, other: "MatrixElement") -> "MatrixElement":
-        return MatrixElement(self.field, mat_mul(self.field, self.rows, other.rows), self.scalars)
-
-    def inv(self) -> "MatrixElement":
-        return MatrixElement(self.field, mat_inv(self.field, self.rows), self.scalars)
-
-    def key(self) -> int:
-        # packed as pack_keys packs a batch, so both land in the same index
-        if self._key is None:
-            self._key = int(pack_keys(np.array(self.rows, dtype=np.uint16), self.field.q))
-        return self._key
-
-    def __repr__(self):
-        return f"Matrix{self.rows}"
 
 
 # -- packed keys --------------------------------------------------------------------
@@ -166,14 +69,6 @@ def pack_keys(codes, q: int):
     flat = codes.reshape(codes.shape[:-2] + (codes.shape[-2] * n,)).astype(np.uint64)
     shifts = np.arange(flat.shape[-1] - 1, -1, -1, dtype=np.uint64) * np.uint64(key_bits(q, n))
     return flat @ (np.uint64(1) << shifts)
-
-
-def unpack_keys(keys, q: int, n: int):
-    """The uint16 codes of n x n keys, shape (...) -> (..., n, n)."""
-    bits = key_bits(q, n)
-    shifts = np.arange(n * n - 1, -1, -1, dtype=np.uint64) * np.uint64(bits)
-    codes = keys[..., None] >> shifts & np.uint64((1 << bits) - 1)
-    return codes.astype(np.uint16).reshape(keys.shape + (n, n))
 
 
 def _locate(sorted_keys, keys):
@@ -244,9 +139,9 @@ class MatrixGroup(Group):
             raise InvalidParameterError(f"scalars {scalars} are not a subgroup of "
                                         f"the units of {field}")
         # the walk looks generators up among least multiples
-        generators = [MatrixElement(field, g.rows, scalars) for g in generators]
-        ident = MatrixElement(field, mat_identity_rows(n), scalars)
-        super().__init__(generators, ident, name=name, cap=cap)
+        mr = field.mul_rows
+        super().__init__([min(tuple(tuple(mr[s][x] for x in row) for row in g) for s in scalars)
+                          for g in generators], name=name, cap=cap)
         self.field = field
         self.n = n
         self.scalars = scalars
@@ -267,8 +162,8 @@ class MatrixGroup(Group):
         width = key_bits(q, n) * n  # bits of one row, the key's last row lowest
         scales = [row_table(self.field, np.diag([z] * n)) for z in self.scalars]
         gens = self.generators
-        gen_keys = np.array([g.key() for g in gens], dtype=np.uint64)
-        keys = np.array([self.identity.key()], dtype=np.uint64)  # sorted
+        gen_keys = pack_keys(np.array(gens, dtype=np.uint16).reshape(-1, n, n), q)
+        keys = pack_keys(np.eye(n, dtype=np.uint16)[None], q)  # sorted; I is least among s*I
         positions = np.zeros(1, dtype=np.int32)  # element position of each key
         stored, count, start = [keys], 1, 0
         kept, row_tables, table = [], keys[:0], []  # table[k]: R's row k in pieces, by position
@@ -280,7 +175,7 @@ class MatrixGroup(Group):
                 break
             start += int(missing[0])
             kept.append(start)
-            t = row_table(self.field, gens[start].rows)
+            t = row_table(self.field, gens[start])
             row_tables = np.concatenate([row_tables] + [scale[t] for scale in scales])
             table.append([])
             frontier, first, mults = np.concatenate(stored), 0, np.array([len(kept) - 1])
@@ -320,10 +215,6 @@ class MatrixGroup(Group):
         return Closure(np.concatenate(stored), [gens[i] for i in kept],
                        table.reshape(len(kept), count), np.concatenate(parent),
                        np.concatenate(letter), layers)
-
-    def elements(self) -> list:
-        rows = unpack_keys(self._walked().elements, self.field.q, self.n).tolist()
-        return [MatrixElement(self.field, r, self.scalars) for r in rows]
 
 
 # -- classical constructors --------------------------------------------------------
@@ -371,36 +262,14 @@ def classical_order(family: str, n: int, q: int) -> int:
 
 
 def sl_generators(n: int, field: FiniteField) -> list:
-    """Elementary transvections I + lambda*E_ij over an additive field basis."""
-    lambdas = [field.p**t for t in range(field.k)]
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for lam in lambdas:
-                rows = [list(r) for r in mat_identity_rows(n)]
-                rows[i][j] = lam
-                gens.append(MatrixElement(field, rows))
-    return gens
+    """Elementary transvections I + lambda*E_ij over an additive field basis, as rows."""
+    return [tuple(tuple(lam if (a, b) == (i, j) else int(a == b) for b in range(n))
+                  for a in range(n))
+            for i, j in permutations(range(n), 2) for lam in (field.p**t for t in range(field.k))]
 
 
-def preserves_form(g: MatrixElement, q: int) -> bool:
-    """Whether g* J g = J for the antidiagonal form (g* = conjugate transpose)."""
-    field, rows = g.field, g.rows
-    n = len(rows)
-    for a in range(n):
-        for b in range(n):
-            s = 0
-            for c in range(n):
-                s = field.add(s, field.mul(field.pow(rows[c][a], q), rows[n - 1 - c][b]))
-            if s != (1 if a + b == n - 1 else 0):
-                return False
-    return True
-
-
-def su_generators(n: int, q: int) -> list:
-    """Unitary transvections for SU(n, q) on GF(q^2).
+def su_generators(n: int, field: FiniteField) -> list:
+    """Unitary transvections for SU(n, q), as rows over field = GF(q^2).
 
     One transvection per (isotropic projective point v, scalar lambda with
     lambda^q = -lambda, lambda != 0), points in lexicographic order and
@@ -408,8 +277,8 @@ def su_generators(n: int, q: int) -> list:
     which preserves the antidiagonal Hermitian form and has determinant 1.
     The point search and both checks run batched on the field's tables.
     """
-    field = FiniteField(*_field_params(q, double=True))
     add_t, mul_t = field.np_tables()
+    q = field.p ** (field.k // 2)
     conj = np.array([field.pow(c, q) for c in range(field.q)], dtype=np.uint16)
     neg = np.array(field.neg_row, dtype=np.uint16)
     codes = np.arange(1, field.q)
@@ -428,7 +297,7 @@ def su_generators(n: int, q: int) -> list:
     form = _bmul(add_t, mul_t, conj[g].swapaxes(-1, -2), g[:, ::-1])  # g* J g
     assert (form == np.eye(n, dtype=np.uint16)[::-1]).all(), "a transvection failed the form check"
     assert (_bdet(add_t, mul_t, neg, g) == 1).all(), "a transvection's determinant is not 1"
-    return [MatrixElement(field, rows) for rows in g.tolist()]
+    return [tuple(map(tuple, rows)) for rows in g.tolist()]
 
 
 def classical_scalars(family: str, n: int, q: int, field: FiniteField) -> tuple:
@@ -447,9 +316,10 @@ def classical_group(family: str, n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup
     order = classical_order(family, n, q)
     unitary = family.endswith("SU")
     key_bits(q * q if unitary else q, n)  # before anything is built
-    gens = su_generators(n, q) if unitary else sl_generators(n, FiniteField(*_field_params(q)))
-    scalars = classical_scalars(family, n, q, gens[0].field)
-    grp = MatrixGroup(gens, gens[0].field, n, scalars, name=f"{family}({n},{q})", cap=cap)
+    field = FiniteField(*_field_params(q, unitary))
+    gens = su_generators(n, field) if unitary else sl_generators(n, field)
+    grp = MatrixGroup(gens, field, n, classical_scalars(family, n, q, field),
+                      name=f"{family}({n},{q})", cap=cap)
     _check_order(grp, order)
     return grp
 

@@ -1,10 +1,10 @@
-"""Permutation elements, permutation groups and the standard family constructors.
+"""Permutation groups and the standard family constructors.
 
-A permutation is the bytes of its image array, and those bytes are its key.
-A PermutationGroup enumerates itself on the keys alone: right multiplication
-by a kept generator h is one bytes.translate through h's 256-entry table,
-taken for a whole frontier in one list comprehension, and a Permutation
-object is built only when elements() asks for one.
+A permutation is the bytes of its image array, and those bytes are its key:
+generators are given as such bytes, and no other form of a permutation
+exists.  A PermutationGroup enumerates itself on the keys alone: right
+multiplication by a kept generator h is one bytes.translate through h's
+256-entry table, taken for a whole frontier in one list comprehension.
 
 Families: cyclic C(n), dihedral D(n), dicyclic Dic(n) (so Q8 = Dic(2)),
 symmetric S(n), alternating A(n), the semidirect products F(m,n,k) of a
@@ -21,7 +21,7 @@ from array import array
 
 import numpy as np
 
-from .core import DEFAULT_CAP, Closure, Group, GroupElement
+from .core import DEFAULT_CAP, Closure, Group
 from .errors import CapExceededError, InvalidParameterError
 from .numtheory import divisors
 
@@ -29,86 +29,9 @@ from .numtheory import divisors
 MAX_DEGREE = 256
 
 
-class Permutation(GroupElement):
-    """A permutation of {0..n-1}, stored as the bytes of its image array.
-
-    The bytes are the key, and a product is one bytes.translate of the first
-    factor's images through the second's.  At most MAX_DEGREE points.
-    """
-
-    __slots__ = ("_key", "_table")
-
-    def __init__(self, images):
-        images = list(images)
-        check_degree(len(images))
-        self._key = bytes(images)
-        self._table = None
-
-    @classmethod
-    def from_key(cls, key: bytes) -> "Permutation":
-        """The permutation whose key is key, which a valid permutation produced."""
-        out = cls.__new__(cls)
-        out._key, out._table = key, None
-        return out
-
-    @property
-    def images(self) -> tuple:
-        return tuple(self._key)
-
-    def table(self) -> bytes:
-        """The 256-entry bytes.translate table: images, then the points past the degree."""
-        if self._table is None:
-            self._table = self._key + bytes(range(len(self._key), 256))
-        return self._table
-
-    def op(self, other: "Permutation") -> "Permutation":
-        """self then other: images[i] = other(self(i))."""
-        return Permutation.from_key(self._key.translate(other.table()))
-
-    def inv(self) -> "Permutation":
-        out = [0] * len(self._key)
-        for i, j in enumerate(self._key):
-            out[j] = i
-        return Permutation(out)
-
-    def key(self) -> bytes:
-        return self._key
-
-    def degree(self) -> int:
-        return len(self._key)
-
-    def cycles(self) -> list:
-        """Nontrivial cycles, each starting at its smallest point."""
-        images = self._key
-        seen = [False] * len(images)
-        out = []
-        for start in range(len(images)):
-            if seen[start] or images[start] == start:
-                seen[start] = True
-                continue
-            cyc = [start]
-            seen[start] = True
-            j = images[start]
-            while j != start:
-                cyc.append(j)
-                seen[j] = True
-                j = images[j]
-            out.append(tuple(cyc))
-        return out
-
-    def __repr__(self):
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cycs)
-
-
-def perm_identity(degree: int) -> Permutation:
-    return Permutation(range(degree))
-
-
-def perm_from_cycles(cycles, degree: int) -> Permutation:
-    """Build a permutation from 0-indexed disjoint cycles."""
+def perm_from_cycles(cycles, degree: int) -> bytes:
+    """The key of the permutation with these 0-indexed disjoint cycles."""
+    check_degree(degree)
     images = list(range(degree))
     seen = set()
     for cyc in cycles:
@@ -122,7 +45,7 @@ def perm_from_cycles(cycles, degree: int) -> Permutation:
             seen.add(p)
         for i, p in enumerate(cyc):
             images[p] = cyc[(i + 1) % len(cyc)]
-    return Permutation(images)
+    return bytes(images)
 
 
 def check_degree(degree: int):
@@ -150,20 +73,22 @@ class PermutationGroup(Group):
         positions in batch order.  elements is the keys in position order.
         Raises CapExceededError past the cap, checked after each batch.
         """
-        keys = [self.identity.key()]
+        degree = len(self.generators[0])
+        keys = [bytes(range(degree))]
         index = {keys[0]: 0}
         # C ints, not Python lists of ints: the table is |G| * kept entries
-        kept, rows = [], []
+        kept, tables, rows = [], [], []
         parent, letter, layers = array("i", [0]), array("i", [0]), [1]
         for g in self.generators:
-            if g.key() in index:
+            if g in index:
                 continue
             kept.append(g)
+            tables.append(g + bytes(range(degree, 256)))  # points past the degree stay put
             rows.append(array("i"))
             frontier, first, mults = list(keys), 0, [len(kept) - 1]
             while frontier:
                 for k in mults:
-                    t = kept[k].table()
+                    t = tables[k]
                     ys = [x.translate(t) for x in frontier]
                     pos = list(map(index.get, ys))
                     i = 0
@@ -184,19 +109,16 @@ class PermutationGroup(Group):
         return Closure(keys, kept, table, np.frombuffer(parent, dtype=np.intc),
                        np.frombuffer(letter, dtype=np.intc), layers)
 
-    def elements(self) -> list:
-        return [Permutation.from_key(k) for k in self._walked().elements]
-
 
 def permutation_group(generators, name=None, cap=DEFAULT_CAP) -> PermutationGroup:
     if not generators:
         raise InvalidParameterError("a permutation group needs at least one generator")
-    deg = generators[0].degree()
-    check_degree(deg)
-    for g in generators:
-        if g.degree() != deg:
-            raise InvalidParameterError("generators act on different point counts")
-    return PermutationGroup(generators, perm_identity(deg), name=name, cap=cap)
+    points = set(range(len(generators[0])))
+    check_degree(len(points))
+    # images that are no permutation make a walk whose structure passes never end
+    if any(len(g) != len(points) or set(g) != points for g in generators):
+        raise InvalidParameterError("generators are not permutations of one point set")
+    return PermutationGroup(generators, name=name, cap=cap)
 
 
 # -- family constructors --------------------------------------------------------
@@ -204,7 +126,7 @@ def permutation_group(generators, name=None, cap=DEFAULT_CAP) -> PermutationGrou
 
 
 def cyclic_generators(n: int) -> list:
-    return [Permutation([(i + 1) % n for i in range(n)])]
+    return [bytes([(i + 1) % n for i in range(n)])]
 
 
 def dihedral_generators(n: int) -> list:
@@ -214,11 +136,11 @@ def dihedral_generators(n: int) -> list:
     collapses there (negation mod 1 or 2 fixes everything).
     """
     if n == 1:
-        return [Permutation([1, 0])]
+        return [bytes([1, 0])]
     if n == 2:
-        return [Permutation([1, 0, 2, 3]), Permutation([0, 1, 3, 2])]
-    rot = Permutation([(i + 1) % n for i in range(n)])
-    ref = Permutation([(-i) % n for i in range(n)])
+        return [bytes([1, 0, 2, 3]), bytes([0, 1, 3, 2])]
+    rot = bytes([(i + 1) % n for i in range(n)])
+    ref = bytes([(-i) % n for i in range(n)])
     return [rot, ref]
 
 
@@ -242,15 +164,15 @@ def dicyclic_generators(n: int) -> list:
                 else:
                     ii, jj = (i0 - i + n) % m, 0
                 images.append(jj * m + ii)
-        return Permutation(images)
+        return bytes(images)
 
     return [left_mul(1, 0), left_mul(0, 1)]
 
 
 def symmetric_generators(n: int) -> list:
     if n == 1:
-        return [Permutation([0])]
-    cycle = Permutation([(i + 1) % n for i in range(n)])
+        return [bytes([0])]
+    cycle = bytes([(i + 1) % n for i in range(n)])
     if n == 2:
         return [cycle]
     swap = perm_from_cycles([(0, 1)], n)
@@ -259,15 +181,15 @@ def symmetric_generators(n: int) -> list:
 
 def alternating_generators(n: int) -> list:
     if n <= 2:
-        return [perm_identity(max(n, 1))]
+        return [bytes(range(max(n, 1)))]
     if n == 3:
         return [perm_from_cycles([(0, 1, 2)], 3)]
     three = perm_from_cycles([(0, 1, 2)], n)
     if n % 2 == 1:
-        big = Permutation([(i + 1) % n for i in range(n)])
+        big = bytes([(i + 1) % n for i in range(n)])
     else:
         # an n-cycle is odd for even n; rotate all but the first point instead
-        big = Permutation([0] + [1 + (i + 1) % (n - 1) for i in range(n - 1)])
+        big = bytes([0] + [1 + (i + 1) % (n - 1) for i in range(n - 1)])
     return [three, big]
 
 
@@ -307,8 +229,8 @@ def frobenius_generators(m: int, n: int, k: int) -> list:
     forces gcd(k, m) = 1; the group has order m*n and acts on m points.
     """
     kk = k % m
-    shift = Permutation([(x + 1) % m for x in range(m)])
-    mult = Permutation([(kk * x) % m for x in range(m)])
+    shift = bytes([(x + 1) % m for x in range(m)])
+    mult = bytes([(kk * x) % m for x in range(m)])
     return [shift, mult]
 
 
@@ -330,7 +252,7 @@ def cex3_generators() -> list:
     for x in range(7):
         images[x] = (2 * x) % 7
     images[8], images[9], images[10] = 9, 10, 8
-    act = Permutation(images)
+    act = bytes(images)
     outer = perm_from_cycles([(11, 12)], deg)
     return [seven, t1, t2, act, outer]
 

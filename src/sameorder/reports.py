@@ -4,8 +4,10 @@ A report is a plain dict with a fixed key order so serialization is stable
 enough for golden files and byte-identical cache round-trips.  The cache is a
 pure memo: one JSON document per normalized expression, filename the SHA-256
 hex digest of the expression text.  A missing entry is recomputed silently; a
-corrupt one, or one written by another engine version, is recomputed with a
-warning and overwritten.
+corrupt one (unreadable, or not the bytes build_report would write for its
+own values: a mistyped value, an extra key, keys out of order), or one
+written by another engine version, is recomputed with a warning and
+overwritten.
 """
 
 from __future__ import annotations
@@ -50,19 +52,26 @@ def render_json(obj) -> str:
 
 
 def report_is_consistent(rep) -> bool:
-    """Internal consistency: counts sum to the order, alpha matches counts."""
+    """Whether rep renders as the report build_report would make from its
+    own spectrum, flags and center order: counts sum to the order, alpha
+    matches counts, the keys come in order, and every value has its type.
+    Rendered text is compared, not values: Python's == takes 6.0, True and
+    6 as one value, JSON does not."""
     try:
         counts = {int(t): int(c) for t, c in rep["spectrum"].items()}
         alpha = sorted(set(counts.values()))
-        return (
-            isinstance(rep["expression"], str)
-            and sum(counts.values()) == rep["order"]
-            and list(rep["alpha"]) == alpha
-            and rep["alpha_cardinality"] == len(alpha)
-            and isinstance(rep["simple"], bool)
-            and isinstance(rep["solvable"], bool)
-            and isinstance(rep["center_order"], int)
-        )
+        canonical = {
+            "expression": str(rep["expression"]),
+            "order": sum(counts.values()),
+            "spectrum": {str(t): counts[t] for t in sorted(counts)},
+            "alpha": alpha,
+            "alpha_cardinality": len(alpha),
+            "simple": bool(rep["simple"]),
+            "solvable": bool(rep["solvable"]),
+            "center_order": int(rep["center_order"]),
+            "engine_version": str(rep["engine_version"]),
+        }
+        return min(alpha) > 0 and render_json(rep) == render_json(canonical)
     except (KeyError, TypeError, ValueError, AttributeError):
         return False
 
@@ -81,10 +90,10 @@ def cache_load(cache_dir: str, expression: str) -> dict | None:
         with open(path, "r", encoding="utf-8") as fh:
             rep = json.load(fh)
         if report_is_consistent(rep) and rep["expression"] == expression:
-            if rep.get("engine_version") == ENGINE_VERSION:
+            if rep["engine_version"] == ENGINE_VERSION:
                 return rep
             print(f"warning: stale cache entry for {expression!r} (engine version "
-                  f"{rep.get('engine_version')!r}); recomputing", file=sys.stderr)
+                  f"{rep['engine_version']!r}); recomputing", file=sys.stderr)
             return None
     except (OSError, UnicodeDecodeError, json.JSONDecodeError):
         pass

@@ -4,7 +4,7 @@ import pytest
 
 from sameorder import group_for
 from sameorder.matrices import MatrixGroup
-from sameorder.perms import Permutation, permutation_group
+from sameorder.perms import permutation_group
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +27,7 @@ def _point_images(group) -> list:
     GF(q)^n, which is faithful for a linear group (no scalars but 1).
     """
     if not isinstance(group, MatrixGroup):
-        return [g.images for g in group.generators]
+        return [list(g) for g in group.generators]
     assert group.scalars == (1,)
     f, n = group.field, group.n
     vectors = list(itertools.product(range(f.q), repeat=n))
@@ -38,7 +38,7 @@ def _point_images(group) -> list:
         for j in range(n):
             s = 0
             for k in range(n):
-                s = f.add(s, f.mul(v[k], m.rows[k][j]))
+                s = f.add(s, f.mul(v[k], m[k][j]))
             out.append(s)
         return tuple(out)
 
@@ -60,8 +60,8 @@ def enumerated_product():
         for images in blocks:
             degree = len(images[0])
             for img in images:
-                gens.append(Permutation(list(range(offset)) + [offset + i for i in img]
-                                        + list(range(offset + degree, total))))
+                gens.append(bytes(list(range(offset)) + [offset + i for i in img]
+                                  + list(range(offset + degree, total))))
             offset += degree
         return permutation_group(gens)
 

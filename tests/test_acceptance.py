@@ -9,11 +9,18 @@ import json
 import random
 import time
 
-from oracles import element_order_naive, symmetric_spectrum_formula
+from oracles import (
+    arithmetic,
+    element_order_naive,
+    elements,
+    least_multiple,
+    mat_det,
+    symmetric_spectrum_formula,
+)
 
 from sameorder import group_for, noniso_certificate, spectrum_checks
 from sameorder.fields import FiniteField
-from sameorder.matrices import MatrixElement, classical_order, mat_det
+from sameorder.matrices import MatrixGroup, classical_order
 from sameorder.numtheory import factorize
 from sameorder.verify import hunt_report, theorem_report
 
@@ -121,10 +128,9 @@ def test_criterion_7_property_suites(built, enumerated_product):
 
     for expr in ("S(4)", "SL(2,3)"):
         g = built(expr)
-        elems = g.elements()
-        for _ in range(300):
-            a, b, c = (rng.choice(elems) for _ in range(3))
-            assert a.op(b).op(c).key() == a.op(b.op(c)).key()
+        mul, inv, _ = arithmetic(g)
+        keys = set(elements(g))
+        assert all(inv(a) in keys and mul(a, b) in keys for a in keys for b in keys)
 
     for expr in ("A(5)", "Dic(2)", "F(7,3,2)", "PSL(2,7)"):
         for name, ok, detail in spectrum_checks(built(expr).spectrum()):
@@ -139,19 +145,19 @@ def test_criterion_7_property_suites(built, enumerated_product):
         if mat_det(f, rows) == 0:
             continue
         for z in ((1, 6), tuple(range(1, 7))):  # the scalars of PSL(2,7), all of GF(7)*
-            base = MatrixElement(f, rows, z).rows
+            base = least_multiple(f, rows, z)
             for c in z:
                 scaled = [[f.mul(c, x) for x in row] for row in rows]
-                assert MatrixElement(f, scaled, z).rows == base
+                assert MatrixGroup([scaled], f, 2, z).generators == [base]
             if len(z) == 6:
                 assert next(x for row in base for x in row if x) == 1
 
     for expr in ("C(24)", "S(4)", "SL(2,3)"):
         g = built(expr)
         assert g.order() <= 200
-        assert g.element_orders() == [element_order_naive(x) for x in g.elements()]
+        assert g.element_orders() == [element_order_naive(g, x) for x in elements(g)]
 
-    _report(7, "axioms, spectrum laws, convolution vs enumeration, normalization, orders")
+    _report(7, "closure, spectrum laws, convolution vs enumeration, normalization, orders")
 
 
 def test_criterion_8_hunt_rediscovers_collisions_under_30s():

@@ -4,8 +4,10 @@ from collections import Counter
 import numpy as np
 import pytest
 from oracles import (
+    arithmetic,
     derived_series_naive,
     element_order_naive,
+    elements,
     normal_closure_order_naive,
     symmetric_spectrum_formula,
 )
@@ -41,30 +43,27 @@ AXIOM_GROUPS = [
 
 @pytest.mark.parametrize("expr", AXIOM_GROUPS)
 def test_group_axioms_sampled(built, expr):
-    """Associativity, identity, and inverses on 1000 sampled triples."""
+    """The walk's keys, the identity first, hold the generators and are
+    closed under the oracle product and inverse at every pair: a subgroup,
+    so the one the generators generate, of the order the walk reports."""
     g = built(expr)
-    elems = g.elements()
-    e = g.identity
-    rng = random.Random(hash(expr) & 0xFFFF)
-    for _ in range(1000):
-        a, b, c = (rng.choice(elems) for _ in range(3))
-        assert a.op(b).op(c).key() == a.op(b.op(c)).key()
-    for _ in range(200):
-        a = rng.choice(elems)
-        assert a.op(e).key() == a.key()
-        assert e.op(a).key() == a.key()
-        assert a.op(a.inv()).key() == e.key()
+    mul, inv, identity = arithmetic(g)
+    elems = elements(g)
+    keys = set(elems)
+    assert len(keys) == g.order() and elems[0] == identity
+    assert set(g.generators) <= keys
+    assert all(inv(a) in keys for a in elems)
+    assert all(mul(a, b) in keys for a in elems for b in elems)
 
 
 def test_closure_is_generator_order_independent():
     base = symmetric_generators(4)
-    reference = {g.key() for g in permutation_group(base).elements()}
+    reference = set(elements(permutation_group(base)))
     rng = random.Random(5)
     for _ in range(10):
         gens = base[:]
         rng.shuffle(gens)
-        got = {g.key() for g in permutation_group(gens).elements()}
-        assert got == reference
+        assert set(elements(permutation_group(gens))) == reference
 
 
 def test_closure_cap():
@@ -117,7 +116,7 @@ def test_element_order_oracles_agree(built, expr):
     table, match the naive power walk, |G| <= 200."""
     g = built(expr)
     assert g.order() <= 200
-    assert g.element_orders() == [element_order_naive(x) for x in g.elements()]
+    assert g.element_orders() == [element_order_naive(g, x) for x in elements(g)]
 
 
 @pytest.mark.parametrize("expr,cycle_types", [
@@ -296,10 +295,10 @@ def test_simplicity_matches_element_arithmetic(built, expr):
     classes known to generate the group, against conjugating and multiplying
     elements; with stop_size = |G| only the mask can end a walk early."""
     g = built(expr)
-    n, elements = g.order(), g.elements()
+    n, elems = g.order(), elements(g)
     exits, closures = 0, []
     for c, known in _prime_classes_with_masks(g):
-        want = normal_closure_order_naive(elements, elements[c[0]])
+        want = normal_closure_order_naive(g, elems, elems[c[0]])
         closures.append(want)
         got = g._normal_closure([c[0]], n // 2, known)
         assert (got is None) == (want == n)
@@ -332,13 +331,13 @@ def test_closure_maps_match_element_arithmetic(monkeypatch, expr):
     position up to order 1000 and at a seeded sample above; each kept
     position must also be its map's image of the identity."""
     g = group_for(expr)  # a fresh group: the derived series is memoized
-    n, elements = g.order(), g.elements()
-    index = {e.key(): i for i, e in enumerate(elements)}
-    gens = [elements[i] for i in g._walked().table[:, 0]]
+    n, elems, (mul, inv, _) = g.order(), elements(g), arithmetic(g)
+    index = {e: i for i, e in enumerate(elems)}
+    gens = [elems[i] for i in g._walked().table[:, 0]]
     built, grown = [], []
 
     def comm(a, b):
-        return a.inv().op(b.inv()).op(a).op(b)
+        return mul(mul(mul(inv(a), inv(b)), a), b)
 
     def record(owner, name, kind, element):
         fn = getattr(owner, name)
@@ -351,11 +350,11 @@ def test_closure_maps_match_element_arithmetic(monkeypatch, expr):
         monkeypatch.setattr(owner, name, wrapper)
 
     record(Group, "_conjugated", "conjugate",
-           lambda self, left, k: gens[k].inv().op(elements[left[0]]).op(gens[k]))
+           lambda self, left, k: mul(mul(inv(gens[k]), elems[left[0]]), gens[k]))
     record(Group, "_kept_commutator", "kept commutator",
            lambda self, a, b: comm(gens[a], gens[b]))
     record(core, "_commutator", "commutator",
-           lambda a, a_inv, b, b_inv: comm(elements[a[0]], elements[b[0]]))
+           lambda a, a_inv, b, b_inv: comm(elems[a[0]], elems[b[0]]))
     grow = Group._grow_normal
     monkeypatch.setattr(Group, "_grow_normal",
                         lambda *args: grown.append(grow(*args)) or grown[-1])
@@ -369,7 +368,7 @@ def test_closure_maps_match_element_arithmetic(monkeypatch, expr):
     rng = random.Random(11)
     points = range(n) if n <= 1000 else rng.sample(range(n), 300)
     for kind, want, left in built:
-        want = [index[want.op(elements[y]).key()] for y in points]
+        want = [index[mul(want, elems[y])] for y in points]
         assert [left[y] for y in points] == want, kind
     for out in grown:
         if out is not None:
@@ -406,8 +405,8 @@ def test_derived_series_matches_element_arithmetic(built, enumerated_product, ex
         other = OTHER_ENGINE[expr]
         engines.append(enumerated_product(engines[0]) if other is None else built(other))
     assert len({type(g) for g in engines}) == len(engines)
-    want = derived_series_naive(next(g for g in engines if not isinstance(g, MatrixGroup))
-                                .elements())
+    perm = next(g for g in engines if not isinstance(g, MatrixGroup))
+    want = derived_series_naive(perm, elements(perm))
     assert [g.derived_series() for g in engines] == [want] * len(engines)
 
 
@@ -480,5 +479,4 @@ def test_reduced_generators_generate(built, expr):
         rebuilt = MatrixGroup(reduced, g.field, g.n, g.scalars)
     else:
         rebuilt = permutation_group(reduced)
-    assert (sorted(e.key() for e in rebuilt.elements())
-            == sorted(e.key() for e in g.elements()))
+    assert sorted(elements(rebuilt)) == sorted(elements(g))

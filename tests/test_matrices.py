@@ -4,30 +4,33 @@ import random
 
 import numpy as np
 import pytest
-from oracles import element_order_naive, perm_order
+from oracles import (
+    arithmetic,
+    element_order_naive,
+    elements,
+    least_multiple,
+    mat_det,
+    mat_inv,
+    mat_mul,
+    perm_order,
+    preserves_form,
+)
 
 from sameorder import matrices
 from sameorder.errors import InvalidParameterError, OrderMismatchError
 from sameorder.fields import FiniteField
 from sameorder.matrices import (
     KEY_BITS,
-    MatrixElement,
     MatrixGroup,
     _bmul,
     classical_group,
     classical_order,
     classical_scalars,
     key_bits,
-    mat_det,
-    mat_identity_rows,
-    mat_inv,
-    mat_mul,
     pack_keys,
-    preserves_form,
     row_table,
     sl_generators,
     su_generators,
-    unpack_keys,
 )
 
 
@@ -35,9 +38,9 @@ def test_matrix_inverse_and_det():
     f = FiniteField(7, 1)
     a = [[1, 2], [3, 4]]
     inv = mat_inv(f, a)
-    assert mat_mul(f, a, inv) == mat_identity_rows(2)
+    assert mat_mul(f, a, inv) == ((1, 0), (0, 1))
     assert mat_det(f, a) == (1 * 4 - 2 * 3) % 7
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ValueError):
         mat_inv(f, [[1, 2], [2, 4]])
 
 
@@ -56,9 +59,9 @@ def test_sl_generators_are_transvections():
     f = FiniteField(3, 1)
     gens = sl_generators(2, f)
     for g in gens:
-        assert mat_det(f, g.rows) == 1
+        assert mat_det(f, g) == 1
         offdiag = sum(1 for i in range(2) for j in range(2)
-                      if i != j and g.rows[i][j] != 0)
+                      if i != j and g[i][j] != 0)
         assert offdiag == 1
 
 
@@ -156,30 +159,32 @@ def test_su_generators_preserve_form_and_det():
     field arithmetic gives, and each passes the scalar form and determinant
     checks."""
     for n, q in [(3, 3), (3, 4), (3, 5), (4, 2)]:
-        gens = su_generators(n, q)
-        assert [g.rows for g in gens] == su_transvections_scalar(n, q)
+        f = FiniteField(*matrices._field_params(q, double=True))
+        gens = su_generators(n, f)
+        assert gens == su_transvections_scalar(n, q)
         for g in gens:
-            assert preserves_form(g, q)
-            assert mat_det(g.field, g.rows) == 1
+            assert preserves_form(f, g, q)
+            assert mat_det(f, g) == 1
 
 
 def test_form_preserved_on_random_generator_products():
     """A 1000-step random walk through SU(3,3) stays inside the form's
     isometry group."""
     q = 3
-    gens = su_generators(3, q)
+    f = FiniteField(*matrices._field_params(q, double=True))
+    gens = su_generators(3, f)
     rng = random.Random(17)
     x = gens[0]
     for _ in range(1000):
-        x = x.op(rng.choice(gens))
-        assert preserves_form(x, q)
-        assert mat_det(x.field, x.rows) == 1
+        x = mat_mul(f, x, rng.choice(gens))
+        assert preserves_form(f, x, q)
+        assert mat_det(f, x) == 1
 
 
 def test_scalar_normalization_is_scale_invariant():
-    """MatrixElement(f, s*M, Z).rows is the same for every s in Z, for Z the
-    scalars of PSL(n,q) and for Z all of GF(q)*, where it is also the
-    multiple whose first nonzero entry is 1."""
+    """A MatrixGroup modulo Z takes s*M to the same generator for every s in
+    Z, the least multiple, for Z the scalars of PSL(n,q) and for Z all of
+    GF(q)*, where it is also the multiple whose first nonzero entry is 1."""
     rng = random.Random(23)
     for p, k, n in [(7, 1, 2), (3, 2, 2), (7, 1, 3), (2, 2, 3)]:
         f = FiniteField(p, k)
@@ -191,10 +196,10 @@ def test_scalar_normalization_is_scale_invariant():
                 if mat_det(f, rows) == 0:
                     continue
                 made += 1
-                base = MatrixElement(f, rows, z).rows
+                base = least_multiple(f, rows, z)
                 for c in z:
                     scaled = [[f.mul(c, x) for x in row] for row in rows]
-                    assert MatrixElement(f, scaled, z).rows == base
+                    assert MatrixGroup([scaled], f, n, z).generators == [base]
                 if len(z) == f.q - 1:
                     assert next(x for row in base for x in row if x) == 1
 
@@ -219,9 +224,8 @@ def test_projective_group_normalizes_its_generators():
     """A walk looks generators up among least multiples, so a generator given
     as another multiple is replaced by its least one before the walk runs."""
     f = FiniteField(5, 1)
-    gens = [MatrixElement(f, [[2, 0], [0, 3]]), MatrixElement(f, [[1, 1], [0, 1]])]
-    grp = MatrixGroup(gens, f, 2, scalars=(1, 2, 3, 4))
-    assert [g.rows for g in grp.generators] == [((1, 0), (0, 4)), ((1, 1), (0, 1))]
+    grp = MatrixGroup([[[2, 0], [0, 3]], [[1, 1], [0, 1]]], f, 2, scalars=(1, 2, 3, 4))
+    assert grp.generators == [((1, 0), (0, 4)), ((1, 1), (0, 1))]
     assert grp.order() == 10
 
 
@@ -252,24 +256,14 @@ def test_order_mismatch_guard():
 
     f = FiniteField(5, 1)
     rows = [[2, 0], [0, 3]]  # det 6 = 1, diagonal, generates a proper subgroup
-    grp = MatrixGroup([MatrixElement(f, rows)], f, 2, name="undersized")
+    grp = MatrixGroup([rows], f, 2, name="undersized")
     with pytest.raises(OrderMismatchError, match="undersized"):
         _check_order(grp, classical_order("SL", 2, 5))
 
 
-def test_matrix_element_key_is_stable():
-    f = FiniteField(3, 1)
-    a = MatrixElement(f, [[1, 1], [0, 1]])
-    b = MatrixElement(f, [[1, 1], [0, 1]])
-    assert a.key() == b.key()
-    assert a == b
-    assert hash(a) == hash(b)
-
-
-def positions(c):
-    """Element position by key, read off a closure's stored keys."""
-    keys = c.elements.tolist() if isinstance(c.elements, np.ndarray) else c.elements
-    return {k: i for i, k in enumerate(keys)}
+def positions(elems):
+    """Element position by element, as the oracles hold elements."""
+    return {e: i for i, e in enumerate(elems)}
 
 
 # above this order the element-arithmetic checks run on a seeded sample of
@@ -284,19 +278,19 @@ def test_left_maps_match_generic(built, expr):
     positions x above FULL_CHECK_ORDER); inverting each map by scatter, as
     derived_series does, gives the left maps of the inverses."""
     g = built(expr)
-    elems, c = g.elements(), g._walked()
-    index, n = positions(c), g.order()
+    (mul, inv, _), elems, c = arithmetic(g), elements(g), g._walked()
+    index, n = positions(elems), g.order()
     rng = random.Random(n)
     s = c.table[:, 0].tolist() + rng.sample(range(n), 6)
     at = range(n) if n <= FULL_CHECK_ORDER else sorted(rng.sample(range(n), 300))
     left = g._left_maps(s)
     assert left.dtype == np.int32 and left.shape == (len(s), n)
     for i, si in enumerate(s):
-        assert left[i, at].tolist() == [index[elems[si].op(elems[x]).key()] for x in at]
+        assert left[i, at].tolist() == [index[mul(elems[si], elems[x])] for x in at]
     inverse = np.empty_like(left)
-    for row, inv in zip(left, inverse):
-        inv[row] = np.arange(n, dtype=np.int32)
-    assert (inverse == g._left_maps([index[elems[si].inv().key()] for si in s])).all()
+    for row, row_inv in zip(left, inverse):
+        row_inv[row] = np.arange(n, dtype=np.int32)
+    assert (inverse == g._left_maps([index[inv(elems[si])] for si in s])).all()
 
 
 @pytest.mark.parametrize("expr", ["PSL(2,7)", "SL(2,3)", "PSU(3,3)", "S(5)", "D(6)", "cex3",
@@ -304,23 +298,23 @@ def test_left_maps_match_generic(built, expr):
                                   "C(12)", "Perm[(1,2,3,4,5,6,7), (1,2)]"])
 def test_packed_index_and_conjugation_maps_match_generic(built, expr):
     """Everything read off the closure's table in index space agrees with
-    element arithmetic: the element objects and their keys, the table
-    itself, the spanning tree and its rounds, the conjugation maps, the class
-    partition and every element order (at sampled positions in a group above
+    element arithmetic: the keys, each element once, the table itself, the
+    spanning tree and its rounds, the conjugation maps, the class partition
+    and every element order (at sampled positions in a group above
     FULL_CHECK_ORDER)."""
     g = built(expr)
-    elems, kept, c = g.elements(), g.reduced_generators(), g._walked()
-    index = positions(c)
+    elems, kept, c = elements(g), g.reduced_generators(), g._walked()
+    (mul, inv, _), index = arithmetic(g), positions(elems)
     assert len(index) == g.order() == len(elems) == len(c.elements)
-    for i, e in enumerate(elems):
-        assert e.key() == c.elements[i]
-        assert index[e.key()] == i
+    if isinstance(g, MatrixGroup):  # the oracle unpacks what pack_keys packs
+        packed = pack_keys(np.array(elems, dtype=np.uint16), g.field.q)
+        assert packed.tolist() == c.elements.tolist()
     at = range(len(elems))
     if len(elems) > FULL_CHECK_ORDER:
         at = sorted(random.Random(len(elems)).sample(at, 300))
     for x in at:
         if x:
-            assert elems[c.parent[x]].op(kept[c.letter[x]]) == elems[x]
+            assert mul(elems[c.parent[x]], kept[c.letter[x]]) == elems[x]
     assert c.layers[0] == 1 and c.layers[-1] == len(elems)
     for a, b in zip(c.layers, c.layers[1:]):
         assert a < b and c.parent[a:b].max() < a
@@ -328,9 +322,9 @@ def test_packed_index_and_conjugation_maps_match_generic(built, expr):
     assert table.dtype == maps.dtype == np.int32
     assert table.shape == maps.shape == (len(kept), g.order())
     for k, h in enumerate(kept):
-        hinv = h.inv()
-        assert table[k, at].tolist() == [index[elems[x].op(h).key()] for x in at]
-        assert maps[k, at].tolist() == [index[hinv.op(elems[x]).op(h).key()] for x in at]
+        hinv = inv(h)
+        assert table[k, at].tolist() == [index[mul(elems[x], h)] for x in at]
+        assert maps[k, at].tolist() == [index[mul(mul(hinv, elems[x]), h)] for x in at]
     # the kept generators generate the group, so their conjugation orbits
     # are the classes
     conj, orbit_of = maps.tolist(), {}
@@ -351,7 +345,7 @@ def test_packed_index_and_conjugation_maps_match_generic(built, expr):
         sorted(j for j in orbit_of if orbit_of[j] == i) for i in sorted(set(orbit_of.values()))
     ]
     orders = g.element_orders()
-    assert [orders[x] for x in at] == [element_order_naive(elems[x]) for x in at]
+    assert [orders[x] for x in at] == [element_order_naive(g, elems[x]) for x in at]
     if not isinstance(g, MatrixGroup):
         assert orders == [perm_order(x) for x in elems]
 
@@ -365,18 +359,16 @@ def test_scalar_quotient_matches_projective_closure(built, expr):
     grp, linear = built(expr), built(expr[1:])
     f, n, z = linear.field, linear.n, grp.scalars
     assert len(z) == linear.order() // grp.order()
-    linear_keys = set(linear._walked().elements.tolist())
-    scalar_mats = [[[s if i == j else 0 for j in range(n)] for i in range(n)] for s in z]
-    assert {MatrixElement(f, m).key() for m in scalar_mats} <= linear_keys
+    linear_elems = elements(linear)
+    scalar_mats = [tuple(tuple(s if i == j else 0 for j in range(n)) for i in range(n)) for s in z]
+    assert set(scalar_mats) <= set(linear_elems)
     want, seen = set(), set()
-    for x in unpack_keys(linear._walked().elements, f.q, n).tolist():
-        x = tuple(map(tuple, x))
+    for x in linear_elems:
         if x not in seen:
             coset = [x] + [mat_mul(f, m, x) for m in scalar_mats[1:]]
             seen.update(coset)  # z[0] is 1, and every coset has |Z| members
             want.add(min(coset))
-    want = pack_keys(np.array(sorted(want), dtype=np.uint16), f.q)
-    assert np.array_equal(np.sort(grp._walked().elements), want)
+    assert sorted(elements(grp)) == sorted(want)
 
 
 @pytest.mark.parametrize("projective", [False, True])
@@ -391,13 +383,13 @@ def test_chunked_walk_matches_one_chunk(monkeypatch, projective):
     monkeypatch.setattr(matrices, "_CHUNK", 7)
     chunked = MatrixGroup(gens, f, 2, z, cap=720)
     assert chunked.order() == whole.order() == (360 if projective else 720)
-    c, elems = chunked._walked(), chunked.elements()
+    c, elems, mul = chunked._walked(), elements(chunked), arithmetic(chunked)[0]
     assert np.array_equal(np.sort(c.elements), np.sort(whole._walked().elements))
-    index = positions(c)
+    index = positions(elems)
     for k, h in enumerate(c.kept):
-        assert c.table[k].tolist() == [index[x.op(h).key()] for x in elems]
+        assert c.table[k].tolist() == [index[mul(x, h)] for x in elems]
     for x in range(1, len(elems)):
-        assert elems[c.parent[x]].op(c.kept[c.letter[x]]) == elems[x]
+        assert mul(elems[c.parent[x]], c.kept[c.letter[x]]) == elems[x]
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 2)])
@@ -449,8 +441,7 @@ def test_key_width_limit():
             key_bits(q, n)
     with pytest.raises(InvalidParameterError, match="at most 64 bits"):
         classical_group("SL", 3, 131, cap=10**18)
-    a = MatrixElement(FiniteField(2, 4), [[0] * 4] * 3 + [[15, 15, 15, 15]])
-    assert a.key() == 2**16 - 1
+    assert pack_keys(np.array([[0] * 4] * 3 + [[15] * 4], dtype=np.uint16), 16) == 2**16 - 1
 
 
 def test_su_rejects_unsupported_dimension():

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 
+import pytest
+
 from sameorder.reports import (
     ENGINE_VERSION,
     build_report,
@@ -126,3 +128,25 @@ def test_stale_engine_version_is_recomputed(tmp_path, built, capsys):
     # the stale entry was overwritten by the current engine's report
     assert cache_load(str(tmp_path), "C(6)") == rep
     assert capsys.readouterr().err == ""
+
+
+MISTYPED = {
+    "float order": lambda rep: dict(rep, order=6.0),
+    "bool center order": lambda rep: dict(rep, center_order=True),
+    "string count": lambda rep: dict(rep, spectrum=dict(rep["spectrum"], **{"2": "1"})),
+    "reversed spectrum": lambda rep: dict(rep, spectrum=dict(reversed(rep["spectrum"].items()))),
+    "extra key": lambda rep: dict(rep, extra=1),
+}
+
+
+@pytest.mark.parametrize("mutate", MISTYPED.values(), ids=list(MISTYPED))
+def test_mistyped_cache_entry_is_recomputed(tmp_path, capsys, mutate):
+    """An entry that is not the bytes build_report writes is corrupt, though
+    Python's == would take it for the report: served, it would make the
+    output differ from a cold run."""
+    cold = render_json(report_for("C(6)", 10_000))
+    cache_store(str(tmp_path), "C(6)", mutate(json.loads(cold)))
+    assert render_json(report_for("C(6)", 10_000, str(tmp_path))) == cold
+    assert capsys.readouterr().err.count("corrupt") == 1
+    with open(cache_path(str(tmp_path), "C(6)")) as fh:
+        assert fh.read() == cold
