@@ -456,7 +456,14 @@ class Group:
         before, hence normal in the group, so its normal closure in the group
         is its normal closure in the previous term.  Stops when the order
         stabilizes or hits 1.
+
+        A group that is_simple has already proved simple, of an order that
+        is not prime, is nonabelian, so it is its own commutator subgroup:
+        (|G|, |G|) with no closure.  Only the memo is read; the simplicity
+        test is never run from here.
         """
+        if self._derived is None and self._simple and not is_prime(self.order()):
+            self._derived = ((self.order(),) * 2, False)
         if self._derived is None:
             # the kept generators sit where R takes the identity
             table, inverses = self._walked().table, self._inverse_maps()

@@ -9,7 +9,10 @@ Inside a MatrixGroup an element is its packed key: the n*n codes,
 so key order is row-major lexicographic order.  A group stores its elements
 as keys alone, in position order, and pack_keys is the one place that packs
 them; the sorted copy the closure looks products up in is dropped when the
-walk ends.  n^2 * bits <= 64 is checked before a group is built.  Row i of
+walk ends.  The walk deduplicates each chunk of products with one unstable
+argsort (_unique) and merges its new keys into the sorted copy with one
+scatter (_merge), where np.unique and np.insert would each run a stable
+sort.  n^2 * bits <= 64 is checked before a group is built.  Row i of
 x * h is (row i of x) * h, so the closure multiplies by a kept generator h
 with one lookup per row of x's key in h's row table.
 
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, permutations
+from numbers import Integral
 
 import numpy as np
 
@@ -76,6 +80,36 @@ def _locate(sorted_keys, keys):
     at = np.searchsorted(sorted_keys, keys)
     found = sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
     return at, found
+
+
+def _unique(keys):
+    """np.unique(keys, return_index=True, return_inverse=True) of a nonempty
+    1-D key array, from one default (unstable) argsort: the keys in order,
+    the least index of each in keys, and where each of keys went.  np.unique
+    sorts stably so that its first index is the least; here the least index
+    of each run of equal keys is taken with minimum.reduceat instead."""
+    perm = np.argsort(keys)
+    ordered = keys[perm]
+    head = np.empty(len(keys), dtype=bool)  # where each run of equal keys starts
+    head[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[perm] = np.cumsum(head) - 1
+    return ordered[starts], np.minimum.reduceat(perm, starts), inverse
+
+
+def _merge(sorted_keys, positions, at, new, new_positions):
+    """np.insert(sorted_keys, at, new) and np.insert(positions, at,
+    new_positions) for ascending at, by one scatter each way: new key i lands
+    at at[i] + i, and the old keys fill the other slots in order."""
+    dest = at + np.arange(len(new))
+    old = np.ones(len(sorted_keys) + len(new), dtype=bool)
+    old[dest] = False
+    keys, pos = np.empty(len(old), dtype=sorted_keys.dtype), np.empty(len(old), dtype=positions.dtype)
+    keys[dest], keys[old] = new, sorted_keys
+    pos[dest], pos[old] = new_positions, positions
+    return keys, pos
 
 
 # -- batched table arithmetic -----------------------------------------------------
@@ -128,7 +162,8 @@ class MatrixGroup(Group):
     """Matrices over one field modulo scalars, the codes of a subgroup of its units.
 
     Raises InvalidParameterError when scalars are not that: distinct codes of
-    units, holding 1, closed under multiplication.
+    units, holding 1, closed under multiplication; and when a generator is
+    not an invertible n x n matrix of codes of the field.
     """
 
     def __init__(self, generators, field: FiniteField, n: int,
@@ -138,6 +173,16 @@ class MatrixGroup(Group):
                 and all(field.mul(a, b) in units for a in units for b in units)):
             raise InvalidParameterError(f"scalars {scalars} are not a subgroup of "
                                         f"the units of {field}")
+        if any(len(g) != n or any(len(row) != n for row in g) for g in generators):
+            raise InvalidParameterError(f"generators are not {n}x{n} matrices")
+        if not all(isinstance(c, Integral) and 0 <= c < field.q
+                   for g in generators for row in g for c in row):
+            raise InvalidParameterError(f"generators hold codes outside {field}")
+        codes = np.array(generators, dtype=np.intp).reshape(-1, n, n)
+        # a singular generator makes a walk whose structure passes never end
+        add_t, mul_t = field.np_tables()
+        if (_bdet(add_t, mul_t, np.array(field.neg_row, dtype=np.uint16), codes) == 0).any():
+            raise InvalidParameterError("generators are not invertible")
         # the walk looks generators up among least multiples
         mr = field.mul_rows
         super().__init__([min(tuple(tuple(mr[s][x] for x in row) for row in g) for s in scalars)
@@ -149,11 +194,12 @@ class MatrixGroup(Group):
     def _walk(self):
         """The closure on packed keys and the kept generators' row tables.
 
-        Each chunk of products is deduplicated with a 1-D np.unique and looked
-        up in the sorted key array, into which the new keys are merged.  The
-        lookup gives the position each product lands on, and the first
-        product to reach a new key its parent and letter.  elements is the
-        keys in position order; the sorted keys live only as long as the walk.
+        Each chunk of products is deduplicated by _unique, one unstable
+        argsort, and looked up in the sorted key array, into which _merge
+        scatters the new keys; neither runs a stable sort.  The lookup gives
+        the position each product lands on, and the first product to reach a
+        new key its parent and letter.  elements is the keys in position
+        order; the sorted keys live only as long as the walk.
         A kept generator h has a row table of s*h for each s in scalars (h's
         read through s*I's), and a product's key is the least over the scalars.
         Raises CapExceededError past the cap, checked after each chunk.
@@ -187,7 +233,7 @@ class MatrixGroup(Group):
                         rows = (x >> shift & np.uint64((1 << width) - 1)).astype(np.intp)
                         prod = prod | row_tables[letter_tables << width | rows] << shift
                     prod = prod.min(axis=0)  # over the scalars
-                    cand, src, landed = np.unique(prod, return_index=True, return_inverse=True)
+                    cand, src, landed = _unique(prod.ravel())
                     at, found = _locate(keys, cand)
                     pos = positions[np.minimum(at, len(keys) - 1)]
                     new = cand[~found]
@@ -200,8 +246,7 @@ class MatrixGroup(Group):
                     row, col = np.divmod(src[~found], len(mults))
                     parent.append((first + s + row).astype(np.int32))
                     letter.append(mults[col].astype(np.int32))
-                    keys = np.insert(keys, at[~found], new)
-                    positions = np.insert(positions, at[~found], pos[~found])
+                    keys, positions = _merge(keys, positions, at[~found], new, pos[~found])
                     count += len(new)
                     fresh.append(new)
                     if count > self.cap:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from itertools import compress, count, repeat
 
 import numpy as np
 
@@ -55,6 +56,12 @@ def check_degree(degree: int):
         )
 
 
+# A batch of at least this many products numbers its new elements in numpy;
+# below it numpy's per-call cost exceeds the Python loop's (16, 64 and 256
+# measured the same on S(8) and A(8)).
+_BATCH = 64
+
+
 class PermutationGroup(Group):
     """Group of permutations of one point set, enumerated on bytes keys."""
 
@@ -69,9 +76,13 @@ class PermutationGroup(Group):
         translate through h's table, then their positions in one pass of
         lookups in the index.  Right multiplication by h is one-to-one, so a
         batch holds no key twice, and each product the index lacks is a new
-        element: only those cost more Python work, and they take the next
-        positions in batch order.  elements is the keys in position order.
-        Raises CapExceededError past the cap, checked after each batch.
+        element; the new elements take the next positions in batch order.
+        A batch of _BATCH products or more finds and numbers them in numpy
+        and enters them in the index with one dict.update; a smaller one, as
+        in a deep tree (C(168) is 168 batches of one product), in a Python
+        loop over the new elements alone.  Both give the same Closure.
+        elements is the keys in position order.  Raises CapExceededError
+        past the cap, checked after each batch on either path.
         """
         degree = len(self.generators[0])
         keys = [bytes(range(degree))]
@@ -90,15 +101,28 @@ class PermutationGroup(Group):
                 for k in mults:
                     t = tables[k]
                     ys = [x.translate(t) for x in frontier]
-                    pos = list(map(index.get, ys))
-                    i = 0
-                    for _ in range(pos.count(None)):
-                        i = pos.index(None, i)
-                        pos[i] = index[ys[i]] = len(keys)
-                        keys.append(ys[i])
-                        parent.append(first + i)
-                        letter.append(k)
-                    rows[k].extend(pos)
+                    if len(ys) < _BATCH:
+                        pos = list(map(index.get, ys))
+                        i = 0
+                        for _ in range(pos.count(None)):
+                            i = pos.index(None, i)
+                            pos[i] = index[ys[i]] = len(keys)
+                            keys.append(ys[i])
+                            parent.append(first + i)
+                            letter.append(k)
+                        rows[k].extend(pos)
+                    else:
+                        pos = np.fromiter(map(index.get, ys, repeat(-1)), np.intc, len(ys))
+                        missing = pos < 0
+                        new = np.flatnonzero(missing)
+                        if new.size:
+                            fresh = list(compress(ys, missing.tolist()))
+                            index.update(zip(fresh, count(len(keys))))
+                            pos[new] = np.arange(len(keys), len(keys) + len(new), dtype=np.intc)
+                            keys.extend(fresh)
+                            parent.frombytes((new + first).astype(np.intc).tobytes())
+                            letter.frombytes(np.full(len(new), k, dtype=np.intc).tobytes())
+                        rows[k].frombytes(pos.tobytes())
                     if len(keys) > self.cap:
                         raise CapExceededError(self.cap)
                 first, frontier = first + len(frontier), keys[first + len(frontier):]

@@ -12,7 +12,7 @@ from oracles import (
     symmetric_spectrum_formula,
 )
 
-from sameorder import core, dsl, group_for
+from sameorder import core, dsl, group_for, perms
 from sameorder.core import (
     DEFAULT_CAP,
     DirectProduct,
@@ -66,20 +66,23 @@ def test_closure_is_generator_order_independent():
         assert set(elements(permutation_group(gens))) == reference
 
 
-def test_closure_cap():
-    # a Perm[...] atom's order is known only from its closure
-    with pytest.raises(CapExceededError) as exc:
-        group_for("Perm[(1,2,3,4,5), (1,2)]", cap=100).order()
-    assert exc.value.cap == 100
-    # both walks add a batch at a time and check the cap after each: a cap
-    # of |G| builds the group, one less refuses it
-    f = FiniteField(3, 1)
-    for build in (lambda cap: permutation_group(symmetric_generators(4), cap=cap),
-                  lambda cap: MatrixGroup(sl_generators(2, f), f, 2, cap=cap)):
-        assert build(24).order() == 24
+def test_closure_cap(monkeypatch):
+    # a Perm[...] atom's order is known only from its closure; the
+    # permutation walk checks the cap on its numpy and its loop path alike
+    for batch in (1, 10**9):
+        monkeypatch.setattr(perms, "_BATCH", batch)
         with pytest.raises(CapExceededError) as exc:
-            build(23).order()
-        assert exc.value.cap == 23
+            group_for("Perm[(1,2,3,4,5), (1,2)]", cap=100).order()
+        assert exc.value.cap == 100
+        # both walks add a batch at a time and check the cap after each: a
+        # cap of |G| builds the group, one less refuses it
+        f = FiniteField(3, 1)
+        for build in (lambda cap: permutation_group(symmetric_generators(4), cap=cap),
+                      lambda cap: MatrixGroup(sl_generators(2, f), f, 2, cap=cap)):
+            assert build(24).order() == 24
+            with pytest.raises(CapExceededError) as exc:
+                build(23).order()
+            assert exc.value.cap == 23
 
 
 def test_cap_is_checked_before_anything_is_built(monkeypatch):
@@ -274,6 +277,18 @@ def test_theorem_report_walks_no_normal_closure(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("expr", ["A(8)", "PSL(2,8)"])
+def test_derived_series_of_a_proved_simple_group_walks_no_normal_closure(monkeypatch, expr):
+    calls = []
+    grow = Group._grow_normal
+    monkeypatch.setattr(Group, "_grow_normal", lambda *args: calls.append(args) or grow(*args))
+    g = group_for(expr)  # a fresh group: simplicity and the series are memoized
+    assert g.is_simple()
+    n = g.order()
+    assert g.derived_series() == ((n, n), False)
+    assert calls == []
+
+
 def _prime_classes_with_masks(g):
     """Each prime-order class, with the mask _simple_by_closures hands its
     walk: the earlier prime-order classes whose normal closure is the whole
@@ -358,8 +373,10 @@ def test_closure_maps_match_element_arithmetic(monkeypatch, expr):
     grow = Group._grow_normal
     monkeypatch.setattr(Group, "_grow_normal",
                         lambda *args: grown.append(grow(*args)) or grown[-1])
-    g.is_simple()
+    # the series first: once is_simple has proved PSL(2,8) and PSU(3,3)
+    # simple, derived_series walks no closure for them
     g.derived_series()
+    g.is_simple()
     kinds = {kind for kind, _, _ in built}
     assert {"conjugate", "kept commutator"} <= kinds
     # only S(5) keeps a commutator after the first term: A(5) is perfect,

@@ -220,6 +220,19 @@ def test_scalars_must_be_a_subgroup_of_the_units(scalars):
     assert MatrixGroup(sl_generators(2, f), f, 2, scalars=(1, 4)).order() == 60
 
 
+@pytest.mark.parametrize("gen", [
+    [[1, 1], [0, 0]],  # singular: once a group of order 2 whose spectrum() never ended
+    [[7, 1], [0, 1]],  # a code past GF(5): once a bare IndexError
+    [[2**70, 0], [0, 1]],  # past any C integer
+    [[1.5, 0], [0, 1]],  # no code at all: once a bare TypeError
+    [[1, 0, 0], [0, 1, 0]],  # 2 x 3: once a ValueError from reshape in the walk
+])
+def test_generators_must_be_invertible_matrices_over_the_field(gen):
+    f = FiniteField(5, 1)
+    with pytest.raises(InvalidParameterError):
+        MatrixGroup([[[1, 1], [0, 1]], gen], f, 2)
+
+
 def test_projective_group_normalizes_its_generators():
     """A walk looks generators up among least multiples, so a generator given
     as another multiple is replaced by its least one before the walk runs."""
@@ -390,6 +403,27 @@ def test_chunked_walk_matches_one_chunk(monkeypatch, projective):
         assert c.table[k].tolist() == [index[mul(x, h)] for x in elems]
     for x in range(1, len(elems)):
         assert mul(elems[c.parent[x]], c.kept[c.letter[x]]) == elems[x]
+
+
+@pytest.mark.parametrize("size,span", [(1, 1), (2, 1), (50, 3), (5000, 40), (65536, 9000),
+                                       (3000, 2**64 - 1)])
+def test_unique_and_merge_match_numpy(size, span):
+    """The walk's sort-free _unique and _merge against np.unique and np.insert
+    on seeded uint64 keys, most of them repeated; a chunk may hold one
+    product."""
+    rng = np.random.default_rng(size)
+    keys = rng.integers(0, span, size, dtype=np.uint64, endpoint=True)
+    got, want = matrices._unique(keys), np.unique(keys, return_index=True, return_inverse=True)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b.ravel())
+    old = np.unique(rng.integers(0, span, size, dtype=np.uint64, endpoint=True))
+    positions = rng.permutation(len(old)).astype(np.int32)
+    at, found = matrices._locate(old, got[0])
+    new, new_positions = got[0][~found], np.arange(len(old), len(old) + (~found).sum(), dtype=np.int32)
+    merged = matrices._merge(old, positions, at[~found], new, new_positions)
+    assert np.array_equal(merged[0], np.insert(old, at[~found], new))
+    assert np.array_equal(merged[1], np.insert(positions, at[~found], new_positions))
+    assert np.array_equal(merged[0], np.union1d(old, keys))
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 2)])

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 from oracles import element_order_naive, elements, perm_inv, perm_mul, perm_order
 
+from sameorder import group_for, perms
 from sameorder.errors import InvalidParameterError
 from sameorder.perms import (
     FAMILY_BUILDERS,
@@ -154,3 +156,24 @@ def test_permutation_group_rejects_mixed_degrees():
     for images in ([1, 1, 0], [0, 3, 1]):
         with pytest.raises(InvalidParameterError):
             permutation_group([bytes(images)])
+
+
+@pytest.mark.parametrize("expr", ["S(6)", "A(7)", "C(60)", "D(12)", "Dic(6)", "F(21,3,4)", "cex3",
+                                  "Perm[(1,2,3,4,5), (1,3,5,2,4), (1,2)]"])
+def test_batch_paths_give_one_closure(monkeypatch, expr):
+    """The walk numbers a batch's new elements in numpy from _BATCH products
+    up and in a Python loop below: forcing either path for every batch gives
+    the same Closure, field by field.  The Perm[...] group's second
+    generator is the square of its first, so it is not kept."""
+    closures = []
+    for batch in (1, 10**9):
+        monkeypatch.setattr(perms, "_BATCH", batch)
+        closures.append(group_for(expr)._walked())
+    numpy_path, loop_path = closures
+    assert numpy_path.elements == loop_path.elements
+    assert numpy_path.kept == loop_path.kept
+    assert numpy_path.layers == loop_path.layers
+    for field in ("table", "parent", "letter"):
+        assert np.array_equal(getattr(numpy_path, field), getattr(loop_path, field)), field
+    if expr.startswith("Perm"):
+        assert len(numpy_path.kept) == 2
