@@ -448,14 +448,14 @@ class Group:
 
         Each term is the normal closure of the commutators a^-1 b^-1 a b of
         the previous term's kept generators.  A commutator's position and
-        its left map L_a^-1 L_b^-1 L_a L_b are read off maps already made,
-        with no tree pass: for the group's kept generators, off their inverse
-        maps alone (_kept_commutator), so that L_a is never held beside them;
-        after that, off the left maps the term's closure kept and their
-        inverses, one scatter each.  Every term is characteristic in the one
-        before, hence normal in the group, so its normal closure in the group
-        is its normal closure in the previous term.  Stops when the order
-        stabilizes or hits 1.
+        its left map L_a^-1 L_b^-1 L_a L_b are read off the left maps of a
+        and b and their inverses, with no tree pass: for the group's kept
+        generators, off the memoized L_k^-1 and their inverses L_k, one
+        scatter each and held only through the first term's closure; after
+        that, off the left maps the previous term's closure kept.  Every
+        term is characteristic in the one before, hence normal in the group,
+        so its normal closure in the group is its normal closure in the
+        previous term.  Stops when the order stabilizes or hits 1.
 
         A group that is_simple has already proved simple, of an order that
         is not prime, is nonabelian, so it is its own commutator subgroup:
@@ -465,14 +465,15 @@ class Group:
         if self._derived is None and self._simple and not is_prime(self.order()):
             self._derived = ((self.order(),) * 2, False)
         if self._derived is None:
+            left_inv = self._inverse_maps()
+            left = [_inverted(m) for m in left_inv]
             # the kept generators sit where R takes the identity
-            table, inverses = self._walked().table, self._inverse_maps()
-            gens, cur_order = table[:, 0], self.order()
+            gens, cur_order = self._walked().table[:, 0], self.order()
             orders = [cur_order]
-            seeds = [(int(inverses[a][inverses[b][table[b, gens[a]]]]),
-                      partial(self._kept_commutator, a, b))
-                     for a, b in combinations(range(len(gens)), 2)]
             while cur_order > 1:
+                seeds = [(int(left_inv[a][left_inv[b][left[a][gens[b]]]]),
+                          partial(_commutator, left[a], left_inv[a], left[b], left_inv[b]))
+                         for a, b in combinations(range(len(gens)), 2)]
                 sub = self._grow_normal(seeds, cur_order // 2)
                 if sub is None:
                     orders.append(cur_order)
@@ -480,19 +481,8 @@ class Group:
                 cur_order, gens, left = sub
                 orders.append(cur_order)
                 left_inv = [_inverted(m) for m in left]
-                seeds = [(int(left_inv[a][left_inv[b][left[a][gens[b]]]]),
-                          partial(_commutator, left[a], left_inv[a], left[b], left_inv[b]))
-                         for a, b in combinations(range(len(gens)), 2)]
             self._derived = (tuple(orders), orders[-1] == 1)
         return self._derived
-
-    def _kept_commutator(self, a, b):
-        """L_{a^-1 b^-1 a b} for kept generators a and b: the conjugate of b^-1
-        by a, then L_b, a scatter through L_b^-1."""
-        inverse = self._inverse_maps()[b]
-        out = np.empty_like(inverse)
-        out[inverse] = self._conjugated(inverse, a)
-        return out
 
     def is_solvable(self) -> bool:
         return self.derived_series()[1]
@@ -557,7 +547,8 @@ class DirectProduct:
 
     def spectrum(self) -> Spectrum:
         self.order()
-        return reduce(spectrum_direct_product, (f.spectrum() for f in self.factors))
+        return reduce(spectrum_direct_product, [f.spectrum() for f in self.factors]
+                      or [Spectrum(counts={1: 1}, group_order=1)])
 
     def alpha(self) -> tuple:
         return self.spectrum().alpha()

@@ -4,11 +4,11 @@ Elements are integer codes in ``[0, q)``.  The base-p digits of a code are the
 coefficients of a polynomial over GF(p), reduced modulo the lexicographically
 smallest monic irreducible polynomial of degree k, so each q has exactly one
 field and one code for each element.  Discrete exp/log tables come from a
-generator of the multiplicative group, and every field carries dense q-by-q
-add and mul tables built from them: scalar operations index their rows and
-vectorized matrix arithmetic indexes the numpy copies.  The size limit keeps
-those tables small; the smallest SL(2,q) above it has about 1.4e8 elements,
-far past any enumerable group.
+generator of the multiplicative group.  Every field holds its tables once,
+as uint16 numpy arrays that scalar and vectorized arithmetic alike index:
+add and mul, q by q (mul built from exp/log), and neg, of length q.  The
+size limit keeps those tables small; the smallest SL(2,q) above it has
+about 1.4e8 elements, far past any enumerable group.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def field_size(p: int, k: int) -> int:
 
 
 class FiniteField:
-    """GF(p^k) on integer codes, with table-backed operations."""
+    """GF(p^k) on integer codes: uint16 tables add, mul (q x q) and neg (q)."""
 
     def __init__(self, p: int, k: int):
         self.q = field_size(p, k)
@@ -147,34 +147,17 @@ class FiniteField:
         mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
         mul[0, :] = 0
         mul[:, 0] = 0
-        self.add_rows = add.tolist()
-        self.mul_rows = mul.tolist()
-        self.neg_row = (add == 0).argmax(axis=1).tolist()
-        self._np_tables = (
-            add.astype(np.uint16),
-            mul.astype(np.uint16),
-        )
+        self.add = add.astype(np.uint16)
+        self.mul = mul.astype(np.uint16)
+        self.neg = (add == 0).argmax(axis=1).astype(np.uint16)
 
     # -- scalar operations -------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return self.add_rows[a][b]
-
-    def neg(self, a: int) -> int:
-        return self.neg_row[a]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_rows[a][b]
 
     def pow(self, a: int, e: int) -> int:
         """a^e for e >= 0; a^(q-2) is the inverse of a nonzero a."""
         if a == 0:
             return 1 if e == 0 else 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
-
-    def np_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(add, mul) uint16 arrays for vectorized indexing."""
-        return self._np_tables
 
     def __repr__(self):
         return f"GF({self.q})"

@@ -22,10 +22,11 @@ fields.FiniteField uses.
 
 A MatrixGroup is a group of matrices modulo a subgroup Z of scalars, given
 as field codes; a linear group has Z = (1,).  Each coset xZ is represented
-by its member with the least packed key, which is also the least rows tuple;
-the group replaces each generator by that member, and the walk multiplies x
-by s*h for each kept generator h and each s in Z and keeps the least
-product.  PSL and PSU are SL and SU modulo the scalars they contain,
+by its member with the least packed key, which is also the least rows tuple.
+The group replaces each generator by that member, the argmin over the keys
+of all its multiples (one gather from the mul table), and the walk
+multiplies x by s*h for each kept generator h and each s in Z and keeps the
+least product.  PSL and PSU are SL and SU modulo the scalars they contain,
 gcd(n, q - 1) of them (gcd(n, q + 1) for PSU).  With Z all of GF(q)* the
 least multiple is the one whose first nonzero entry in row-major order is 1.
 """
@@ -115,12 +116,12 @@ def _merge(sorted_keys, positions, at, new, new_positions):
 # -- batched table arithmetic -----------------------------------------------------
 
 
-def _bmul(add_t, mul_t, a, b):
+def _bmul(field: FiniteField, a, b):
     """Batched matrix product C[..., i, j] = sum_k A[..., i, k] B[..., k, j] of
     field codes, leading dimensions broadcasting: per k, one gather from the
     flattened mul table at a * q + b and one from the flattened add table."""
-    q = len(add_t)
-    add_f, mul_f = add_t.ravel(), mul_t.ravel()
+    q = field.q
+    add_f, mul_f = field.add.ravel(), field.mul.ravel()
     a = a.astype(np.intp) * q
     out = mul_f[a[..., :, 0, None] + b[..., None, 0, :]]
     for k in range(1, a.shape[-1]):
@@ -129,7 +130,7 @@ def _bmul(add_t, mul_t, a, b):
     return out
 
 
-def _bdet(add_t, mul_t, neg, m):
+def _bdet(field: FiniteField, m):
     """Batched determinant of n x n blocks of field codes, shape (..., n, n) -> (...),
     by the Leibniz sum over the n! permutations, each term a product of n
     table gathers (n <= 4 here), negated for an odd permutation."""
@@ -138,10 +139,10 @@ def _bdet(add_t, mul_t, neg, m):
     for perm in permutations(range(n)):
         term = m[..., 0, perm[0]]
         for i in range(1, n):
-            term = mul_t[term, m[..., i, perm[i]]]
+            term = field.mul[term, m[..., i, perm[i]]]
         if sum(a > b for a, b in combinations(perm, 2)) % 2:
-            term = neg[term]
-        det = add_t[det, term]
+            term = field.neg[term]
+        det = field.add[det, term]
     return det
 
 
@@ -149,10 +150,9 @@ def row_table(field: FiniteField, h):
     """T_h[c] = packed row v * h for each row v packed as c, from one _bmul over
     all 2^(bits * n) codes; a code naming no row (q not a power of two) gets
     a stand-in with clipped entries, never read."""
-    add_t, mul_t = field.np_tables()
     n, q = len(h), field.q
     rows = np.indices((1 << key_bits(q, n),) * n, dtype=np.uint16).reshape(n, -1).T[:, None]
-    return pack_keys(_bmul(add_t, mul_t, np.minimum(rows, q - 1), np.array(h)), q)
+    return pack_keys(_bmul(field, np.minimum(rows, q - 1), np.array(h)), q)
 
 
 _CHUNK = 65536
@@ -161,16 +161,16 @@ _CHUNK = 65536
 class MatrixGroup(Group):
     """Matrices over one field modulo scalars, the codes of a subgroup of its units.
 
-    Raises InvalidParameterError when scalars are not that: distinct codes of
-    units, holding 1, closed under multiplication; and when a generator is
-    not an invertible n x n matrix of codes of the field.
+    Raises InvalidParameterError when scalars are not that: distinct integer
+    codes of units, holding 1, closed under multiplication; and when a
+    generator is not an invertible n x n matrix of codes of the field.
     """
 
     def __init__(self, generators, field: FiniteField, n: int,
                  scalars=(1,), name=None, cap=DEFAULT_CAP):
-        units = set(scalars)
-        if not (len(units) == len(scalars) and 1 in units and all(0 < a < field.q for a in units)
-                and all(field.mul(a, b) in units for a in units for b in units)):
+        if not (all(isinstance(a, Integral) and 0 < a < field.q for a in scalars)
+                and len(set(scalars)) == len(scalars) and 1 in scalars
+                and set(field.mul[np.ix_(scalars, scalars)].flat) <= set(scalars)):
             raise InvalidParameterError(f"scalars {scalars} are not a subgroup of "
                                         f"the units of {field}")
         if any(len(g) != n or any(len(row) != n for row in g) for g in generators):
@@ -180,13 +180,12 @@ class MatrixGroup(Group):
             raise InvalidParameterError(f"generators hold codes outside {field}")
         codes = np.array(generators, dtype=np.intp).reshape(-1, n, n)
         # a singular generator makes a walk whose structure passes never end
-        add_t, mul_t = field.np_tables()
-        if (_bdet(add_t, mul_t, np.array(field.neg_row, dtype=np.uint16), codes) == 0).any():
+        if (_bdet(field, codes) == 0).any():
             raise InvalidParameterError("generators are not invertible")
         # the walk looks generators up among least multiples
-        mr = field.mul_rows
-        super().__init__([min(tuple(tuple(mr[s][x] for x in row) for row in g) for s in scalars)
-                          for g in generators], name=name, cap=cap)
+        multiples = field.mul[np.array(scalars, dtype=np.intp)[:, None, None, None], codes]
+        least = multiples[pack_keys(multiples, field.q).argmin(axis=0), np.arange(len(codes))]
+        super().__init__([tuple(map(tuple, g)) for g in least.tolist()], name=name, cap=cap)
         self.field = field
         self.n = n
         self.scalars = scalars
@@ -322,26 +321,24 @@ def su_generators(n: int, field: FiniteField) -> list:
     which preserves the antidiagonal Hermitian form and has determinant 1.
     The point search and both checks run batched on the field's tables.
     """
-    add_t, mul_t = field.np_tables()
     q = field.p ** (field.k // 2)
     conj = np.array([field.pow(c, q) for c in range(field.q)], dtype=np.uint16)
-    neg = np.array(field.neg_row, dtype=np.uint16)
     codes = np.arange(1, field.q)
-    lambdas = codes[conj[codes] == neg[codes]]
+    lambdas = codes[conj[codes] == field.neg[codes]]
     v = np.indices((field.q,) * n, dtype=np.uint16).reshape(n, -1).T  # lexicographic
     v = v[v[np.arange(len(v)), (v != 0).argmax(axis=1)] == 1]  # first nonzero entry 1
     w = conj[v[:, ::-1]]  # w[a] = conj(v[n-1-a])
-    h = mul_t[v[:, 0], w[:, 0]]
+    h = field.mul[v[:, 0], w[:, 0]]
     for a in range(1, n):
-        h = add_t[h, mul_t[v[:, a], w[:, a]]]
+        h = field.add[h, field.mul[v[:, a], w[:, a]]]
     v, w = v[h == 0], w[h == 0]  # isotropic: h(v, v) = sum_a v[a] * conj(v[n-1-a]) = 0
-    g = mul_t[mul_t[lambdas[:, None, None], v[:, None, :, None]], w[:, None, None, :]]
+    g = field.mul[field.mul[lambdas[:, None, None], v[:, None, :, None]], w[:, None, None, :]]
     diag = np.arange(n)
-    g[..., diag, diag] = add_t[g[..., diag, diag], 1]
+    g[..., diag, diag] = field.add[g[..., diag, diag], 1]
     g = g.reshape(-1, n, n)
-    form = _bmul(add_t, mul_t, conj[g].swapaxes(-1, -2), g[:, ::-1])  # g* J g
+    form = _bmul(field, conj[g].swapaxes(-1, -2), g[:, ::-1])  # g* J g
     assert (form == np.eye(n, dtype=np.uint16)[::-1]).all(), "a transvection failed the form check"
-    assert (_bdet(add_t, mul_t, neg, g) == 1).all(), "a transvection's determinant is not 1"
+    assert (_bdet(field, g) == 1).all(), "a transvection's determinant is not 1"
     return [tuple(map(tuple, rows)) for rows in g.tolist()]
 
 

@@ -1,13 +1,13 @@
 """Spectrum reports and the on-disk report cache.
 
-A report is a plain dict with a fixed key order so serialization is stable
-enough for golden files and byte-identical cache round-trips.  The cache is a
-pure memo: one JSON document per normalized expression, filename the SHA-256
-hex digest of the expression text.  A missing entry is recomputed silently; a
-corrupt one (unreadable, or not the bytes build_report would write for its
-own values: a mistyped value, an extra key, keys out of order), or one
-written by another engine version, is recomputed with a warning and
-overwritten.
+A report is a plain dict laid out by _report alone, in a fixed key order, so
+serialization is stable enough for golden files and byte-identical cache
+round-trips.  The cache is a pure memo: one JSON document per normalized
+expression, filename the SHA-256 hex digest of the expression text.  A
+missing entry is recomputed silently; a corrupt one (unreadable, or not the
+bytes _report lays out from its own values: a mistyped value, an extra key,
+keys out of order), or one written by another engine version, is recomputed
+with a warning and overwritten.
 """
 
 from __future__ import annotations
@@ -23,6 +23,23 @@ from .errors import VerificationError
 ENGINE_VERSION = "0.1.0"
 
 
+def _report(expression, counts: dict, simple, solvable, center_order, engine_version) -> dict:
+    """The report's one layout.  counts maps element order to count, ascending;
+    the order is their sum, the group's order once spectrum_checks passed."""
+    alpha = sorted(set(counts.values()))
+    return {
+        "expression": expression,
+        "order": sum(counts.values()),
+        "spectrum": {str(t): c for t, c in counts.items()},
+        "alpha": alpha,
+        "alpha_cardinality": len(alpha),
+        "simple": simple,
+        "solvable": solvable,
+        "center_order": center_order,
+        "engine_version": engine_version,
+    }
+
+
 def build_report(expression: str, group) -> dict:
     """The report of a built group.
 
@@ -33,18 +50,8 @@ def build_report(expression: str, group) -> dict:
     for name, ok, detail in spectrum_checks(spec):
         if not ok:
             raise VerificationError(f"{expression}: spectrum check failed: {name} ({detail})")
-    alpha = list(spec.alpha())
-    return {
-        "expression": expression,
-        "order": group.order(),
-        "spectrum": {str(t): c for t, c in spec.counts.items()},
-        "alpha": alpha,
-        "alpha_cardinality": len(alpha),
-        "simple": group.is_simple(),
-        "solvable": group.is_solvable(),
-        "center_order": group.center_order(),
-        "engine_version": ENGINE_VERSION,
-    }
+    return _report(expression, spec.counts, group.is_simple(), group.is_solvable(),
+                   group.center_order(), ENGINE_VERSION)
 
 
 def render_json(obj) -> str:
@@ -52,26 +59,17 @@ def render_json(obj) -> str:
 
 
 def report_is_consistent(rep) -> bool:
-    """Whether rep renders as the report build_report would make from its
-    own spectrum, flags and center order: counts sum to the order, alpha
+    """Whether rep renders as the report _report lays out from its own
+    spectrum, flags and center order: counts sum to the order, alpha
     matches counts, the keys come in order, and every value has its type.
     Rendered text is compared, not values: Python's == takes 6.0, True and
     6 as one value, JSON does not."""
     try:
         counts = {int(t): int(c) for t, c in rep["spectrum"].items()}
-        alpha = sorted(set(counts.values()))
-        canonical = {
-            "expression": str(rep["expression"]),
-            "order": sum(counts.values()),
-            "spectrum": {str(t): counts[t] for t in sorted(counts)},
-            "alpha": alpha,
-            "alpha_cardinality": len(alpha),
-            "simple": bool(rep["simple"]),
-            "solvable": bool(rep["solvable"]),
-            "center_order": int(rep["center_order"]),
-            "engine_version": str(rep["engine_version"]),
-        }
-        return min(alpha) > 0 and render_json(rep) == render_json(canonical)
+        canonical = _report(str(rep["expression"]), dict(sorted(counts.items())),
+                            bool(rep["simple"]), bool(rep["solvable"]),
+                            int(rep["center_order"]), str(rep["engine_version"]))
+        return min(counts.values()) > 0 and render_json(rep) == render_json(canonical)
     except (KeyError, TypeError, ValueError, AttributeError):
         return False
 

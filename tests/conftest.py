@@ -30,6 +30,7 @@ def _point_images(group) -> list:
         return [list(g) for g in group.generators]
     assert group.scalars == (1,)
     f, n = group.field, group.n
+    add, mul = f.add.tolist(), f.mul.tolist()
     vectors = list(itertools.product(range(f.q), repeat=n))
     index = {v: i for i, v in enumerate(vectors)}
 
@@ -38,7 +39,7 @@ def _point_images(group) -> list:
         for j in range(n):
             s = 0
             for k in range(n):
-                s = f.add(s, f.mul(v[k], m[k][j]))
+                s = add[s][mul[v[k]][m[k][j]]]
             out.append(s)
         return tuple(out)
 

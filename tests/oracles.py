@@ -3,7 +3,8 @@
 They import nothing from sameorder, so a fault in the engine cannot pass on
 both sides of a check.  A permutation is the bytes of its image array and a
 matrix the tuple of its rows of field codes; a matrix oracle is handed the
-field, whose scalar operations are tested in test_fields.
+field and reads its add, mul and neg arrays as lists of ints, tables that
+test_fields checks against polynomial arithmetic.
 """
 
 import math
@@ -44,7 +45,7 @@ def perm_order(a: bytes) -> int:
 
 
 def mat_mul(field, a, b) -> tuple:
-    n, add, mul = len(a), field.add_rows, field.mul_rows
+    n, add, mul = len(a), field.add.tolist(), field.mul.tolist()
     out = []
     for i in range(n):
         row = []
@@ -62,20 +63,21 @@ def _eliminate(field, rows):
     of the first len(rows): (the reduced rows, the determinant of the left
     square), or (None, 0) when that square is singular."""
     n, m, det = len(rows), [list(r) for r in rows], 1
+    add, mul, neg = field.add.tolist(), field.mul.tolist(), field.neg.tolist()
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col]), None)
         if piv is None:
             return None, 0
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
-            det = field.neg(det)
-        det = field.mul(det, m[col][col])
+            det = neg[det]
+        det = mul[det][m[col][col]]
         s = field.pow(m[col][col], field.q - 2)  # its inverse
-        m[col] = [field.mul(s, x) for x in m[col]]
+        m[col] = [mul[s][x] for x in m[col]]
         for r in range(n):
             f = m[r][col]
             if r != col and f:
-                m[r] = [field.add(x, field.neg(field.mul(f, y))) for x, y in zip(m[r], m[col])]
+                m[r] = [add[x][neg[mul[f][y]]] for x, y in zip(m[r], m[col])]
     return m, det
 
 
@@ -94,17 +96,18 @@ def mat_det(field, rows) -> int:
 
 def least_multiple(field, rows, scalars) -> tuple:
     """The least rows tuple among s * rows for s in scalars."""
-    return min(tuple(tuple(field.mul(s, x) for x in r) for r in rows) for s in scalars)
+    mul = field.mul.tolist()
+    return min(tuple(tuple(mul[s][x] for x in r) for r in rows) for s in scalars)
 
 
 def preserves_form(field, rows, q: int) -> bool:
     """Whether g* J g = J for the antidiagonal form (g* = conjugate transpose)."""
-    n = len(rows)
+    n, add, mul = len(rows), field.add.tolist(), field.mul.tolist()
     for a in range(n):
         for b in range(n):
             s = 0
             for c in range(n):
-                s = field.add(s, field.mul(field.pow(rows[c][a], q), rows[n - 1 - c][b]))
+                s = add[s][mul[field.pow(rows[c][a], q)][rows[n - 1 - c][b]]]
             if s != (1 if a + b == n - 1 else 0):
                 return False
     return True

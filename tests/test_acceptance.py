@@ -147,7 +147,7 @@ def test_criterion_7_property_suites(built, enumerated_product):
         for z in ((1, 6), tuple(range(1, 7))):  # the scalars of PSL(2,7), all of GF(7)*
             base = least_multiple(f, rows, z)
             for c in z:
-                scaled = [[f.mul(c, x) for x in row] for row in rows]
+                scaled = [f.mul[c, row].tolist() for row in rows]
                 assert MatrixGroup([scaled], f, 2, z).generators == [base]
             if len(z) == 6:
                 assert next(x for row in base for x in row if x) == 1

@@ -10,7 +10,7 @@ def test_prime_field_inverse():
     f = FiniteField(7, 1)
     assert f.pow(3, 5) == 5
     for a in range(1, 7):
-        assert f.mul(a, f.pow(a, 5)) == 1
+        assert f.mul[a, f.pow(a, 5)] == 1
 
 
 def test_gf8_modulus_is_smallest_irreducible_cubic():
@@ -27,7 +27,7 @@ def test_gf9_has_element_of_order_8():
             continue
         x, k = a, 1
         while x != 1:
-            x = f.mul(x, a)
+            x = f.mul[x, a]
             k += 1
         orders.append(k)
     assert max(orders) == 8
@@ -41,20 +41,20 @@ def test_field_axioms_exhaustive(p, k):
     codes = list(range(f.q))
     for a in codes:
         for b in codes:
-            assert f.add(a, b) == f.add(b, a)
-            assert f.mul(a, b) == f.mul(b, a)
+            assert f.add[a, b] == f.add[b, a]
+            assert f.mul[a, b] == f.mul[b, a]
             for c in codes:
-                assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+                assert f.mul[a, f.mul[b, c]] == f.mul[f.mul[a, b], c]
+                assert f.mul[a, f.add[b, c]] == f.add[f.mul[a, b], f.mul[a, c]]
 
 
 def test_inverse_and_sub():
     for p, k in [(2, 3), (3, 2), (7, 1)]:
         f = FiniteField(p, k)
         for a in range(f.q):
-            assert f.add(a, f.neg(a)) == 0
+            assert f.add[a, f.neg[a]] == 0
             if a != 0:
-                assert f.mul(a, f.pow(a, f.q - 2)) == 1
+                assert f.mul[a, f.pow(a, f.q - 2)] == 1
 
 
 def test_pow_matches_repeated_mul():
@@ -63,7 +63,7 @@ def test_pow_matches_repeated_mul():
         acc = 1
         for e in range(6):
             assert f.pow(a, e) == acc
-            acc = f.mul(acc, a)
+            acc = f.mul[acc, a]
 
 
 def test_frobenius_is_additive_and_multiplicative():
@@ -72,8 +72,8 @@ def test_frobenius_is_additive_and_multiplicative():
     codes = list(range(f.q))
     for a in codes:
         for b in codes:
-            assert f.pow(f.add(a, b), 3) == f.add(f.pow(a, 3), f.pow(b, 3))
-            assert f.pow(f.mul(a, b), 3) == f.mul(f.pow(a, 3), f.pow(b, 3))
+            assert f.pow(f.add[a, b], 3) == f.add[f.pow(a, 3), f.pow(b, 3)]
+            assert f.pow(f.mul[a, b], 3) == f.mul[f.pow(a, 3), f.pow(b, 3)]
 
 
 def _add_digitwise(f, a: int, b: int) -> int:
@@ -81,15 +81,17 @@ def _add_digitwise(f, a: int, b: int) -> int:
 
 
 def test_np_tables_agree_with_scalar_ops():
-    """The dense tables against the independent polynomial arithmetic."""
+    """The add, mul and neg arrays against the independent polynomial
+    arithmetic: mul against _mul_slow, add against digit-wise addition mod
+    p, and neg[a] against the one b with add[a, b] == 0."""
     for p, k in [(2, 2), (2, 3), (3, 2), (5, 1), (7, 1)]:
         f = FiniteField(p, k)
-        add_t, mul_t = f.np_tables()
+        assert f.add.shape == f.mul.shape == (f.q, f.q) and f.neg.shape == (f.q,)
         for a in range(f.q):
             for b in range(f.q):
-                assert add_t[a, b] == f.add(a, b) == _add_digitwise(f, a, b)
-                assert mul_t[a, b] == f.mul(a, b) == f._mul_slow(a, b)
-            assert f.add(a, f.neg(a)) == 0
+                assert f.add[a, b] == _add_digitwise(f, a, b)
+                assert f.mul[a, b] == f._mul_slow(a, b)
+            assert (f.add[a] == 0).nonzero()[0].tolist() == [f.neg[a]]
             if a != 0:
                 assert f._mul_slow(a, f.pow(a, f.q - 2)) == 1
 
@@ -114,7 +116,7 @@ def test_random_spot_checks_large_field():
     codes = list(range(f.q))
     for _ in range(500):
         a, b = rng.choice(codes), rng.choice(codes)
-        assert f.mul(a, b) == f.mul(b, a)
+        assert f.mul[a, b] == f.mul[b, a]
         if a != 0:
-            assert f.mul(a, f.pow(a, f.q - 2)) == 1
-        assert f.pow(f.add(a, b), 2) == f.add(f.pow(a, 2), f.pow(b, 2))
+            assert f.mul[a, f.pow(a, f.q - 2)] == 1
+        assert f.pow(f.add[a, b], 2) == f.add[f.pow(a, 2), f.pow(b, 2)]

@@ -139,17 +139,18 @@ def su_transvections_scalar(n, q):
     """The transvections of su_generators, one field operation at a time."""
     f = FiniteField(*matrices._field_params(q, double=True))
     conj = [f.pow(c, q) for c in range(f.q)]
+    add, mul, neg = f.add.tolist(), f.mul.tolist(), f.neg.tolist()
     out = []
     for v in itertools.product(range(f.q), repeat=n):
         h = 0
         for a in range(n):
-            h = f.add(h, f.mul(v[a], conj[v[n - 1 - a]]))
+            h = add[h][mul[v[a]][conj[v[n - 1 - a]]]]
         if next((x for x in v if x), None) != 1 or h:
             continue
         for lam in range(1, f.q):
-            if conj[lam] == f.neg(lam):
-                out.append(tuple(tuple(f.add(f.mul(f.mul(lam, v[a]), conj[v[n - 1 - b]]),
-                                             int(a == b)) for b in range(n))
+            if conj[lam] == neg[lam]:
+                out.append(tuple(tuple(add[mul[mul[lam][v[a]]][conj[v[n - 1 - b]]]][int(a == b)]
+                                       for b in range(n))
                                  for a in range(n)))
     return out
 
@@ -198,10 +199,19 @@ def test_scalar_normalization_is_scale_invariant():
                 made += 1
                 base = least_multiple(f, rows, z)
                 for c in z:
-                    scaled = [[f.mul(c, x) for x in row] for row in rows]
+                    scaled = [f.mul[c, row].tolist() for row in rows]
                     assert MatrixGroup([scaled], f, n, z).generators == [base]
                 if len(z) == f.q - 1:
                     assert next(x for row in base for x in row if x) == 1
+
+
+@pytest.mark.parametrize("expr", ["PSL(2,7)", "PSU(3,3)", "SL(3,4)"])
+def test_generators_and_kept_hold_python_ints(built, expr):
+    """The least multiples are picked on numpy arrays, but generators and the
+    kept generators are stored as tuples of rows of Python ints."""
+    g = built(expr)
+    for gens in (g.generators, g._walked().kept):
+        assert all(type(c) is int for m in gens for row in m for c in row)
 
 
 def test_projective_quotient_by_scalar_subgroup():
@@ -210,10 +220,11 @@ def test_projective_quotient_by_scalar_subgroup():
     assert psl.scalars == (1, 6)
 
 
-@pytest.mark.parametrize("scalars", [(1, 2), (2,)])
+@pytest.mark.parametrize("scalars", [(1, 2), (2,), (1, 4.0), (1.0,)])
 def test_scalars_must_be_a_subgroup_of_the_units(scalars):
     """{1, 2} is not closed in GF(5)* (2 has order 4) and {2} lacks 1; both
-    once gave a walk of a wrong order, 160 for (1, 2)."""
+    once gave a walk of a wrong order, 160 for (1, 2).  4.0 and 1.0 are no
+    codes: once a bare TypeError."""
     f = FiniteField(5, 1)
     with pytest.raises(InvalidParameterError):
         MatrixGroup(sl_generators(2, f), f, 2, scalars=scalars)
@@ -431,12 +442,11 @@ def test_batched_product_matches_mat_mul(p, k):
     """_bmul agrees with mat_mul on random batches over GF(2), GF(4), GF(8)
     and GF(9)."""
     f = FiniteField(p, k)
-    add_t, mul_t = f.np_tables()
     rng = np.random.default_rng(10 * p + k)
     for n in (2, 3, 4):
         a = rng.integers(0, f.q, (40, 1, n, n)).astype(np.uint16)
         b = rng.integers(0, f.q, (1, 3, n, n)).astype(np.uint16)
-        prod = _bmul(add_t, mul_t, a, b)
+        prod = _bmul(f, a, b)
         assert prod.shape == (40, 3, n, n)
         for i in range(40):
             for j in range(3):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,20 @@ from sameorder.reports import (
 
 KEY_ORDER = ["expression", "order", "spectrum", "alpha", "alpha_cardinality",
              "simple", "solvable", "center_order", "engine_version"]
+
+
+GOLDEN_REPORTS = sorted((Path(__file__).parent / "golden").glob("report_*.json"))
+
+
+@pytest.mark.parametrize("golden", GOLDEN_REPORTS, ids=lambda path: path.stem)
+def test_golden_report_is_served_from_cache(tmp_path, capsys, golden):
+    """A golden report's bytes, stored under its expression's digest, are
+    served as they are, with no warning: the layout the cache check rebuilds
+    is the layout build_report wrote."""
+    rep = json.loads(golden.read_text(encoding="utf-8"))
+    shutil.copyfile(golden, cache_path(str(tmp_path), rep["expression"]))
+    assert cache_load(str(tmp_path), rep["expression"]) == rep
+    assert capsys.readouterr().err == ""
 
 
 def test_report_shape_and_key_order(built):
