@@ -23,7 +23,8 @@ whose left maps L_k^-1 L_x L_k are a scatter and a gather, not a tree pass.
 Left maps, class numbering and normal-closure rounds are linear passes over
 |G| with no sort: a set of positions is a mask, read in position order.  A
 direct product is never enumerated: ``DirectProduct`` answers from its
-factors.
+factors.  Nor is a metacyclic atom, cyclic, dihedral, dicyclic or F(m,n,k):
+``Metacyclic`` answers from its parameters.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapExceededError, NoWitnessError
-from .numtheory import divisors, factorize, is_prime, prime_power, totient
+from .numtheory import divisors, factorize, is_prime, multiplicative_order, prime_power, totient
 
 DEFAULT_CAP = 1_000_000
 
@@ -101,9 +102,10 @@ class NonIsoCertificate(NamedTuple):
     """Witness that two groups are not isomorphic.
 
     reason is one of order-mismatch, spectrum-mismatch, center-size-mismatch,
-    solvability-mismatch; left/right are the differing invariant values, and
-    a spectrum mismatch also names a specific element order t.  Absence of a
-    certificate does not prove isomorphism; the check is one-sided.
+    solvability-mismatch, simplicity-mismatch; left/right are the differing
+    invariant values, and a spectrum mismatch also names a specific element
+    order t.  Absence of a certificate does not prove isomorphism; the check
+    is one-sided.
     """
 
     reason: str
@@ -579,6 +581,79 @@ class DirectProduct:
         return tuple(orders), orders[-1] == 1
 
 
+def _geometric_sum(u: int, d: int, m: int) -> int:
+    """1 + u + ... + u^(d-1) mod m with no loop over d: (u^d - 1) / (u - 1),
+    read exactly off u^d mod m(u - 1), or d when u = 1 (mod m)."""
+    if (u - 1) % m == 0:
+        return d % m
+    return (pow(u, d, m * (u - 1)) - 1) // (u - 1) % m
+
+
+class Metacyclic:
+    """The metacyclic group <a, b | a^m = 1, b^n = a^s, b a b^-1 = a^k>,
+    answered from its parameters: it is never enumerated.
+
+    k^n = 1 and s(k - 1) = 0 (mod m), so the elements are a^c b^e for c mod m
+    and e mod n, |G| = mn, and a^c b^e a^c' b^e' = a^(c + k^e c') b^(e + e').
+    F(m,n,k) is (m, n, k, 0): Z_m extended by k's multiplications.  C(m) is
+    (m, 1, 1, 0), D(m) for m >= 3 is (m, 2, m - 1, 0), and Dic(m) is
+    (2m, 2, 2m - 1, m).  It answers the calls that reports, verification and
+    noniso_certificate make, as DirectProduct does.
+    """
+
+    def __init__(self, m: int, n: int, k: int, s: int = 0, name=None):
+        self.params = (m, n, k % m, s % m)
+        self.name = name
+        self._spectrum = None
+
+    def order(self) -> int:
+        return self.params[0] * self.params[1]
+
+    def spectrum(self) -> Spectrum:
+        """With u = k^e and d = n / gcd(n, e), a power (a^c b^e)^j lies in
+        <a> iff d divides j, and (a^c b^e)^d = a^x for
+        x = c(1 + u + ... + u^(d-1)) + s·de/n, so a^c b^e has order
+        d·m / gcd(m, x): one numpy pass over c for each e, counted by the
+        gcd."""
+        if self._spectrum is None:
+            m, n, k, s = self.params
+            c, acc = np.arange(m, dtype=np.int64), {}
+            for e in range(n):
+                d = n // math.gcd(n, e)
+                x = (c * _geometric_sum(pow(k, e, m), d, m) + s * d * e // n) % m
+                sizes = np.bincount(np.gcd(x, m))
+                for g in np.flatnonzero(sizes).tolist():
+                    t = d * m // g
+                    acc[t] = acc.get(t, 0) + int(sizes[g])
+            self._spectrum = Spectrum(counts=dict(sorted(acc.items())), group_order=m * n)
+        return self._spectrum
+
+    def alpha(self) -> tuple:
+        return self.spectrum().alpha()
+
+    def center_order(self) -> int:
+        """a^c b^e is central iff it commutes with a, so k^e = 1, and with b,
+        so (k - 1)c = 0: gcd(m, k - 1) values of c times n / ord_m(k) of e."""
+        m, n, k, _ = self.params
+        return math.gcd(m, k - 1) * (n // multiplicative_order(k, m))
+
+    def is_simple(self) -> bool:
+        """The group is solvable, so simple iff of prime order."""
+        return is_prime(self.order())
+
+    def derived_series(self) -> tuple:
+        """Orders along the derived series, plus the solvable flag, as in
+        Group.derived_series.  The commutator of b and a is a^(k - 1), and
+        modulo it a is central, so G' = <a^(k - 1)>, of order
+        m / gcd(m, k - 1), which is cyclic: G'' = 1."""
+        m, _, k, _ = self.params
+        orders = {self.order(), m // math.gcd(m, k - 1), 1}
+        return tuple(sorted(orders, reverse=True)), True
+
+    def is_solvable(self) -> bool:
+        return True
+
+
 def _witness_order(diffs: dict) -> int:
     """Pick the element order cited by a spectrum-mismatch certificate.
 
@@ -594,8 +669,8 @@ def noniso_certificate(a, b) -> NonIsoCertificate | None:
     """Cheapest available proof that two groups differ, or None.
 
     Invariants are tried in fixed order: group order, order spectrum, center
-    size, solvability.  None means every tested invariant agrees, which does
-    not establish isomorphism.
+    size, solvability, simplicity.  None means every tested invariant agrees,
+    which does not establish isomorphism.
     """
     if a.order() != b.order():
         return NonIsoCertificate("order-mismatch", a.order(), b.order())
@@ -612,4 +687,6 @@ def noniso_certificate(a, b) -> NonIsoCertificate | None:
         return NonIsoCertificate("center-size-mismatch", a.center_order(), b.center_order())
     if a.is_solvable() != b.is_solvable():
         return NonIsoCertificate("solvability-mismatch", a.is_solvable(), b.is_solvable())
+    if a.is_simple() != b.is_simple():
+        return NonIsoCertificate("simplicity-mismatch", a.is_simple(), b.is_simple())
     return None

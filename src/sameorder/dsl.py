@@ -24,7 +24,7 @@ import re
 from collections import namedtuple
 
 from . import perms
-from .core import DEFAULT_CAP, DirectProduct, Group
+from .core import DEFAULT_CAP, DirectProduct, Group, Metacyclic
 from .errors import (
     ArityError,
     CapExceededError,
@@ -38,6 +38,9 @@ ARITY = {
     "C": 1, "D": 1, "Dic": 1, "Q": 1, "S": 1, "A": 1, "F": 3,
     "SL": 2, "PSL": 2, "SU": 2, "PSU": 2, "cex3": 0,
 }
+
+# the families answered from their parameters, never enumerated
+METACYCLIC = ("C", "D", "Dic", "F")
 
 
 # An expression's nodes.  A PermAtom's gens are tuples of cycles of
@@ -230,7 +233,25 @@ def _atom_order(ast, cap: int) -> int:
     return classical_order(ast.family, *ast.params)
 
 
-def _eval_atom(ast, cap: int) -> Group:
+def _metacyclic(family: str, params) -> tuple:
+    """The (m, n, k[, s]) that Metacyclic takes for a C, D, Dic or F atom."""
+    if family == "F":
+        return params
+    (n,) = params
+    if family == "C":
+        return n, 1, 1
+    if family == "Dic":
+        return 2 * n, 2, 2 * n - 1, n
+    # D(1) is C2 and D(2) is C2 x C2: -1 = 1 mod 1 and mod 2
+    return (n, 2, n - 1) if n >= 3 else (2, n, 1)
+
+
+def _eval_atom(ast, cap: int) -> Group | Metacyclic:
+    """The group of one atom, whose parameters and order eval_expr has
+    checked.  A family atom's point count is checked next, so C, D, Dic and
+    F atoms on more than MAX_DEGREE points are refused as the other families
+    are; those four are then answered from their parameters, and only S, A,
+    cex3 and Perm[...] atoms are built from permutations."""
     name = print_expr(ast)
     if isinstance(ast, PermAtom):
         degree = _perm_degree(ast)
@@ -240,6 +261,8 @@ def _eval_atom(ast, cap: int) -> Group:
         ]
     elif ast.family in perms.FAMILY_BUILDERS:
         perms.check_degree(perms.family_degree(ast.family, ast.params))  # before any allocation
+        if ast.family in METACYCLIC:
+            return Metacyclic(*_metacyclic(ast.family, ast.params), name=name)
         gens = perms.FAMILY_BUILDERS[ast.family](*ast.params)
     else:
         return classical_group(ast.family, *ast.params, cap=cap)  # named as print_expr names it
@@ -251,12 +274,13 @@ def factors_of(ast) -> tuple:
     return ast.factors if isinstance(ast, Product) else (ast,)
 
 
-def eval_expr(ast, cap: int = DEFAULT_CAP) -> Group | DirectProduct:
+def eval_expr(ast, cap: int = DEFAULT_CAP) -> Group | Metacyclic | DirectProduct:
     """Build the group an expression denotes.
 
     Every atom's parameters are validated and the product of the atoms'
     orders is checked against cap before anything is built.  A product
-    becomes a DirectProduct of its atoms, so only the atoms are enumerated.
+    becomes a DirectProduct of its atoms, so only the atoms are enumerated,
+    and C, D, Dic and F atoms are not enumerated either (Metacyclic).
     """
     factors = factors_of(ast)
     if math.prod(_atom_order(f, cap) for f in factors) > cap:
@@ -267,5 +291,5 @@ def eval_expr(ast, cap: int = DEFAULT_CAP) -> Group | DirectProduct:
     return DirectProduct(groups, name=print_expr(ast), cap=cap)
 
 
-def group_for(text: str, cap: int = DEFAULT_CAP) -> Group | DirectProduct:
+def group_for(text: str, cap: int = DEFAULT_CAP) -> Group | Metacyclic | DirectProduct:
     return eval_expr(parse_expr(text), cap)

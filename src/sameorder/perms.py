@@ -12,6 +12,12 @@ cyclic normal subgroup of order m by a cyclic group of order n acting as
 multiplication by k, explicit generator lists, and one bespoke order-168
 construction (cex3).  Points are 0-indexed internally; the DSL's cycle
 notation is 1-indexed.
+
+The DSL builds S, A, cex3 and Perm[...] atoms here.  It answers C, D, Dic and
+F atoms from their parameters (core.Metacyclic), but their builders stay:
+they are the oracle the tests check those answers against, and
+counterexample_report enumerates Dic(2) and F(7,3,2) with them to read its
+disputed counts.
 """
 
 from __future__ import annotations
@@ -146,7 +152,9 @@ def permutation_group(generators, name=None, cap=DEFAULT_CAP) -> PermutationGrou
 
 
 # -- family constructors --------------------------------------------------------
-# The builders take parameters that family_order has validated.
+# The builders take parameters that family_order has validated.  A family's
+# point count, family_degree, is checked for every family atom, those answered
+# from parameters too.
 
 
 def cyclic_generators(n: int) -> list:

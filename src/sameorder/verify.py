@@ -6,7 +6,9 @@ with exactly three prime divisors, the order-168 counterexamples showing
 a matching type cardinality does not pin down the group, and a bounded
 search for further collisions at a given order.  Reports are deterministic:
 fixed group lists, sorted collections, no timestamps, identical output for
-any thread count.
+any thread count.  Cyclic, dihedral, dicyclic and F(m,n,k) atoms, most of the
+hunt's, are answered from their parameters (core.Metacyclic); only the
+counterexample's disputed counts still enumerate two of them.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from __future__ import annotations
 import math
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
+from . import perms
 from .core import DEFAULT_CAP, DirectProduct, noniso_certificate
-from .dsl import Atom, Product, eval_expr, group_for, parse_expr, print_expr
+from .dsl import Atom, Product, eval_expr, factors_of, group_for, parse_expr, print_expr
 from .errors import VerificationError
 from .matrices import classical_order
 from .numtheory import divisors, factorize, multiplicative_order, prime_power
@@ -41,6 +43,10 @@ COUNTEREXAMPLES = ("Dic(2) x F(7,3,2)", "C(7) x SL(2,3)", "cex3")
 def _pmap(fn, items, threads: int) -> list:
     if threads <= 1:
         return [fn(x) for x in items]
+    # imported here: concurrent.futures pulls in logging and queue, which a
+    # single-threaded call, the default, would pay for on every import
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -109,7 +115,9 @@ def counterexample_report(cap: int = DEFAULT_CAP, threads: int = 1) -> dict:
     Three solvable groups of order 168 share the type cardinality 5 with
     PSL(2,7); certificates separate each from it.  Also records two widely
     repeated but wrong counts for Dic(2) x F(7,3,2): 8 and 56 are its Sylow
-    subgroup counts at 2 and 7, not element counts.
+    subgroup counts at 2 and 7, not element counts.  The counts recorded are
+    enumerated: Dic(2) and F(7,3,2) are built as permutation groups, and
+    their product's spectrum must equal the one answered from parameters.
     """
     reference = "PSL(2,7)"
     exprs = (reference,) + COUNTEREXAMPLES
@@ -149,13 +157,22 @@ def counterexample_report(cap: int = DEFAULT_CAP, threads: int = 1) -> dict:
             raise VerificationError(f"{expr}: no certificate against {reference}")
         certificates.append({"against": expr, "certificate": cert.to_dict()})
 
-    qf = groups["Dic(2) x F(7,3,2)"].spectrum().counts
+    disputed_expr = "Dic(2) x F(7,3,2)"
+    enumerated = DirectProduct([
+        perms.permutation_group(perms.FAMILY_BUILDERS[a.family](*a.params), cap=cap)
+        for a in factors_of(parse_expr(disputed_expr))])
+    if enumerated.spectrum() != groups[disputed_expr].spectrum():
+        raise VerificationError(
+            f"{disputed_expr}: enumerated spectrum {enumerated.spectrum().counts} differs "
+            f"from the parametric {groups[disputed_expr].spectrum().counts}"
+        )
+    qf = enumerated.spectrum().counts
     if qf.get(2) != 1 or qf.get(7) != 6:
         raise VerificationError(
-            f"Dic(2) x F(7,3,2): enumerated s_2={qf.get(2)}, s_7={qf.get(7)}; expected 1 and 6"
+            f"{disputed_expr}: enumerated s_2={qf.get(2)}, s_7={qf.get(7)}; expected 1 and 6"
         )
     disputed = {
-        "expression": "Dic(2) x F(7,3,2)",
+        "expression": disputed_expr,
         "entries": [
             {"order": 2, "claimed": 8, "enumerated": 1},
             {"order": 7, "claimed": 56, "enumerated": 6},

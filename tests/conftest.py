@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from sameorder import group_for
+from sameorder import DirectProduct, eval_expr, group_for, parse_expr, perms, print_expr
+from sameorder.dsl import METACYCLIC, factors_of
 from sameorder.matrices import MatrixGroup
 from sameorder.perms import permutation_group
 
@@ -15,6 +16,37 @@ def built():
     def get(expr: str):
         if expr not in cache:
             cache[expr] = group_for(expr)
+        return cache[expr]
+
+    return get
+
+
+def _is_metacyclic(atom) -> bool:
+    return getattr(atom, "family", None) in METACYCLIC  # a PermAtom has no family
+
+
+def _enumerated(expr: str):
+    """The group of expr with each C, D, Dic and F atom a PermutationGroup
+    from its perms builder, as the engine enumerates S and A atoms: the
+    oracle for their parametric answers, with the closure, classes and
+    maps that tests of Group's internals read."""
+    ast = parse_expr(expr)
+    groups = [permutation_group(perms.FAMILY_BUILDERS[a.family](*a.params), name=print_expr(a))
+              if _is_metacyclic(a) else eval_expr(a) for a in factors_of(ast)]
+    return groups[0] if len(groups) == 1 else DirectProduct(groups, name=print_expr(ast))
+
+
+@pytest.fixture(scope="session")
+def built_perm(built):
+    """built, except that an expression with a C, D, Dic or F atom gets that
+    atom built as a PermutationGroup (_enumerated).  Memoized as built is."""
+    cache = {}
+
+    def get(expr: str):
+        if not any(map(_is_metacyclic, factors_of(parse_expr(expr)))):
+            return built(expr)
+        if expr not in cache:
+            cache[expr] = _enumerated(expr)
         return cache[expr]
 
     return get

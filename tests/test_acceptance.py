@@ -123,7 +123,7 @@ def test_criterion_6_classical_orders_match_enumeration(built):
     _report(6, "closure orders equal the classical order formulas")
 
 
-def test_criterion_7_property_suites(built, enumerated_product):
+def test_criterion_7_property_suites(built, built_perm, enumerated_product):
     rng = random.Random(7)
 
     for expr in ("S(4)", "SL(2,3)"):
@@ -136,7 +136,7 @@ def test_criterion_7_property_suites(built, enumerated_product):
         for name, ok, detail in spectrum_checks(built(expr).spectrum()):
             assert ok, f"{expr}: {name} ({detail})"
 
-    enumerated = enumerated_product(built("Dic(2)"), built("F(7,3,2)"))
+    enumerated = enumerated_product(built_perm("Dic(2)"), built_perm("F(7,3,2)"))
     assert built("Dic(2) x F(7,3,2)").spectrum() == enumerated.spectrum()
 
     f = FiniteField(7, 1)
@@ -153,7 +153,7 @@ def test_criterion_7_property_suites(built, enumerated_product):
                 assert next(x for row in base for x in row if x) == 1
 
     for expr in ("C(24)", "S(4)", "SL(2,3)"):
-        g = built(expr)
+        g = built_perm(expr)
         assert g.order() <= 200
         assert g.element_orders() == [element_order_naive(g, x) for x in elements(g)]
 

@@ -42,11 +42,11 @@ AXIOM_GROUPS = [
 
 
 @pytest.mark.parametrize("expr", AXIOM_GROUPS)
-def test_group_axioms_sampled(built, expr):
+def test_group_axioms_sampled(built_perm, expr):
     """The walk's keys, the identity first, hold the generators and are
     closed under the oracle product and inverse at every pair: a subgroup,
     so the one the generators generate, of the order the walk reports."""
-    g = built(expr)
+    g = built_perm(expr)
     mul, inv, identity = arithmetic(g)
     elems = elements(g)
     keys = set(elems)
@@ -114,10 +114,10 @@ def test_family_orders_from_parameters():
 
 @pytest.mark.parametrize("expr", ["C(24)", "D(12)", "Dic(5)", "F(7,3,2)",
                                   "SL(2,3)", "S(4)", "A(5)", "S(5)", "PSL(2,7)"])
-def test_element_order_oracles_agree(built, expr):
+def test_element_order_oracles_agree(built_perm, expr):
     """Element orders, from one power walk per class in the closure's
     table, match the naive power walk, |G| <= 200."""
-    g = built(expr)
+    g = built_perm(expr)
     assert g.order() <= 200
     assert g.element_orders() == [element_order_naive(g, x) for x in elements(g)]
 
@@ -127,11 +127,11 @@ def test_element_order_oracles_agree(built, expr):
     ("A(6)", (6, True)), ("A(8)", (8, True)), ("PSL(2,8)", None), ("Dic(5)", None),
     ("F(21,3,4)", None), ("cex3", None), ("PSU(3,3)", None),
 ])
-def test_spectrum_sums_class_sizes(built, expr, cycle_types):
+def test_spectrum_sums_class_sizes(built_perm, expr, cycle_types):
     """The spectrum, summed from class sizes per class order, against
     counting the element orders, and for S(n) and A(n) against their cycle
     types."""
-    g = built(expr)
+    g = built_perm(expr)
     counts = g.spectrum().counts
     assert list(counts) == sorted(counts)
     assert counts == Counter(g.element_orders())
@@ -175,10 +175,10 @@ CONVOLUTION_PAIRS = [
 
 
 @pytest.mark.parametrize("left,right", CONVOLUTION_PAIRS)
-def test_product_spectrum_is_lcm_convolution(enumerated_product, left, right):
+def test_product_spectrum_is_lcm_convolution(built_perm, enumerated_product, left, right):
     """The composed answers match the product enumerated on disjoint points."""
     g = group_for(f"{left} x {right}")
-    ref = enumerated_product(*g.factors)
+    ref = enumerated_product(*built_perm(f"{left} x {right}").factors)
     assert ref.order() <= 10_000
     assert g.order() == ref.order()
     assert list(g.spectrum().counts.items()) == list(ref.spectrum().counts.items())
@@ -262,9 +262,9 @@ M12 = ("Perm[(1,2,3,4,5,6,7,8,9,10,11), (3,7,11,8)(4,10,5,6), "
 
 @pytest.mark.parametrize("expr", [expr for expr, _ in SIMPLICITY]
                          + ["PSU(3,3)", "PSU(4,2)", "PSL(3,4)", M11, M12])
-def test_class_test_agrees_with_closures(built, expr):
+def test_class_test_agrees_with_closures(built_perm, expr):
     """Where the class-data test decides, the normal closures agree."""
-    g = built(expr)
+    g = built_perm(expr)
     decided = g._simple_by_classes()
     assert decided in (True, "undecided")
     if decided is True:
@@ -318,11 +318,11 @@ def _prime_classes_with_masks(g):
 
 @pytest.mark.parametrize("expr", ["SL(2,5)", "S(6)", "A(5)", "D(15)", "cex3",
                                   "PSL(2,8)", "SL(3,2)"])
-def test_simplicity_matches_element_arithmetic(built, expr):
+def test_simplicity_matches_element_arithmetic(built_perm, expr):
     """Every prime-order class's normal closure, walked with the mask of
     classes known to generate the group, against conjugating and multiplying
     elements; with stop_size = |G| only the mask can end a walk early."""
-    g = built(expr)
+    g = built_perm(expr)
     n, elems = g.order(), elements(g)
     exits, closures = 0, []
     for c, known in _prime_classes_with_masks(g):
@@ -425,11 +425,11 @@ OTHER_ENGINE = {"SL(2,3)": None, "SL(2,5)": None, "A(5)": "PSL(2,5)"}
 
 @pytest.mark.parametrize("expr", ["S(4)", "S(5)", "SL(2,3)", "SL(2,5)", "D(12)",
                                   "F(21,3,4)", "cex3", "A(5)"])
-def test_derived_series_matches_element_arithmetic(built, enumerated_product, expr):
+def test_derived_series_matches_element_arithmetic(built, built_perm, enumerated_product, expr):
     """derived_series against commutator subgroups closed by element
     arithmetic, on the permutation and the matrix engine where both build
     the group; the oracle multiplies the permutations, which is fast."""
-    engines = [built(expr)]
+    engines = [built_perm(expr)]
     if expr in OTHER_ENGINE:
         other = OTHER_ENGINE[expr]
         engines.append(enumerated_product(engines[0]) if other is None else built(other))
@@ -440,10 +440,10 @@ def test_derived_series_matches_element_arithmetic(built, enumerated_product, ex
 
 
 @pytest.mark.parametrize("expr", ["S(6)", "PSU(3,3)", "C(12)"])
-def test_class_labels_number_classes_by_smallest_member(built, expr):
+def test_class_labels_number_classes_by_smallest_member(built_perm, expr):
     """Class i holds exactly the positions numbered i, ascending, and the
     classes come in order of their smallest member, the identity's first."""
-    g = built(expr)
+    g = built_perm(expr)
     classes = g.conjugacy_classes()
     for i, c in enumerate(classes):
         assert (g._class_of[c] == i).all() and (np.diff(c) > 0).all()
@@ -453,11 +453,11 @@ def test_class_labels_number_classes_by_smallest_member(built, expr):
     assert sum(len(c) for c in classes) == g.order() == len(g._class_of)
 
 
-def test_odd_prime_witness(built):
-    assert built("A(5)").odd_prime_witness() == (3, 5, 20, 24)
-    assert built("C(15)").odd_prime_witness() == (3, 5, 2, 4)
+def test_odd_prime_witness(built_perm):
+    assert built_perm("A(5)").odd_prime_witness() == (3, 5, 20, 24)
+    assert built_perm("C(15)").odd_prime_witness() == (3, 5, 2, 4)
     with pytest.raises(NoWitnessError):
-        built("C(4)").odd_prime_witness()
+        built_perm("C(4)").odd_prime_witness()
 
 
 def test_certificate_order_mismatch(built):

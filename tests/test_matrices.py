@@ -320,13 +320,13 @@ def test_left_maps_match_generic(built, expr):
 @pytest.mark.parametrize("expr", ["PSL(2,7)", "SL(2,3)", "PSU(3,3)", "S(5)", "D(6)", "cex3",
                                   "SL(3,2)", "PSL(2,8)", "A(6)",
                                   "C(12)", "Perm[(1,2,3,4,5,6,7), (1,2)]"])
-def test_packed_index_and_conjugation_maps_match_generic(built, expr):
+def test_packed_index_and_conjugation_maps_match_generic(built_perm, expr):
     """Everything read off the closure's table in index space agrees with
     element arithmetic: the keys, each element once, the table itself, the
     spanning tree and its rounds, the conjugation maps, the class partition
     and every element order (at sampled positions in a group above
     FULL_CHECK_ORDER)."""
-    g = built(expr)
+    g = built_perm(expr)
     elems, kept, c = elements(g), g.reduced_generators(), g._walked()
     (mul, inv, _), index = arithmetic(g), positions(elems)
     assert len(index) == g.order() == len(elems) == len(c.elements)

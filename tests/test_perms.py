@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import element_order_naive, elements, perm_inv, perm_mul, perm_order
 
-from sameorder import group_for, perms
+from sameorder import perms
 from sameorder.errors import InvalidParameterError
 from sameorder.perms import (
     FAMILY_BUILDERS,
@@ -92,8 +92,8 @@ def test_family_degree_matches_the_builders():
             assert family_degree(family, ps) == len(builder(*ps)[0]), (family, ps)
 
 
-def test_quaternion_group(built):
-    g = built("Dic(2)")
+def test_quaternion_group(built_perm):
+    g = built_perm("Dic(2)")
     assert g.order() == 8
     assert g.spectrum().counts == {1: 1, 2: 1, 4: 6}
     assert g.center_order() == 2
@@ -113,8 +113,8 @@ def test_alternating_class_sizes(built):
     assert sizes == [1, 12, 12, 15, 20]
 
 
-def test_direct_product_orders_and_degrees(built):
-    g = built("Dic(2) x F(7,3,2)")
+def test_direct_product_orders_and_degrees(built_perm):
+    g = built_perm("Dic(2) x F(7,3,2)")
     # each factor keeps its own points and is enumerated on its own
     assert [len(f.generators[0]) for f in g.factors] == [8, 7]
     assert g.order() == 168
@@ -160,7 +160,7 @@ def test_permutation_group_rejects_mixed_degrees():
 
 @pytest.mark.parametrize("expr", ["S(6)", "A(7)", "C(60)", "D(12)", "Dic(6)", "F(21,3,4)", "cex3",
                                   "Perm[(1,2,3,4,5), (1,3,5,2,4), (1,2)]"])
-def test_batch_paths_give_one_closure(monkeypatch, expr):
+def test_batch_paths_give_one_closure(monkeypatch, built_perm, expr):
     """The walk numbers a batch's new elements in numpy from _BATCH products
     up and in a Python loop below: forcing either path for every batch gives
     the same Closure, field by field.  The Perm[...] group's second
@@ -168,7 +168,8 @@ def test_batch_paths_give_one_closure(monkeypatch, expr):
     closures = []
     for batch in (1, 10**9):
         monkeypatch.setattr(perms, "_BATCH", batch)
-        closures.append(group_for(expr)._walked())
+        # a new group from the same generators, walked with this _BATCH
+        closures.append(permutation_group(built_perm(expr).generators)._walked())
     numpy_path, loop_path = closures
     assert numpy_path.elements == loop_path.elements
     assert numpy_path.kept == loop_path.kept

@@ -214,15 +214,19 @@ def test_hunt_builds_each_atom_once(monkeypatch):
 
     from sameorder import verify
     from sameorder.core import Group
-    from sameorder.dsl import print_expr
+    from sameorder.dsl import METACYCLIC, print_expr
 
-    enumerated = Counter()
-    walked = Group._walked
+    built, enumerated = Counter(), Counter()
+    walked, evaluate = Group._walked, verify.eval_expr
 
     def counting(self):
         if self._closure is None:
             enumerated[self.name] += 1
         return walked(self)
+
+    def building(ast, cap):
+        built[print_expr(ast)] += 1
+        return evaluate(ast, cap)
 
     pools = []
 
@@ -232,13 +236,17 @@ def test_hunt_builds_each_atom_once(monkeypatch):
             pools.append(self)
 
     monkeypatch.setattr(Group, "_walked", counting)
+    monkeypatch.setattr(verify, "eval_expr", building)
     monkeypatch.setattr(verify, "_AtomPool", Pool)
     rep = hunt_report(60, 3)
-    atoms = {print_expr(a) for factors in _candidate_expressions(60, 3).values()
-             for a in factors}
+    atoms = {a for factors in _candidate_expressions(60, 3).values() for a in factors}
     assert rep["candidates_searched"] == 53
-    # PSL(2,5), the simple reference, is no atom and runs its own walk
-    assert set(enumerated) == atoms | {"PSL(2,5)"}
+    assert set(built) == {print_expr(a) for a in atoms}
+    assert max(built.values()) == 1
+    # C, D, Dic and F atoms are answered from their parameters and never
+    # walked; PSL(2,5), the simple reference, is no atom and runs its own walk
+    walks = {print_expr(a) for a in atoms if a.family not in METACYCLIC}
+    assert set(enumerated) == walks | {"PSL(2,5)"}
     assert max(enumerated.values()) == 1
     # each atom is dropped after the last candidate that uses it
     assert pools[0].built == {}
