@@ -24,7 +24,9 @@ Left maps, class numbering and normal-closure rounds are linear passes over
 |G| with no sort: a set of positions is a mask, read in position order.  A
 direct product is never enumerated: ``DirectProduct`` answers from its
 factors.  Nor is a metacyclic atom, cyclic, dihedral, dicyclic or F(m,n,k):
-``Metacyclic`` answers from its parameters.
+``Metacyclic`` answers from its parameters; nor a symmetric or alternating
+one, which ``Symmetric`` answers from its cycle types.  ``Invariants``, their
+one base, reads the same-order type and solvability off what each gives.
 """
 
 from __future__ import annotations
@@ -75,9 +77,15 @@ def spectrum_checks(spec: Spectrum) -> list:
     Returns (name, ok, detail) triples: counts must sum to the group order,
     the identity is alone in order 1, every realized order divides the group
     order, phi(t) divides s_t (the order-t elements split into generating
-    sets of cyclic subgroups), and s_2 is odd in groups of even order
+    sets of cyclic subgroups), s_2 is odd in groups of even order
     (every element other than an involution or the identity pairs off with
-    its distinct inverse, so 1 + s_2 is even when the group order is).
+    its distinct inverse, so 1 + s_2 is even when the group order is), and
+    d divides #{x : x^d = 1}, the sum of s_t over t dividing d, for every d
+    dividing the group order (Frobenius 1895).  That sum depends on d only
+    through g = gcd(d, E), for E the lcm of the orders dividing |G|, and the
+    d with gcd(d, E) = g all divide the largest of them, so that one d per
+    divisor g of E is tested: a large group order's divisors are never
+    listed.
     """
     n = spec.group_order
     total = sum(spec.counts.values())
@@ -95,6 +103,16 @@ def spectrum_checks(spec: Spectrum) -> list:
     if n % 2 == 0:
         s2 = spec.counts.get(2, 0)
         checks.append(("s_2 odd in a group of even order", s2 % 2 == 1, f"s_2 = {s2}"))
+    exponent = math.lcm(*(t for t in spec.counts if n % t == 0))
+    spare = factorize(n // exponent)
+    bad_d = []
+    for g in divisors(exponent):
+        d = g * math.prod(p**e for p, e in spare.items() if exponent // g % p)
+        if sum(s for t, s in spec.counts.items() if g % t == 0) % d:
+            bad_d.append(d)
+    bad_d.sort()
+    checks.append(("d divides #{x : x^d = 1} for every d dividing the group order", not bad_d,
+                   f"offenders {bad_d}" if bad_d else "all divide"))
     return checks
 
 
@@ -142,7 +160,47 @@ def _commutator(left_a, left_a_inv, left_b, left_b_inv):
     return left_a_inv[left_b_inv[left_a[left_b]]]
 
 
-class Group:
+class Invariants:
+    """The calls every kind of group answers, read off the order, spectrum
+    and derived series that the subclass gives: Group by enumerating,
+    DirectProduct from its factors, Metacyclic and Symmetric from their
+    parameters."""
+
+    def alpha(self) -> tuple:
+        return self.spectrum().alpha()
+
+    def is_solvable(self) -> bool:
+        return self.derived_series()[1]
+
+    def odd_prime_witness(self) -> tuple:
+        """Two odd primes p < q dividing the order with s_p != s_q.
+
+        Intended for nonabelian simple groups (caller checks that).  Also
+        asserts {1, s_2, s_p, s_q} lands inside the same-order type.  Raises
+        NoWitnessError when every pair of odd prime divisors ties.
+        """
+        spec = self.spectrum()
+        n = self.order()
+        odd = [p for p in sorted(factorize(n)) if p != 2]
+        for p, q in combinations(odd, 2):
+            sp = spec.counts.get(p, 0)
+            sq = spec.counts.get(q, 0)
+            if sp != sq:
+                needed = {1, sp, sq}
+                if n % 2 == 0:
+                    needed.add(spec.counts.get(2, 0))
+                missing = needed - set(spec.alpha())
+                if missing:
+                    raise NoWitnessError(
+                        f"witness counts {sorted(missing)} missing from the same-order type"
+                    )
+                return (p, q, sp, sq)
+        raise NoWitnessError(
+            f"no pair of odd prime divisors of {n} has distinct element counts"
+        )
+
+
+class Group(Invariants):
     """A group in index space, enumerated on demand from its generators by a
     subclass's _walk.
 
@@ -315,9 +373,6 @@ class Group:
             self._spectrum = Spectrum(counts=dict(sorted(acc.items())), group_order=self.order())
         return self._spectrum
 
-    def alpha(self) -> tuple:
-        return self.spectrum().alpha()
-
     # -- normal closures, simplicity, solvability -------------------------------
 
     def _normal_closure(self, indices, stop_size, known=None):
@@ -486,38 +541,6 @@ class Group:
             self._derived = (tuple(orders), orders[-1] == 1)
         return self._derived
 
-    def is_solvable(self) -> bool:
-        return self.derived_series()[1]
-
-    # -- witnesses ---------------------------------------------------------------
-
-    def odd_prime_witness(self) -> tuple:
-        """Two odd primes p < q dividing the order with s_p != s_q.
-
-        Intended for nonabelian simple groups (caller checks that).  Also
-        asserts {1, s_2, s_p, s_q} lands inside the same-order type.  Raises
-        NoWitnessError when every pair of odd prime divisors ties.
-        """
-        spec = self.spectrum()
-        n = self.order()
-        odd = [p for p in sorted(factorize(n)) if p != 2]
-        for p, q in combinations(odd, 2):
-            sp = spec.counts.get(p, 0)
-            sq = spec.counts.get(q, 0)
-            if sp != sq:
-                needed = {1, sp, sq}
-                if n % 2 == 0:
-                    needed.add(spec.counts.get(2, 0))
-                missing = needed - set(spec.alpha())
-                if missing:
-                    raise NoWitnessError(
-                        f"witness counts {sorted(missing)} missing from the same-order type"
-                    )
-                return (p, q, sp, sq)
-        raise NoWitnessError(
-            f"no pair of odd prime divisors of {n} has distinct element counts"
-        )
-
     def __repr__(self):
         label = self.name or f"{len(self.generators)} generators"
         if self._closure is not None:
@@ -525,7 +548,7 @@ class Group:
         return f"Group({label})"
 
 
-class DirectProduct:
+class DirectProduct(Invariants):
     """Direct product of groups, answered from its factors.
 
     The factors are enumerated one at a time and the product never is: it
@@ -552,14 +575,8 @@ class DirectProduct:
         return reduce(spectrum_direct_product, [f.spectrum() for f in self.factors]
                       or [Spectrum(counts={1: 1}, group_order=1)])
 
-    def alpha(self) -> tuple:
-        return self.spectrum().alpha()
-
     def center_order(self) -> int:
         return math.prod(f.center_order() for f in self.factors)
-
-    def is_solvable(self) -> bool:
-        return all(f.is_solvable() for f in self.factors)
 
     def is_simple(self) -> bool:
         """True iff exactly one factor is nontrivial and that factor is simple."""
@@ -589,7 +606,7 @@ def _geometric_sum(u: int, d: int, m: int) -> int:
     return (pow(u, d, m * (u - 1)) - 1) // (u - 1) % m
 
 
-class Metacyclic:
+class Metacyclic(Invariants):
     """The metacyclic group <a, b | a^m = 1, b^n = a^s, b a b^-1 = a^k>,
     answered from its parameters: it is never enumerated.
 
@@ -628,9 +645,6 @@ class Metacyclic:
             self._spectrum = Spectrum(counts=dict(sorted(acc.items())), group_order=m * n)
         return self._spectrum
 
-    def alpha(self) -> tuple:
-        return self.spectrum().alpha()
-
     def center_order(self) -> int:
         """a^c b^e is central iff it commutes with a, so k^e = 1, and with b,
         so (k - 1)c = 0: gcd(m, k - 1) values of c times n / ord_m(k) of e."""
@@ -650,8 +664,71 @@ class Metacyclic:
         orders = {self.order(), m // math.gcd(m, k - 1), 1}
         return tuple(sorted(orders, reverse=True)), True
 
-    def is_solvable(self) -> bool:
-        return True
+
+def _partitions(n: int, largest: int):
+    """The partitions of n into parts of at most largest, each a descending
+    tuple, one at a time."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+class Symmetric(Invariants):
+    """The symmetric group S(n), or the alternating group A(n), answered from
+    n: it is never enumerated.
+
+    A permutation's conjugacy class in S(n) is its cycle type, a partition
+    of n with m_k parts k, which holds n! / prod(k^m_k m_k!) permutations of
+    order the lcm of the parts; the even ones, n minus the number of parts
+    even, make up A(n).  It answers the calls that reports, verification and
+    noniso_certificate make, as DirectProduct does.
+    """
+
+    def __init__(self, n: int, alternating: bool = False, name=None):
+        self.n = n
+        self.alternating = alternating
+        self.name = name
+        self._spectrum = None
+
+    def order(self) -> int:
+        order = math.factorial(self.n)
+        return order // 2 if self.alternating and self.n >= 2 else order
+
+    def spectrum(self) -> Spectrum:
+        """The cycle types, one at a time, so nothing held grows with n!."""
+        if self._spectrum is None:
+            n, full, acc = self.n, math.factorial(self.n), {}
+            for parts in _partitions(n, n):
+                if self.alternating and (n - len(parts)) % 2:
+                    continue
+                size = full
+                for k in set(parts):
+                    m = parts.count(k)
+                    size //= k**m * math.factorial(m)
+                t = math.lcm(*parts)
+                acc[t] = acc.get(t, 0) + size
+            self._spectrum = Spectrum(counts=dict(sorted(acc.items())), group_order=self.order())
+        return self._spectrum
+
+    def center_order(self) -> int:
+        """Trivial once the group is nonabelian, past order 3 (S(3), A(4))."""
+        return self.order() if self.order() <= 3 else 1
+
+    def is_simple(self) -> bool:
+        """Of prime order (S(2), A(3)), or A(n) for n >= 5."""
+        return is_prime(self.order()) or self.alternating and self.n >= 5
+
+    def derived_series(self) -> tuple:
+        """Orders along the derived series, plus the solvable flag, as in
+        Group.derived_series.  S(n)' = A(n); A(4)' is the Klein four-group,
+        and A(n) is perfect for n >= 5."""
+        n, half = self.n, max(math.factorial(self.n) // 2, 1)
+        orders = {1: (1,), 2: (1,), 3: (3, 1), 4: (12, 4, 1)}.get(n, (half, half))
+        if not self.alternating and n >= 2:
+            orders = (2 * half,) + orders
+        return orders, orders[-1] == 1
 
 
 def _witness_order(diffs: dict) -> int:

@@ -24,7 +24,7 @@ import re
 from collections import namedtuple
 
 from . import perms
-from .core import DEFAULT_CAP, DirectProduct, Group, Metacyclic
+from .core import DEFAULT_CAP, DirectProduct, Group, Metacyclic, Symmetric
 from .errors import (
     ArityError,
     CapExceededError,
@@ -41,6 +41,9 @@ ARITY = {
 
 # the families answered from their parameters, never enumerated
 METACYCLIC = ("C", "D", "Dic", "F")
+SYMMETRIC = ("S", "A")
+# the families built as matrix groups; perms validates the others
+CLASSICAL = ("SL", "PSL", "SU", "PSU")
 
 
 # An expression's nodes.  A PermAtom's gens are tuples of cycles of
@@ -228,9 +231,9 @@ def _atom_order(ast, cap: int) -> int:
     if isinstance(ast, PermAtom):
         perms.check_degree(_perm_degree(ast))
         return 1
-    if ast.family in perms.FAMILY_BUILDERS:
-        return perms.family_order(ast.family, ast.params, cap)
-    return classical_order(ast.family, *ast.params)
+    if ast.family in CLASSICAL:
+        return classical_order(ast.family, *ast.params)
+    return perms.family_order(ast.family, ast.params, cap)
 
 
 def _metacyclic(family: str, params) -> tuple:
@@ -246,12 +249,13 @@ def _metacyclic(family: str, params) -> tuple:
     return (n, 2, n - 1) if n >= 3 else (2, n, 1)
 
 
-def _eval_atom(ast, cap: int) -> Group | Metacyclic:
+def _eval_atom(ast, cap: int) -> Group | Metacyclic | Symmetric:
     """The group of one atom, whose parameters and order eval_expr has
-    checked.  A family atom's point count is checked next, so C, D, Dic and
-    F atoms on more than MAX_DEGREE points are refused as the other families
-    are; those four are then answered from their parameters, and only S, A,
-    cex3 and Perm[...] atoms are built from permutations."""
+    checked.  A family atom's point count is checked next, so C, D, Dic, F,
+    S and A atoms on more than MAX_DEGREE points are refused as the other
+    families are; those six are then answered from their parameters
+    (Metacyclic, Symmetric), and only cex3 and Perm[...] atoms are built
+    from permutations."""
     name = print_expr(ast)
     if isinstance(ast, PermAtom):
         degree = _perm_degree(ast)
@@ -259,13 +263,15 @@ def _eval_atom(ast, cap: int) -> Group | Metacyclic:
             perms.perm_from_cycles([tuple(p - 1 for p in c) for c in cycles], degree)
             for cycles in ast.gens
         ]
-    elif ast.family in perms.FAMILY_BUILDERS:
+    elif ast.family in CLASSICAL:
+        return classical_group(ast.family, *ast.params, cap=cap)  # named as print_expr names it
+    else:
         perms.check_degree(perms.family_degree(ast.family, ast.params))  # before any allocation
         if ast.family in METACYCLIC:
             return Metacyclic(*_metacyclic(ast.family, ast.params), name=name)
+        if ast.family in SYMMETRIC:
+            return Symmetric(*ast.params, alternating=ast.family == "A", name=name)
         gens = perms.FAMILY_BUILDERS[ast.family](*ast.params)
-    else:
-        return classical_group(ast.family, *ast.params, cap=cap)  # named as print_expr names it
     return perms.permutation_group(gens, name=name, cap=cap)
 
 
@@ -274,13 +280,14 @@ def factors_of(ast) -> tuple:
     return ast.factors if isinstance(ast, Product) else (ast,)
 
 
-def eval_expr(ast, cap: int = DEFAULT_CAP) -> Group | Metacyclic | DirectProduct:
+def eval_expr(ast, cap: int = DEFAULT_CAP) -> Group | Metacyclic | Symmetric | DirectProduct:
     """Build the group an expression denotes.
 
     Every atom's parameters are validated and the product of the atoms'
     orders is checked against cap before anything is built.  A product
     becomes a DirectProduct of its atoms, so only the atoms are enumerated,
-    and C, D, Dic and F atoms are not enumerated either (Metacyclic).
+    and C, D, Dic, F, S and A atoms are not enumerated either (Metacyclic,
+    Symmetric).
     """
     factors = factors_of(ast)
     if math.prod(_atom_order(f, cap) for f in factors) > cap:
@@ -291,5 +298,5 @@ def eval_expr(ast, cap: int = DEFAULT_CAP) -> Group | Metacyclic | DirectProduct
     return DirectProduct(groups, name=print_expr(ast), cap=cap)
 
 
-def group_for(text: str, cap: int = DEFAULT_CAP) -> Group | Metacyclic | DirectProduct:
+def group_for(text: str, cap: int = DEFAULT_CAP) -> Group | Metacyclic | Symmetric | DirectProduct:
     return eval_expr(parse_expr(text), cap)

@@ -6,18 +6,19 @@ exists.  A PermutationGroup enumerates itself on the keys alone: right
 multiplication by a kept generator h is one bytes.translate through h's
 256-entry table, taken for a whole frontier in one list comprehension.
 
-Families: cyclic C(n), dihedral D(n), dicyclic Dic(n) (so Q8 = Dic(2)),
-symmetric S(n), alternating A(n), the semidirect products F(m,n,k) of a
-cyclic normal subgroup of order m by a cyclic group of order n acting as
-multiplication by k, explicit generator lists, and one bespoke order-168
-construction (cex3).  Points are 0-indexed internally; the DSL's cycle
-notation is 1-indexed.
+Builders: cyclic C(n), dihedral D(n), dicyclic Dic(n) (so Q8 = Dic(2)),
+the semidirect products F(m,n,k) of a cyclic normal subgroup of order m by a
+cyclic group of order n acting as multiplication by k, and one bespoke
+order-168 construction (cex3); explicit generator lists come from the DSL.
+Points are 0-indexed internally; the DSL's cycle notation is 1-indexed.
 
-The DSL builds S, A, cex3 and Perm[...] atoms here.  It answers C, D, Dic and
-F atoms from their parameters (core.Metacyclic), but their builders stay:
-they are the oracle the tests check those answers against, and
+The DSL builds cex3 and Perm[...] atoms here.  It answers C, D, Dic and F
+atoms from their parameters (core.Metacyclic), but their builders stay: they
+are the oracle the tests check those answers against, and
 counterexample_report enumerates Dic(2) and F(7,3,2) with them to read its
-disputed counts.
+disputed counts.  Symmetric S(n) and alternating A(n) atoms are answered
+from their cycle types (core.Symmetric) and have no builder here; their
+orders and point counts are validated here with the others'.
 """
 
 from __future__ import annotations
@@ -201,30 +202,6 @@ def dicyclic_generators(n: int) -> list:
     return [left_mul(1, 0), left_mul(0, 1)]
 
 
-def symmetric_generators(n: int) -> list:
-    if n == 1:
-        return [bytes([0])]
-    cycle = bytes([(i + 1) % n for i in range(n)])
-    if n == 2:
-        return [cycle]
-    swap = perm_from_cycles([(0, 1)], n)
-    return [swap, cycle]
-
-
-def alternating_generators(n: int) -> list:
-    if n <= 2:
-        return [bytes(range(max(n, 1)))]
-    if n == 3:
-        return [perm_from_cycles([(0, 1, 2)], 3)]
-    three = perm_from_cycles([(0, 1, 2)], n)
-    if n % 2 == 1:
-        big = bytes([(i + 1) % n for i in range(n)])
-    else:
-        # an n-cycle is odd for even n; rotate all but the first point instead
-        big = bytes([0] + [1 + (i + 1) % (n - 1) for i in range(n - 1)])
-    return [three, big]
-
-
 def _check_frobenius(m: int, n: int, k: int, cap: int):
     """Raise unless F(m,n,k) is defined; see frobenius_generators.
 
@@ -293,15 +270,14 @@ FAMILY_BUILDERS = {
     "C": cyclic_generators,
     "D": dihedral_generators,
     "Dic": dicyclic_generators,
-    "S": symmetric_generators,
-    "A": alternating_generators,
     "F": frobenius_generators,
     "cex3": cex3_generators,
 }
 
 
 def family_degree(family: str, params) -> int:
-    """The points a family's builder acts on, from its validated parameters."""
+    """The points a family's builder acts on, from its validated parameters;
+    n for S(n) and A(n), which have none."""
     if family == "cex3":
         return 13
     n = params[0]  # F(m,n,k) acts on m points

@@ -7,8 +7,10 @@ a matching type cardinality does not pin down the group, and a bounded
 search for further collisions at a given order.  Reports are deterministic:
 fixed group lists, sorted collections, no timestamps, identical output for
 any thread count.  Cyclic, dihedral, dicyclic and F(m,n,k) atoms, most of the
-hunt's, are answered from their parameters (core.Metacyclic); only the
-counterexample's disputed counts still enumerate two of them.
+hunt's, are answered from their parameters (core.Metacyclic), and symmetric
+and alternating atoms from their cycle types (core.Symmetric); only the
+counterexample's disputed counts still enumerate two of them, and the hunt
+enumerates its SL atoms, cex3 and the simple reference.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .core import DEFAULT_CAP, DirectProduct, noniso_certificate
 from .dsl import Atom, Product, eval_expr, factors_of, group_for, parse_expr, print_expr
 from .errors import VerificationError
 from .matrices import classical_order
-from .numtheory import divisors, factorize, multiplicative_order, prime_power
+from .numtheory import divisors, factorize, prime_power, totient
 
 THREE_PRIME_SIMPLE_GROUPS = (
     "PSL(2,5)",
@@ -216,24 +218,49 @@ def _factorial_atoms(n: int) -> list:
     return out
 
 
+def _unit_orders(m: int) -> dict:
+    """{k: the multiplicative order of k mod m} for each unit 1 <= k < m,
+    ascending, with phi(m) factored once: k's order is phi(m) less each
+    prime factor p while k^(t/p) = 1 still holds."""
+    phi = totient(m)
+    primes = list(factorize(phi))
+    out = {}
+    for k in range(1, m):
+        if math.gcd(k, m) != 1:
+            continue
+        t = phi
+        for p in primes:
+            while t % p == 0 and pow(k, t // p, m) == 1:
+                t //= p
+        out[k] = t
+    return out
+
+
+def _least_generator(k: int, t: int, m: int) -> bool:
+    """Whether k is the least generator k^j, gcd(j, t) = 1, of the cyclic
+    group <k> of order t mod m."""
+    x = k
+    for j in range(2, t):
+        x = x * k % m
+        if x < k and math.gcd(j, t) == 1:
+            return False
+    return True
+
+
 def _frobenius_atoms(n: int) -> list:
-    """F(m,nn,k) atoms with m*nn dividing n, one minimal k per cyclic
-    subgroup of units so isomorphic actions are not enumerated twice."""
+    """F(m,nn,k) atoms with m*nn dividing n, one k per cyclic subgroup of
+    units, its least generator, so isomorphic actions are not enumerated
+    twice."""
     out = []
     for m in divisors(n):
         if m < 2 or m > n // 2:
             continue
-        for nn in divisors(n // m):
-            if nn < 2:
-                continue
-            seen = set()
-            for k in range(2, m):
-                if math.gcd(k, m) != 1 or multiplicative_order(k, m) != nn:
-                    continue
-                sub = frozenset(pow(k, e, m) for e in range(nn))
-                if sub not in seen:
-                    seen.add(sub)
-                    out.append((m * nn, Atom("F", (m, nn, k))))
+        by_order = {}
+        for k, t in _unit_orders(m).items():
+            by_order.setdefault(t, []).append(k)
+        for nn in divisors(n // m)[1:]:
+            out.extend((m * nn, Atom("F", (m, nn, k)))
+                       for k in by_order.get(nn, ()) if _least_generator(k, nn, m))
     return out
 
 

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from oracles import alternating_generators, symmetric_generators
 
 from sameorder import DirectProduct, eval_expr, group_for, parse_expr, perms, print_expr
 from sameorder.dsl import METACYCLIC, factors_of
@@ -21,29 +22,43 @@ def built():
     return get
 
 
-def _is_metacyclic(atom) -> bool:
-    return getattr(atom, "family", None) in METACYCLIC  # a PermAtom has no family
+def _builder(atom):
+    """The generator builder of a C, D, Dic, F, S or A atom, the atoms the
+    engine answers from their parameters: the perms builder, or for S and A
+    the oracle's.  None for any other atom."""
+    family = getattr(atom, "family", None)  # a PermAtom has no family
+    if family in METACYCLIC:
+        return perms.FAMILY_BUILDERS[family]
+    return {"S": symmetric_generators, "A": alternating_generators}.get(family)
 
 
 def _enumerated(expr: str):
-    """The group of expr with each C, D, Dic and F atom a PermutationGroup
-    from its perms builder, as the engine enumerates S and A atoms: the
-    oracle for their parametric answers, with the closure, classes and
-    maps that tests of Group's internals read."""
+    """The group of expr with each C, D, Dic, F, S and A atom a
+    PermutationGroup from its builder: the oracle for their parametric
+    answers, with the closure, classes and maps that tests of Group's
+    internals read."""
     ast = parse_expr(expr)
-    groups = [permutation_group(perms.FAMILY_BUILDERS[a.family](*a.params), name=print_expr(a))
-              if _is_metacyclic(a) else eval_expr(a) for a in factors_of(ast)]
+    groups = [permutation_group(_builder(a)(*a.params), name=print_expr(a))
+              if _builder(a) else eval_expr(a) for a in factors_of(ast)]
     return groups[0] if len(groups) == 1 else DirectProduct(groups, name=print_expr(ast))
 
 
 @pytest.fixture(scope="session")
+def fresh_perm():
+    """_enumerated itself: a new group on every call, for tests that read
+    what a group memoizes or time a cold walk."""
+    return _enumerated
+
+
+@pytest.fixture(scope="session")
 def built_perm(built):
-    """built, except that an expression with a C, D, Dic or F atom gets that
-    atom built as a PermutationGroup (_enumerated).  Memoized as built is."""
+    """built, except that an expression with a C, D, Dic, F, S or A atom
+    gets that atom built as a PermutationGroup (_enumerated).  Memoized as
+    built is."""
     cache = {}
 
     def get(expr: str):
-        if not any(map(_is_metacyclic, factors_of(parse_expr(expr)))):
+        if not any(map(_builder, factors_of(parse_expr(expr)))):
             return built(expr)
         if expr not in cache:
             cache[expr] = _enumerated(expr)

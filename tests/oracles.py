@@ -192,6 +192,31 @@ def derived_series_naive(group, elements) -> tuple:
     return tuple(orders), orders[-1] == 1
 
 
+def symmetric_generators(n: int) -> list:
+    """Generators of S(n) on n points: the swap of the first two and the
+    n-cycle."""
+    cycle = bytes([(i + 1) % n for i in range(n)])
+    if n <= 2:
+        return [cycle]
+    return [bytes([1, 0] + list(range(2, n))), cycle]
+
+
+def alternating_generators(n: int) -> list:
+    """Generators of A(n) on n points: the 3-cycle (0, 1, 2) and an odd
+    cycle through all but at most the first point."""
+    if n <= 2:
+        return [bytes(range(n))]
+    three = bytes([1, 2, 0] + list(range(3, n)))
+    if n == 3:
+        return [three]
+    if n % 2 == 1:
+        big = bytes([(i + 1) % n for i in range(n)])
+    else:
+        # an n-cycle is odd for even n; rotate all but the first point instead
+        big = bytes([0] + [1 + (i + 1) % (n - 1) for i in range(n - 1)])
+    return [three, big]
+
+
 def _partitions(n, largest=None):
     largest = n if largest is None else largest
     if n == 0:

@@ -10,6 +10,7 @@ import random
 import time
 
 from oracles import (
+    alternating_generators,
     arithmetic,
     element_order_naive,
     elements,
@@ -22,6 +23,7 @@ from sameorder import group_for, noniso_certificate, spectrum_checks
 from sameorder.fields import FiniteField
 from sameorder.matrices import MatrixGroup, classical_order
 from sameorder.numtheory import factorize
+from sameorder.perms import permutation_group
 from sameorder.verify import hunt_report, theorem_report
 
 THREE_PRIME_SIMPLE = ["PSL(2,5)", "PSL(2,7)", "PSL(2,8)", "PSL(2,9)", "PSL(2,17)",
@@ -127,7 +129,7 @@ def test_criterion_7_property_suites(built, built_perm, enumerated_product):
     rng = random.Random(7)
 
     for expr in ("S(4)", "SL(2,3)"):
-        g = built(expr)
+        g = built_perm(expr)
         mul, inv, _ = arithmetic(g)
         keys = set(elements(g))
         assert all(inv(a) in keys and mul(a, b) in keys for a in keys for b in keys)
@@ -176,14 +178,36 @@ def test_criterion_8_hunt_rediscovers_collisions_under_30s():
 
 
 def test_criterion_9_a9_spectrum_under_10s():
-    """A(9) has 181440 elements, more than any group the benchmark builds;
-    its spectrum takes about 0.5 s on a 2-vCPU VM.  A closure whose work per
-    batch grows with the batch squared (searching each batch from its start
-    for every new element, say) takes about 40 s here."""
+    """A(9) enumerated as a permutation group has 181440 elements, more than
+    any group the benchmark builds; its spectrum takes about 0.5 s on a
+    2-vCPU VM.  A closure whose work per batch grows with the batch squared
+    (searching each batch from its start for every new element, say) takes
+    about 40 s here.  The group is built fresh, so no memo hides the walk."""
     t0 = time.perf_counter()
-    spectrum = group_for("A(9)").spectrum().counts
+    spectrum = permutation_group(alternating_generators(9)).spectrum().counts
     dt = time.perf_counter() - t0
     assert spectrum == symmetric_spectrum_formula(9, alternating=True)
     assert sum(spectrum.values()) == 181440
     assert dt < 10.0
     _report(9, "spectrum of A(9) matches its cycle types", dt)
+
+
+def test_criterion_10_s9_a9_answered_from_cycle_types_under_1s():
+    """S(9) and A(9), the largest symmetric and alternating groups under the
+    default cap, are answered from their 30 cycle types with no walk: every
+    call a report makes takes milliseconds, where criterion 9's A(9) walk
+    takes about 0.5 s."""
+    t0 = time.perf_counter()
+    for alternating in (False, True):
+        g = group_for("A(9)" if alternating else "S(9)")
+        order = 362880 // (2 if alternating else 1)
+        spectrum = g.spectrum()
+        assert spectrum.counts == symmetric_spectrum_formula(9, alternating=alternating)
+        assert all(ok for _, ok, _ in spectrum_checks(spectrum))
+        assert g.order() == spectrum.group_order == order
+        assert (g.is_simple(), g.is_solvable(), g.center_order()) == (alternating, False, 1)
+        series = (181440, 181440) if alternating else (362880, 181440, 181440)
+        assert g.derived_series() == (series, False)
+    dt = time.perf_counter() - t0
+    assert dt < 1.0
+    _report(10, "S(9) and A(9) from their cycle types", dt)

@@ -293,10 +293,10 @@ def test_matrix_key_width_limit_exits_2(capsys, monkeypatch):
 
 
 def test_report_spectrum_breaking_a_law_exits_1(capsys, monkeypatch):
-    from sameorder.core import Group, Spectrum
+    from sameorder.core import Spectrum, Symmetric
 
     # phi(3) = 2 does not divide s_3 = 3: no group has this spectrum
-    monkeypatch.setattr(Group, "spectrum",
+    monkeypatch.setattr(Symmetric, "spectrum",
                         lambda self: Spectrum(counts={1: 1, 2: 2, 3: 3}, group_order=6))
     code, out, err = run(capsys, "alpha", "S(3)")
     assert code == 1

@@ -1,5 +1,7 @@
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from oracles import (
     element_order_naive,
     elements,
     normal_closure_order_naive,
+    symmetric_generators,
     symmetric_spectrum_formula,
 )
 
@@ -24,8 +27,8 @@ from sameorder.core import (
 from sameorder.errors import CapExceededError, InvalidParameterError, NoWitnessError
 from sameorder.fields import FiniteField
 from sameorder.matrices import MatrixGroup, sl_generators
-from sameorder.numtheory import is_prime
-from sameorder.perms import family_order, permutation_group, symmetric_generators
+from sameorder.numtheory import divisors, is_prime
+from sameorder.perms import family_order, permutation_group
 from sameorder.verify import THREE_PRIME_SIMPLE_GROUPS, theorem_report
 
 AXIOM_GROUPS = [
@@ -156,6 +159,64 @@ def test_spectrum_checks_flag_violations():
     assert not results["s_2 odd in a group of even order"]
 
 
+FROBENIUS = "d divides #{x : x^d = 1} for every d dividing the group order"
+
+
+def _golden_spectra() -> dict:
+    """Every spectrum in tests/golden/, by expression: the reports', and the
+    counterexample's rows."""
+    out = {}
+    for path in sorted((Path(__file__).parent / "golden").glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for row in [doc, *doc.get("groups", [])]:
+            if "spectrum" in row:
+                counts = {int(t): c for t, c in row["spectrum"].items()}
+                out[row["expression"]] = Spectrum(counts=counts, group_order=row["order"])
+    return out
+
+
+def test_frobenius_law_holds_on_every_golden_spectrum():
+    spectra = _golden_spectra()
+    assert len(spectra) >= 15
+    for expr, spec in spectra.items():
+        results = {name: ok for name, ok, _ in spectrum_checks(spec)}
+        assert results[FROBENIUS], expr
+
+
+def test_frobenius_law_catches_what_the_other_checks_pass():
+    """Moving lcm(phi(3), phi(7)) = 6 elements of PSL(2,7) from order 7 to
+    order 3 keeps the sum, s_1, the divisibility of orders, phi(t) | s_t and
+    the parity of s_2; #{x : x^d = 1} gives it away, at d = 7 first (43)."""
+    counts = dict(_golden_spectra()["PSL(2,7)"].counts)
+    assert counts == {1: 1, 2: 21, 3: 56, 4: 42, 7: 48}
+    counts[7] -= 6
+    counts[3] += 6
+    checks = spectrum_checks(Spectrum(counts=counts, group_order=168))
+    failed = [(name, detail) for name, ok, detail in checks if not ok]
+    assert failed == [(FROBENIUS, "offenders [7, 14, 24, 56]")]
+
+
+def test_frobenius_law_tests_one_d_per_exponent_divisor():
+    """The check tests one d per divisor of the exponent; testing every d
+    that divides the group order flags the same spectra, on seeded moves of
+    elements between orders in the golden ones."""
+    rng, flagged = random.Random(21), 0
+    for spec in _golden_spectra().values():
+        n = spec.group_order
+        for _ in range(20):
+            counts = dict(spec.counts)
+            a = rng.choice([t for t, s in counts.items() if t > 1 and s > 1])
+            k = rng.randint(1, min(12, counts[a] - 1))
+            b = rng.choice(divisors(n)[1:])
+            counts[a] -= k
+            counts[b] = counts.get(b, 0) + k
+            every = [d for d in divisors(n) if sum(s for t, s in counts.items() if d % t == 0) % d]
+            results = {name: ok for name, ok, _ in spectrum_checks(Spectrum(counts, n))}
+            assert results[FROBENIUS] == (not every), (spec, counts)
+            flagged += bool(every)
+    assert 0 < flagged < 300
+
+
 def test_alpha_forgets_which_order_carries_which_count(built):
     spec = built("PSL(2,7)").spectrum()
     assert spec.alpha() == (1, 21, 42, 48, 56)
@@ -251,8 +312,9 @@ SIMPLICITY = [
 
 
 @pytest.mark.parametrize("expr,simple", SIMPLICITY)
-def test_simplicity(built, expr, simple):
+def test_simplicity(built, built_perm, expr, simple):
     assert built(expr).is_simple() is simple
+    assert built_perm(expr).is_simple() is simple
 
 
 M11 = "Perm[(1,2,3,4,5,6,7,8,9,10,11), (3,7,11,8)(4,10,5,6)]"
@@ -276,10 +338,10 @@ def test_class_test_agrees_with_closures(built_perm, expr):
     *((expr, True) for expr in ("A(7)", "A(8)", "PSL(3,4)", "PSU(3,4)", M11)),
     *((expr, "undecided") for expr in ("A(9)", M12, "S(7)", "S(8)", "SL(2,5)", "cex3")),
 ])
-def test_class_test_decides(built, expr, decided):
+def test_class_test_decides(built_perm, expr, decided):
     """Which groups the class-data test settles without a normal closure.
     A(9) and M12 are simple, but class sizes alone cannot tell."""
-    assert built(expr)._simple_by_classes() == decided
+    assert built_perm(expr)._simple_by_classes() == decided
 
 
 def test_theorem_report_walks_no_normal_closure(monkeypatch):
@@ -291,11 +353,12 @@ def test_theorem_report_walks_no_normal_closure(monkeypatch):
 
 
 @pytest.mark.parametrize("expr", ["A(8)", "PSL(2,8)"])
-def test_derived_series_of_a_proved_simple_group_walks_no_normal_closure(monkeypatch, expr):
+def test_derived_series_of_a_proved_simple_group_walks_no_normal_closure(monkeypatch, fresh_perm,
+                                                                       expr):
     calls = []
     grow = Group._grow_normal
     monkeypatch.setattr(Group, "_grow_normal", lambda *args: calls.append(args) or grow(*args))
-    g = group_for(expr)  # a fresh group: simplicity and the series are memoized
+    g = fresh_perm(expr)  # a fresh group: simplicity and the series are memoized
     assert g.is_simple()
     n = g.order()
     assert g.derived_series() == ((n, n), False)
@@ -343,22 +406,22 @@ def test_simplicity_matches_element_arithmetic(built_perm, expr):
 
 
 @pytest.mark.parametrize("expr", ["A(8)", "S(8)"])
-def test_simplicity_exit_matches_full_walk(built, expr):
-    g = built(expr)
+def test_simplicity_exit_matches_full_walk(built_perm, expr):
+    g = built_perm(expr)
     n = g.order()
     for c, known in _prime_classes_with_masks(g):
         assert g._normal_closure([c[0]], n // 2, known) == g._normal_closure([c[0]], n // 2)
 
 
 @pytest.mark.parametrize("expr", ["S(5)", "PSL(2,8)", "PSU(3,3)", "cex3"])
-def test_closure_maps_match_element_arithmetic(monkeypatch, expr):
+def test_closure_maps_match_element_arithmetic(monkeypatch, fresh_perm, expr):
     """Every left map the normal closures build from other maps, with no
     tree pass, against multiplying elements: a kept element's conjugate
     k^-1 x k by a kept generator k, and a commutator a^-1 b^-1 a b of two
     kept generators of the group or of a closure.  Checked at every
     position up to order 1000 and at a seeded sample above; each kept
     position must also be its map's image of the identity."""
-    g = group_for(expr)  # a fresh group: the derived series is memoized
+    g = fresh_perm(expr)  # a fresh group: the derived series is memoized
     n, elems, (mul, inv, _) = g.order(), elements(g), arithmetic(g)
     index = {e: i for i, e in enumerate(elems)}
     gens = [elems[i] for i in g._walked().table[:, 0]]
@@ -499,8 +562,8 @@ def test_certificate_serialization(built):
 
 
 @pytest.mark.parametrize("expr", ["PSU(3,3)", "S(8)"])
-def test_reduced_generators_generate(built, expr):
-    g = built(expr)
+def test_reduced_generators_generate(built_perm, expr):
+    g = built_perm(expr)
     reduced = g.reduced_generators()
     assert len(reduced) <= len(g.generators)
     # the reduced set alone must reproduce the group

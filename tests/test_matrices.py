@@ -126,11 +126,13 @@ ISOMORPHIC_REALIZATIONS = [
 
 
 @pytest.mark.parametrize("exprs", ISOMORPHIC_REALIZATIONS, ids=" = ".join)
-def test_permutation_and_matrix_engines_agree(built, exprs):
-    """Isomorphic groups built by different engines share every invariant."""
+def test_permutation_and_matrix_engines_agree(built, built_perm, exprs):
+    """Isomorphic groups built by different engines share every invariant:
+    each S and A atom both answered from its cycle types and enumerated as
+    a permutation group."""
     invariants = [
         (g.spectrum().counts, g.center_order(), g.is_simple(), g.derived_series())
-        for g in map(built, exprs)
+        for g in [*map(built, exprs), *map(built_perm, exprs)]
     ]
     assert all(inv == invariants[0] for inv in invariants[1:]), exprs
 
@@ -296,12 +298,12 @@ FULL_CHECK_ORDER = 2000
 
 
 @pytest.mark.parametrize("expr", ["S(5)", "A(6)", "cex3", "PSL(2,7)", "PSU(3,3)"])
-def test_left_maps_match_generic(built, expr):
+def test_left_maps_match_generic(built_perm, expr):
     """L[i, x] is the position of s_i * x, by element arithmetic, for the
     kept generators and a seeded sample of other positions s_i (at sampled
     positions x above FULL_CHECK_ORDER); inverting each map by scatter, as
     derived_series does, gives the left maps of the inverses."""
-    g = built(expr)
+    g = built_perm(expr)
     (mul, inv, _), elems, c = arithmetic(g), elements(g), g._walked()
     index, n = positions(elems), g.order()
     rng = random.Random(n)

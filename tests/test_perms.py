@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
-from oracles import element_order_naive, elements, perm_inv, perm_mul, perm_order
+from oracles import (
+    alternating_generators,
+    element_order_naive,
+    elements,
+    perm_inv,
+    perm_mul,
+    perm_order,
+    symmetric_generators,
+)
 
 from sameorder import perms
 from sameorder.errors import InvalidParameterError
@@ -21,8 +29,8 @@ def test_perm_order_examples():
     assert perm_order(perm_from_cycles([[0, 1], [2, 3, 4]], 5)) == 6
 
 
-def test_perm_order_matches_naive_on_s5(built):
-    g = built("S(5)")
+def test_perm_order_matches_naive_on_s5(built_perm):
+    g = built_perm("S(5)")
     for x in elements(g):
         assert perm_order(x) == element_order_naive(g, x)
 
@@ -60,8 +68,8 @@ def test_perm_from_cycles_rejects_bad_input():
     ("F(7,3,2)", 21),
     ("F(5,4,2)", 20),
 ])
-def test_family_closure_orders(built, expr, order):
-    assert built(expr).order() == order
+def test_family_closure_orders(built_perm, expr, order):
+    assert built_perm(expr).order() == order
 
 
 def test_frobenius_group_spectrum(built):
@@ -85,9 +93,11 @@ def test_frobenius_parameter_validation():
 
 def test_family_degree_matches_the_builders():
     """family_degree, read from parameters alone, is the degree each builder's
-    permutations have, the bespoke D(1) and D(2) point sets included."""
+    permutations have, the bespoke D(1) and D(2) point sets included; for S
+    and A, the oracle's builders, which stand in for them in the tests."""
     special = {"F": [(3, 2, 2), (7, 3, 2), (8, 2, 3)], "cex3": [()]}
-    for family, builder in FAMILY_BUILDERS.items():
+    builders = {**FAMILY_BUILDERS, "S": symmetric_generators, "A": alternating_generators}
+    for family, builder in builders.items():
         for ps in special.get(family, [(n,) for n in range(1, 9)]):
             assert family_degree(family, ps) == len(builder(*ps)[0]), (family, ps)
 
@@ -108,8 +118,8 @@ def test_dicyclic_presentation_relations():
     assert perm_mul(perm_mul(perm_inv(b), a), b) == perm_inv(a)  # conjugation inverts a
 
 
-def test_alternating_class_sizes(built):
-    sizes = sorted(len(c) for c in built("A(5)").conjugacy_classes())
+def test_alternating_class_sizes(built_perm):
+    sizes = sorted(len(c) for c in built_perm("A(5)").conjugacy_classes())
     assert sizes == [1, 12, 12, 15, 20]
 
 

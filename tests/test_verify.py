@@ -1,14 +1,18 @@
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
 
 from sameorder.core import DEFAULT_CAP
+from sameorder.dsl import Atom
 from sameorder.errors import VerificationError
+from sameorder.numtheory import divisors, multiplicative_order
 from sameorder.reports import render_json, report_for
 from sameorder.verify import (
     _candidate_expressions,
+    _frobenius_atoms,
     counterexample_report,
     hunt_report,
     theorem_report,
@@ -214,7 +218,7 @@ def test_hunt_builds_each_atom_once(monkeypatch):
 
     from sameorder import verify
     from sameorder.core import Group
-    from sameorder.dsl import METACYCLIC, print_expr
+    from sameorder.dsl import METACYCLIC, SYMMETRIC, print_expr
 
     built, enumerated = Counter(), Counter()
     walked, evaluate = Group._walked, verify.eval_expr
@@ -243,13 +247,45 @@ def test_hunt_builds_each_atom_once(monkeypatch):
     assert rep["candidates_searched"] == 53
     assert set(built) == {print_expr(a) for a in atoms}
     assert max(built.values()) == 1
-    # C, D, Dic and F atoms are answered from their parameters and never
-    # walked; PSL(2,5), the simple reference, is no atom and runs its own walk
-    walks = {print_expr(a) for a in atoms if a.family not in METACYCLIC}
+    # C, D, Dic, F, S and A atoms are answered from their parameters and
+    # never walked; PSL(2,5), the simple reference, is no atom and runs its
+    # own walk
+    walks = {print_expr(a) for a in atoms if a.family not in METACYCLIC + SYMMETRIC}
+    assert walks == {"SL(2,2)", "SL(2,4)"}
     assert set(enumerated) == walks | {"PSL(2,5)"}
     assert max(enumerated.values()) == 1
     # each atom is dropped after the last candidate that uses it
     assert pools[0].built == {}
+
+
+def _frobenius_atoms_by_subgroup(n: int) -> list:
+    """The F(m,nn,k) atoms with m*nn dividing n, found one k at a time: its
+    own multiplicative_order call, and the first k of each cyclic subgroup
+    of units, the subgroup written out as a set."""
+    out = []
+    for m in divisors(n):
+        if m < 2 or m > n // 2:
+            continue
+        for nn in divisors(n // m):
+            if nn < 2:
+                continue
+            seen = set()
+            for k in range(2, m):
+                if math.gcd(k, m) != 1 or multiplicative_order(k, m) != nn:
+                    continue
+                sub = frozenset(pow(k, e, m) for e in range(nn))
+                if sub not in seen:
+                    seen.add(sub)
+                    out.append((m * nn, Atom("F", (m, nn, k))))
+    return out
+
+
+@pytest.mark.parametrize("order", [168, 60, 504, 360, 2448, 5616, 6048, 25920])
+def test_frobenius_atoms_match_one_order_per_unit(order):
+    """Unit orders taken once per modulus, and each subgroup's least
+    generator, give the same atoms in the same order at every catalog
+    order: those of the eight groups of THREE_PRIME_SIMPLE_GROUPS."""
+    assert _frobenius_atoms(order) == _frobenius_atoms_by_subgroup(order)
 
 
 def test_hunt_without_catalog_group():
