@@ -14,11 +14,20 @@ argsort (_unique) and merges its new keys into the sorted copy with one
 scatter (_merge), where np.unique and np.insert would each run a stable
 sort.  n^2 * bits <= 64 is checked before a group is built.  Row i of
 x * h is (row i of x) * h, so the closure multiplies by a kept generator h
-with one lookup per row of x's key in h's row table.
+with one lookup per row of x's key in h's row table.  The first kept
+generator's stage is its cyclic subgroup, h^0 to h^(m-1) in one Python pass
+over h's row tables (_powers); every later one is walked round by round.
 
 classical_group, the one constructor, builds its own field: GF(q) for SL and
 PSL, GF(q^2) for SU and PSU, each with the one modulus that
-fields.FiniteField uses.
+fields.FiniteField uses.  Where the family has more than two generators
+(transvections), it puts two fixed words of 16 letters in them in front
+(_words), a standard step of computational group theory: two random
+elements of a (quasi)simple group almost always generate it, so the walk,
+which keeps each generator not already in the subgroup, keeps the words and
+skips the transvections, and multiplies every element by two generators a
+round instead of up to six.  Should the words generate a proper subgroup,
+the walk keeps the transvections it still lacks.
 
 A MatrixGroup is a group of matrices modulo a subgroup Z of scalars, given
 as field codes; a linear group has Z = (1,).  Each coset xZ is represented
@@ -26,9 +35,10 @@ by its member with the least packed key, which is also the least rows tuple.
 The group replaces each generator by that member, the argmin over the keys
 of all its multiples (one gather from the mul table), and the walk
 multiplies x by s*h for each kept generator h and each s in Z and keeps the
-least product.  PSL and PSU are SL and SU modulo the scalars they contain,
-gcd(n, q - 1) of them (gcd(n, q + 1) for PSU).  With Z all of GF(q)* the
-least multiple is the one whose first nonzero entry in row-major order is 1.
+least product; a linear walk multiplies by h alone.  PSL and PSU are SL and
+SU modulo the scalars they contain, gcd(n, q - 1) of them (gcd(n, q + 1)
+for PSU).  With Z all of GF(q)* the least multiple is the one whose first
+nonzero entry in row-major order is 1.
 """
 
 from __future__ import annotations
@@ -175,10 +185,14 @@ class MatrixGroup(Group):
                                         f"the units of {field}")
         if any(len(g) != n or any(len(row) != n for row in g) for g in generators):
             raise InvalidParameterError(f"generators are not {n}x{n} matrices")
-        if not all(isinstance(c, Integral) and 0 <= c < field.q
-                   for g in generators for row in g for c in row):
+        try:  # one array of all the codes: an integer dtype unless some code is no integer
+            codes = np.array(generators)
+        except ValueError:  # a code that is a sequence of ragged length
+            codes = np.array(None)
+        if len(generators) and not (codes.ndim == 3 and codes.dtype.kind in "iu"
+                                    and codes.min() >= 0 and codes.max() < field.q):
             raise InvalidParameterError(f"generators hold codes outside {field}")
-        codes = np.array(generators, dtype=np.intp).reshape(-1, n, n)
+        codes = codes.reshape(-1, n, n).astype(np.intp)
         # a singular generator makes a walk whose structure passes never end
         if (_bdet(field, codes) == 0).any():
             raise InvalidParameterError("generators are not invertible")
@@ -193,19 +207,25 @@ class MatrixGroup(Group):
     def _walk(self):
         """The closure on packed keys and the kept generators' row tables.
 
-        Each chunk of products is deduplicated by _unique, one unstable
-        argsort, and looked up in the sorted key array, into which _merge
-        scatters the new keys; neither runs a stable sort.  The lookup gives
-        the position each product lands on, and the first product to reach a
-        new key its parent and letter.  elements is the keys in position
-        order; the sorted keys live only as long as the walk.
-        A kept generator h has a row table of s*h for each s in scalars (h's
-        read through s*I's), and a product's key is the least over the scalars.
-        Raises CapExceededError past the cap, checked after each chunk.
+        The first kept generator h spans its cyclic subgroup first, in one
+        pass (_powers): h^i is the i-th layer, with parent h^(i-1) and R's
+        first row i -> i + 1, wrapping to the identity.  Each later kept
+        generator is walked round by round.  Each chunk of products is
+        deduplicated by _unique, one unstable argsort, and looked up in the
+        sorted key array, into which _merge scatters the new keys; neither
+        runs a stable sort.  The lookup gives the position each product lands
+        on, and the first product to reach a new key its parent and letter.
+        elements is the keys in position order; the sorted keys live only as
+        long as the walk.
+        Modulo scalars, a kept generator h has a row table of s*h for each s
+        in scalars (h's read through s*I's), and a product's key is the least
+        over the scalars; a linear walk keeps h's table alone and takes no
+        least.  Raises CapExceededError past the cap, checked after each
+        power and each chunk.
         """
         n, q, nz = self.n, self.field.q, len(self.scalars)
         width = key_bits(q, n) * n  # bits of one row, the key's last row lowest
-        scales = [row_table(self.field, np.diag([z] * n)) for z in self.scalars]
+        scales = [row_table(self.field, np.diag([z] * n)) for z in self.scalars if z != 1]
         gens = self.generators
         gen_keys = pack_keys(np.array(gens, dtype=np.uint16).reshape(-1, n, n), q)
         keys = pack_keys(np.eye(n, dtype=np.uint16)[None], q)  # sorted; I is least among s*I
@@ -221,17 +241,31 @@ class MatrixGroup(Group):
             start += int(missing[0])
             kept.append(start)
             t = row_table(self.field, gens[start])
-            row_tables = np.concatenate([row_tables] + [scale[t] for scale in scales])
+            tables = [t] + [scale[t] for scale in scales]
+            row_tables = np.concatenate([row_tables] + tables)
+            if len(kept) == 1:  # h's cyclic subgroup, one power a layer
+                powers = np.array(_powers(tables, n, width, int(keys[0]), self.cap),
+                                  dtype=np.uint64)
+                stored, count = [powers], len(powers)
+                positions = np.argsort(powers).astype(np.int32)
+                keys = powers[positions]
+                table.append([np.roll(np.arange(count, dtype=np.int32), -1)])
+                parent.append(np.arange(count - 1, dtype=np.int32))
+                letter.append(np.zeros(count - 1, dtype=np.int32))
+                layers.extend(range(2, count + 1))
+                continue
             table.append([])
             frontier, first, mults = np.concatenate(stored), 0, np.array([len(kept) - 1])
             while len(frontier):
-                fresh, letter_tables = [], mults * nz + np.arange(nz)[:, None, None]
+                fresh = []
+                letter_tables = mults * nz + np.arange(nz)[:, None, None] if scales else mults
                 for s in range(0, len(frontier), _CHUNK):
                     x, prod = frontier[s:s + _CHUNK, None], np.uint64(0)
                     for shift in np.arange(n, dtype=np.uint64) * np.uint64(width):
                         rows = (x >> shift & np.uint64((1 << width) - 1)).astype(np.intp)
                         prod = prod | row_tables[letter_tables << width | rows] << shift
-                    prod = prod.min(axis=0)  # over the scalars
+                    if scales:
+                        prod = prod.min(axis=0)
                     cand, src, landed = _unique(prod.ravel())
                     at, found = _locate(keys, cand)
                     pos = positions[np.minimum(at, len(keys) - 1)]
@@ -259,6 +293,25 @@ class MatrixGroup(Group):
         return Closure(np.concatenate(stored), [gens[i] for i in kept],
                        table.reshape(len(kept), count), np.concatenate(parent),
                        np.concatenate(letter), layers)
+
+
+def _powers(tables, n: int, width: int, one: int, cap: int) -> list:
+    """Keys of h^0 = I, h, h^2, ... up to h's order, as Python ints, from the
+    row tables of h's multiples: a product is the least over the tables,
+    or the one table's alone.  Raises CapExceededError past the cap."""
+    shifts, mask = [width * i for i in range(n)], (1 << width) - 1
+
+    def times(x, t):
+        return sum(int(t[x >> s & mask]) << s for s in shifts)
+
+    powers, x = [one], one
+    while True:
+        x = times(x, tables[0]) if len(tables) == 1 else min(times(x, t) for t in tables)
+        if x == one:
+            return powers
+        powers.append(x)
+        if len(powers) > cap:
+            raise CapExceededError(cap)
 
 
 # -- classical constructors --------------------------------------------------------
@@ -352,14 +405,30 @@ def classical_scalars(family: str, n: int, q: int, field: FiniteField) -> tuple:
     return tuple(s for s in range(1, field.q) if field.pow(s, n) == field.pow(s, e) == 1)
 
 
+def _words(field: FiniteField, gens) -> list:
+    """Two fixed words of 16 letters in gens, as rows: letter i of word j is
+    gens[(7i + 3j + j*i^2) mod len(gens)], multiplied in with one _bmul on
+    both words at once."""
+    i, j = np.arange(16)[:, None], np.arange(2)
+    letters = np.array(gens, dtype=np.uint16)[(7 * i + 3 * j + j * i * i) % len(gens)]
+    words = letters[0]
+    for letter in letters[1:]:
+        words = _bmul(field, words, letter)
+    return [tuple(map(tuple, w)) for w in words.tolist()]
+
+
 def classical_group(family: str, n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:
     """SL, PSL, SU or PSU of degree n over GF(q), checked against its order
-    formula; PSL and PSU walk SL and SU modulo classical_scalars."""
+    formula; PSL and PSU walk SL and SU modulo classical_scalars.  The
+    generators are the family's transvections, after two _words in them
+    when there are more than two."""
     order = classical_order(family, n, q)
     unitary = family.endswith("SU")
     key_bits(q * q if unitary else q, n)  # before anything is built
     field = FiniteField(*_field_params(q, unitary))
     gens = su_generators(n, field) if unitary else sl_generators(n, field)
+    if len(gens) > 2:
+        gens = _words(field, gens) + gens
     grp = MatrixGroup(gens, field, n, classical_scalars(family, n, q, field),
                       name=f"{family}({n},{q})", cap=cap)
     _check_order(grp, order)

@@ -16,8 +16,9 @@ from oracles import (
     preserves_form,
 )
 
-from sameorder import matrices
-from sameorder.errors import InvalidParameterError, OrderMismatchError
+from sameorder import matrices, verify
+from sameorder.dsl import print_expr
+from sameorder.errors import CapExceededError, InvalidParameterError, OrderMismatchError
 from sameorder.fields import FiniteField
 from sameorder.matrices import (
     KEY_BITS,
@@ -239,11 +240,25 @@ def test_scalars_must_be_a_subgroup_of_the_units(scalars):
     [[2**70, 0], [0, 1]],  # past any C integer
     [[1.5, 0], [0, 1]],  # no code at all: once a bare TypeError
     [[1, 0, 0], [0, 1, 0]],  # 2 x 3: once a ValueError from reshape in the walk
+    [[-1, 0], [0, 1]],  # negative
+    [[1, [0]], [0, 1]],  # a code that is a sequence
+    [[1, 0], [0, 2**64 - 1]],  # past int64: numpy makes the codes floats
+    [[1, 0], [0, 1.0]],  # one integral float in a later generator makes every code a float
 ])
 def test_generators_must_be_invertible_matrices_over_the_field(gen):
     f = FiniteField(5, 1)
     with pytest.raises(InvalidParameterError):
         MatrixGroup([[[1, 1], [0, 1]], gen], f, 2)
+
+
+def test_numpy_integer_codes_are_codes():
+    """Codes are checked as one numpy array, so numpy integers of any width,
+    mixed with Python ints or given as arrays, are codes."""
+    f = FiniteField(5, 1)
+    gens = [[[np.int64(1), np.uint8(1)], [np.int16(0), 1]],
+            np.array([[1, 0], [1, 1]], dtype=np.uint16)]
+    grp = MatrixGroup(gens, f, 2)
+    assert grp.generators == [((1, 1), (0, 1)), ((1, 0), (1, 1))] and grp.order() == 120
 
 
 def test_projective_group_normalizes_its_generators():
@@ -287,6 +302,78 @@ def test_order_mismatch_guard():
         _check_order(grp, classical_order("SL", 2, 5))
 
 
+# kept generators of each theorem group and each SL atom of the 168 and 60
+# hunts when classical_group gave the family's transvections alone
+KEPT_FROM_TRANSVECTIONS = {
+    "PSL(2,5)": 2, "PSL(2,7)": 2, "PSL(2,8)": 4, "PSL(2,9)": 3, "PSL(2,17)": 2,
+    "PSL(3,3)": 4, "PSU(3,3)": 3, "PSU(4,2)": 6,
+    "SL(2,2)": 2, "SL(2,3)": 2, "SL(3,2)": 4, "SL(2,4)": 3,
+}
+
+
+def test_word_generators_keep_no_more_generators(built):
+    """The two words classical_group puts in front of a family's generators
+    when there are more than two keep no more generators than the
+    transvections alone kept, on every theorem group and hunt SL atom, and
+    PSU(4,2) keeps its two words where it kept six transvections."""
+    hunt_atoms = {print_expr(atom) for n in (168, 60) for _, atom in verify._sl_atoms(n)}
+    exprs = [*verify.THREE_PRIME_SIMPLE_GROUPS, *sorted(hunt_atoms)]
+    assert set(exprs) == set(KEPT_FROM_TRANSVECTIONS)
+    for expr in exprs:
+        g = built(expr)
+        assert len(g.reduced_generators()) <= KEPT_FROM_TRANSVECTIONS[expr], expr
+    psu = built("PSU(4,2)")
+    assert psu.reduced_generators() == psu.generators[:2]
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 2, 2), (3, 1, 3), (2, 1, 4)])
+def test_words_are_the_stated_products(p, k, n):
+    """Letter i of word j is generator (7i + 3j + j*i^2) mod N, checked
+    against mat_mul one letter at a time."""
+    f = FiniteField(p, k)
+    gens = sl_generators(n, f)
+    for j, word in enumerate(matrices._words(f, gens)):
+        want = gens[3 * j % len(gens)]
+        for i in range(1, 16):
+            want = mat_mul(f, want, gens[(7 * i + 3 * j + j * i * i) % len(gens)])
+        assert word == want
+
+
+def test_words_in_a_proper_subgroup_fall_back_to_the_transvections(built):
+    """Generators in a proper subgroup put first leave the walk to keep the
+    transvections that are missing from it: the order is still SL(2,4)'s.
+    PSU(3,3)'s two words generate a subgroup of order 168, so its walk keeps
+    them and one transvection."""
+    f = FiniteField(2, 2)
+    gens = sl_generators(2, f)
+    grp = MatrixGroup([gens[0], gens[1]] + gens, f, 2)
+    assert grp.order() == 60
+    assert len(grp.reduced_generators()) >= 3
+    psu = built("PSU(3,3)")
+    assert MatrixGroup(psu.generators[:2], psu.field, 3, psu.scalars).order() == 168
+    assert psu.reduced_generators() == psu.generators[:3]
+
+
+@pytest.mark.parametrize("family,n,q", [("PSL", 2, 8), ("PSL", 2, 17), ("PSU", 3, 3),
+                                        ("SL", 2, 9)])
+def test_two_builds_give_identical_closures(family, n, q):
+    """The words are fixed, so two builds walk the same generators to the
+    same closure array for array."""
+    a, b = (classical_group(family, n, q)._walked() for _ in range(2))
+    assert a.kept == b.kept and a.layers == b.layers
+    for x, y in zip(a, b):
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_cyclic_stage_checks_the_cap():
+    """PSL(2,17) keeps its transvection of order 17 first, so a cap of 8 is
+    passed while its powers are taken, inside the one-pass cyclic stage."""
+    with pytest.raises(CapExceededError) as info:
+        classical_group("PSL", 2, 17, cap=8)
+    assert info.traceback[-1].name == "_powers"
+
+
 def positions(elems):
     """Element position by element, as the oracles hold elements."""
     return {e: i for i, e in enumerate(elems)}
@@ -320,7 +407,7 @@ def test_left_maps_match_generic(built_perm, expr):
 
 
 @pytest.mark.parametrize("expr", ["PSL(2,7)", "SL(2,3)", "PSU(3,3)", "S(5)", "D(6)", "cex3",
-                                  "SL(3,2)", "PSL(2,8)", "A(6)",
+                                  "SL(3,2)", "PSL(2,8)", "A(6)", "PSL(2,17)", "PSU(4,2)",
                                   "C(12)", "Perm[(1,2,3,4,5,6,7), (1,2)]"])
 def test_packed_index_and_conjugation_maps_match_generic(built_perm, expr):
     """Everything read off the closure's table in index space agrees with
@@ -364,8 +451,7 @@ def test_packed_index_and_conjugation_maps_match_generic(built_perm, expr):
                 if m[j] not in orbit:
                     orbit.add(m[j])
                     stack.append(m[j])
-        for j in orbit:
-            orbit_of[j] = min(orbit)
+        orbit_of.update(dict.fromkeys(orbit, min(orbit)))
     classes = g.conjugacy_classes()
     assert [c.tolist() for c in classes] == [
         sorted(j for j in orbit_of if orbit_of[j] == i) for i in sorted(set(orbit_of.values()))
