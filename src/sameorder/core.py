@@ -606,9 +606,26 @@ def _geometric_sum(u: int, d: int, m: int) -> int:
     return (pow(u, d, m * (u - 1)) - 1) // (u - 1) % m
 
 
+def _divisor_totients(n: int, primes) -> list:
+    """(δ, φ(δ)) for every divisor δ of n, whose prime factors are among
+    primes."""
+    out = [(1, 1)]
+    if n == 1:
+        return out
+    for p in primes:
+        powers = [(1, 1)]
+        while n % p == 0:
+            n //= p
+            q = powers[-1][0] * p
+            powers.append((q, q - q // p))
+        out = [(d * q, f * t) for d, f in out for q, t in powers]
+    return out
+
+
 class Metacyclic(Invariants):
     """The metacyclic group <a, b | a^m = 1, b^n = a^s, b a b^-1 = a^k>,
-    answered from its parameters: it is never enumerated.
+    answered from its parameters: it is never enumerated, and nothing it
+    holds or makes grows with m.
 
     k^n = 1 and s(k - 1) = 0 (mod m), so the elements are a^c b^e for c mod m
     and e mod n, |G| = mn, and a^c b^e a^c' b^e' = a^(c + k^e c') b^(e + e').
@@ -628,20 +645,34 @@ class Metacyclic(Invariants):
 
     def spectrum(self) -> Spectrum:
         """With u = k^e and d = n / gcd(n, e), a power (a^c b^e)^j lies in
-        <a> iff d divides j, and (a^c b^e)^d = a^x for
-        x = c(1 + u + ... + u^(d-1)) + s·de/n, so a^c b^e has order
-        d·m / gcd(m, x): one numpy pass over c for each e, counted by the
-        gcd."""
+        <a> iff d divides j, and (a^c b^e)^d = a^(cG + t) for the geometric
+        sum G = 1 + u + ... + u^(d-1) and t = s·de/n, so a^c b^e has order
+        d·m / gcd(m, cG + t).  That gcd is counted in closed form, with no
+        pass over c.  Let g = gcd(G, m): as c runs over Z_m, cG runs g times
+        over the multiples of g, so at a prime p of m whose power in g
+        divides t, v_p(cG + t) is v_p(g) plus the valuation of a uniform
+        residue mod p^(v_p(m) - v_p(g)); at any other prime it is v_p(t).
+        The primes are independent (CRT), so with D = gcd(g, t) and M the
+        part of m/g on primes of the first kind, gcd(m, cG + t) = DM/δ for
+        (m/M)·φ(δ) values of c, each of order dδ·m/(DM), for every δ | M.
+        With t = 0 that is g·φ(δ) elements of order dδ for each δ | m/g;
+        with G = 0 (Dic's odd e) all m have order dm/gcd(m, t)."""
         if self._spectrum is None:
             m, n, k, s = self.params
-            c, acc = np.arange(m, dtype=np.int64), {}
+            cells, u = {}, 1
             for e in range(n):
                 d = n // math.gcd(n, e)
-                x = (c * _geometric_sum(pow(k, e, m), d, m) + s * d * e // n) % m
-                sizes = np.bincount(np.gcd(x, m))
-                for g in np.flatnonzero(sizes).tolist():
-                    t = d * m // g
-                    acc[t] = acc.get(t, 0) + int(sizes[g])
+                g = math.gcd(_geometric_sum(u, d, m), m)
+                D, M = math.gcd(g, s * d * e // n % m), m // g
+                while (q := math.gcd(M, g // D)) > 1:
+                    M //= q
+                key = (d * m // (D * M), M)
+                cells[key] = cells.get(key, 0) + 1
+                u = u * k % m
+            primes, acc = list(factorize(m)), {}
+            for (base, M), times in cells.items():
+                for delta, phi in _divisor_totients(M, primes):
+                    acc[base * delta] = acc.get(base * delta, 0) + times * (m // M) * phi
             self._spectrum = Spectrum(counts=dict(sorted(acc.items())), group_order=m * n)
         return self._spectrum
 

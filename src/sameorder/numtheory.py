@@ -54,6 +54,13 @@ def totient(n: int) -> int:
     return t
 
 
+def mobius(n: int) -> int:
+    """The Möbius function: 0 if a square of a prime divides n, else -1 to
+    the number of n's prime factors."""
+    fac = factorize(n)
+    return 0 if any(k > 1 for k in fac.values()) else (-1) ** len(fac)
+
+
 def prime_power(n: int) -> tuple[int, int] | None:
     """Return (p, k) with n == p**k, or None if n is not a prime power."""
     if n < 2:

@@ -10,7 +10,12 @@ any thread count.  Cyclic, dihedral, dicyclic and F(m,n,k) atoms, most of the
 hunt's, are answered from their parameters (core.Metacyclic), and symmetric
 and alternating atoms from their cycle types (core.Symmetric); only the
 counterexample's disputed counts still enumerate two of them, and the hunt
-enumerates its SL atoms, cex3 and the simple reference.
+enumerates its SL atoms, cex3 and the simple reference.  The hunt reads each
+atom's spectrum once, as solution counts c(d) = #{x : x^d = 1} on the
+divisors d of the order, and gets every candidate product's spectrum from one
+numpy product of those counts and one integer Möbius matrix
+(DivisorLattice): only the candidates whose type cardinality matches the
+simple group's are built as a DirectProduct and certified.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ from collections import Counter
 
 from . import perms
 from .core import DEFAULT_CAP, DirectProduct, noniso_certificate
-from .dsl import Atom, Product, eval_expr, factors_of, group_for, parse_expr, print_expr
+from .dsl import Atom, eval_expr, factors_of, group_for, parse_expr, print_expr
 from .errors import VerificationError
+from .lattice import DivisorLattice, type_cardinalities
 from .matrices import classical_order
 from .numtheory import divisors, factorize, prime_power, totient
 
@@ -133,6 +139,9 @@ def counterexample_report(cap: int = DEFAULT_CAP, threads: int = 1) -> dict:
         alpha = list(g.alpha())
         if len(alpha) != 5:
             raise VerificationError(f"{expr}: expected 5 class sizes, got {len(alpha)}")
+        # simplicity first: a group it proves simple reads its derived
+        # series off the memo, with no normal closure
+        simple = g.is_simple()
         rows.append({
             "expression": expr,
             "order": g.order(),
@@ -140,7 +149,7 @@ def counterexample_report(cap: int = DEFAULT_CAP, threads: int = 1) -> dict:
             "alpha": alpha,
             "alpha_cardinality": len(alpha),
             "solvable": g.is_solvable(),
-            "simple": g.is_simple(),
+            "simple": simple,
         })
 
     ref_alpha = list(groups[reference].alpha())
@@ -305,21 +314,25 @@ def _candidate_atoms(n: int) -> list:
 def _candidate_expressions(order: int, max_factors: int) -> dict:
     """{text: atoms} for every candidate, sorted by its print_expr text."""
     atoms = _candidate_atoms(order)
-    out = {}
+    texts = [print_expr(atom) for _, atom in atoms]
+    by_order, out = {}, {}
+    for idx, (o, _) in enumerate(atoms):
+        by_order.setdefault(o, []).append(idx)
 
     def rec(start: int, remaining: int, parts: list):
-        if remaining == 1:
-            if parts:
-                out[print_expr(Product(tuple(parts)))] = tuple(parts)
-            return
-        if len(parts) >= max_factors:
-            return
-        for idx in range(start, len(atoms)):
-            o, atom = atoms[idx]
-            if remaining % o == 0:
-                parts.append(atom)
+        # the last factor's order is the whole remainder
+        last = len(parts) + 1 == max_factors
+        for idx in by_order.get(remaining, ()) if last else range(start, len(atoms)):
+            o = atoms[idx][0]
+            if idx < start or remaining % o:
+                continue
+            parts.append(idx)
+            if o == remaining:
+                # print_expr of the Product, from its atoms' texts
+                out[" x ".join(texts[i] for i in parts)] = tuple(atoms[i][1] for i in parts)
+            else:
                 rec(idx, remaining // o, parts)
-                parts.pop()
+            parts.pop()
 
     rec(0, order, [])
     return dict(sorted(out.items()))
@@ -330,7 +343,9 @@ class _AtomPool:
 
     Candidates share their atoms, so each distinct atom is built once per
     hunt, and only the atoms some unexamined candidate still needs are held.
-    Worker threads share the pool, so every access holds the lock.
+    A candidate is examined once its block's batch has read its type
+    cardinality, and, if that matches, once it has been certified.  Worker
+    threads share the pool, so every access holds the lock.
     """
 
     def __init__(self, factor_lists, cap: int):
@@ -354,6 +369,23 @@ class _AtomPool:
                     del self.built[a]
 
 
+# candidates whose solution counts are multiplied in one numpy product; one
+# block holds every candidate of the 168/3 and 60/3 hunts
+_BLOCK = 256
+
+
+def _block_spectra(lattice: DivisorLattice, factor_lists, atoms: _AtomPool):
+    """The spectra of the direct products of factor_lists, one row each
+    (DivisorLattice.products).  Takes every atom from the pool, and reads
+    each one's spectrum once; releases none."""
+    rows = {}
+    for fs in factor_lists:
+        for a in fs:
+            rows.setdefault(a, len(rows))
+    spectra = [g.spectrum() for g in atoms.take(list(rows))]
+    return lattice.products(spectra, [[rows[a] for a in fs] for fs in factor_lists])
+
+
 def hunt_report(order: int, max_factors: int, cap: int = DEFAULT_CAP,
                 threads: int = 1) -> dict:
     """Search bounded products of standard families for same-order-type
@@ -363,6 +395,9 @@ def hunt_report(order: int, max_factors: int, cap: int = DEFAULT_CAP,
     group plus a non-isomorphism certificate.  Empty results mean none were
     found in the searched families, not that none exist.  Each distinct atom
     is built once per call and shared by the candidates that use it.
+    Candidates are taken in blocks: one numpy product of solution counts
+    gives every candidate's type cardinality, and only those that match the
+    simple group's become a DirectProduct and get a certificate.
     """
     base = {"order": order, "max_factors": max_factors}
     # the collision reference: the unique nonabelian simple group of this
@@ -375,21 +410,24 @@ def hunt_report(order: int, max_factors: int, cap: int = DEFAULT_CAP,
                 "note": f"no simple catalog group of order {order} (nonabelian)"}
     simple_expr = by_order[order]
     simple = group_for(simple_expr, cap)
+    # proved simple from class data, so a certificate that asks solvability
+    # reads its derived series off the memo
+    simple.is_simple()
     target_card = len(simple.alpha())
 
     factors = _candidate_expressions(order, max_factors)
     atoms = _AtomPool(factors.values(), cap)
+    lattice = DivisorLattice(order)
 
     def examine(text: str):
         groups = atoms.take(factors[text])
         try:
             g = groups[0] if len(groups) == 1 else DirectProduct(groups, name=text, cap=cap)
-            alpha = list(g.alpha())
-            if len(alpha) != target_card:
-                return None
+            g.is_simple()  # likewise, for a simple atom such as SL(3,2)
             cert = noniso_certificate(simple, g)
             if cert is None:
                 return None
+            alpha = list(g.alpha())
             return {
                 "expression": text,
                 "alpha": alpha,
@@ -399,7 +437,15 @@ def hunt_report(order: int, max_factors: int, cap: int = DEFAULT_CAP,
         finally:
             atoms.release(factors[text])
 
-    found = [r for r in _pmap(examine, factors, threads) if r is not None]
+    texts, found = list(factors), []
+    for start in range(0, len(texts), _BLOCK):
+        block = texts[start:start + _BLOCK]
+        cards = type_cardinalities(_block_spectra(lattice, [factors[t] for t in block], atoms))
+        matched = [t for t, card in zip(block, cards) if card == target_card]
+        for t, card in zip(block, cards):
+            if card != target_card:
+                atoms.release(factors[t])
+        found.extend(r for r in _pmap(examine, matched, threads) if r is not None)
     return {
         **base,
         "simple": simple_expr,

@@ -7,6 +7,7 @@ field and reads its add, mul and neg arrays as lists of ints, tables that
 test_fields checks against polynomial arithmetic.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -241,4 +242,43 @@ def symmetric_spectrum_formula(n: int, alternating: bool = False) -> dict:
             size //= k**m * math.factorial(m)
         order = math.lcm(*parts)
         counts[order] = counts.get(order, 0) + size
+    return dict(sorted(counts.items()))
+
+
+def metacyclic_spectrum(m: int, n: int, k: int, s: int = 0) -> dict:
+    """Order spectrum of <a, b | a^m = 1, b^n = a^s, b a b^-1 = a^k>, one
+    numpy pass over c in Z_m for each e.  With u = k^e and d = n / gcd(n, e),
+    (a^c b^e)^d = a^x for x = c(1 + u + ... + u^(d-1)) + s·de/n, the sum
+    taken term by term, so a^c b^e has order d·m / gcd(m, x)."""
+    k, s = k % m, s % m
+    c, counts = np.arange(m, dtype=np.int64), {}
+    for e in range(n):
+        d = n // math.gcd(n, e)
+        u = pow(k, e, m)
+        geometric = sum(pow(u, i, m) for i in range(d)) % m
+        x = (c * geometric + s * d * e // n) % m
+        sizes = np.bincount(np.gcd(x, m))
+        for g in np.flatnonzero(sizes).tolist():
+            order = d * m // g
+            counts[order] = counts.get(order, 0) + int(sizes[g])
+    return dict(sorted(counts.items()))
+
+
+def metacyclic_orders_naive(m: int, n: int, k: int, s: int = 0) -> dict:
+    """The same spectrum by multiplying elements: a^c b^e is the pair (c, e),
+    a^c b^e a^c' b^e' = a^(c + k^e c') b^(e + e'), and b^n = a^s folds an
+    exponent of b past n.  For small m·n only."""
+    def mul(x, y):
+        (c, e), (c2, e2) = x, y
+        c, e = c + pow(k, e, m) * c2, e + e2
+        if e >= n:
+            c, e = c + s, e - n
+        return c % m, e
+
+    counts = {}
+    for x in itertools.product(range(m), range(n)):
+        order, y = 1, x
+        while y != (0, 0):
+            order, y = order + 1, mul(y, x)
+        counts[order] = counts.get(order, 0) + 1
     return dict(sorted(counts.items()))

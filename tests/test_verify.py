@@ -1,16 +1,22 @@
 import json
 import math
 import re
+from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sameorder.core import DEFAULT_CAP
+from sameorder import verify
+from sameorder.core import DEFAULT_CAP, spectrum_direct_product
 from sameorder.dsl import Atom
 from sameorder.errors import VerificationError
+from sameorder.lattice import DivisorLattice, type_cardinalities
 from sameorder.numtheory import divisors, multiplicative_order
 from sameorder.reports import render_json, report_for
 from sameorder.verify import (
+    _AtomPool,
+    _block_spectra,
     _candidate_expressions,
     _frobenius_atoms,
     counterexample_report,
@@ -256,6 +262,53 @@ def test_hunt_builds_each_atom_once(monkeypatch):
     assert max(enumerated.values()) == 1
     # each atom is dropped after the last candidate that uses it
     assert pools[0].built == {}
+
+
+@pytest.mark.parametrize("order,max_factors", [(60, 2), (60, 3), (168, 2), (168, 3)])
+def test_batch_spectra_match_convolution(order, max_factors):
+    """Every candidate's spectrum and type cardinality from the one product
+    of solution counts, against its factors' spectra convolved over lcm of
+    orders (spectrum_direct_product)."""
+    factors = _candidate_expressions(order, max_factors)
+    lattice, pool = DivisorLattice(order), _AtomPool(factors.values(), DEFAULT_CAP)
+    spectra = _block_spectra(lattice, list(factors.values()), pool)
+    cards = type_cardinalities(spectra)
+    assert spectra.shape == (len(factors), len(divisors(order)))
+    for (text, atoms), row, card in zip(factors.items(), spectra.tolist(), cards.tolist()):
+        want = reduce(spectrum_direct_product, [g.spectrum() for g in pool.take(atoms)])
+        assert {t: c for t, c in zip(lattice.divisors, row) if c} == want.counts, text
+        assert card == len(want.alpha()), text
+
+
+@pytest.mark.parametrize("order", [1, 12, 60, 168, 25920])
+def test_mobius_matrix_inverts_zeta(order):
+    lattice = DivisorLattice(order)
+    size = len(divisors(order))
+    assert lattice.zeta.dtype == lattice.mobius.dtype == np.int64
+    assert (lattice.mobius @ lattice.zeta == np.eye(size, dtype=np.int64)).all()
+
+
+def testtype_cardinalities_count_distinct_nonzero_values():
+    rows = np.array([[1, 0, 3, 3, 0], [1, 1, 1, 1, 1], [1, 2, 4, 8, 16], [1, 0, 0, 0, 0]])
+    assert type_cardinalities(rows).tolist() == [2, 1, 5, 1]
+
+
+@pytest.mark.parametrize("block", [1, 7, 52])
+def test_hunt_report_is_the_same_in_any_block_size(monkeypatch, block):
+    """Block edges split candidates, and atoms they share, between batches;
+    the report and the pool's dropping of atoms do not change."""
+    pools = []
+
+    class Pool(verify._AtomPool):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pools.append(self)
+
+    expected = render_json(hunt_report(60, 3)), render_json(hunt_report(168, 2))
+    monkeypatch.setattr(verify, "_BLOCK", block)
+    monkeypatch.setattr(verify, "_AtomPool", Pool)
+    assert (render_json(hunt_report(60, 3)), render_json(hunt_report(168, 2))) == expected
+    assert [p.built for p in pools] == [{}, {}]
 
 
 def _frobenius_atoms_by_subgroup(n: int) -> list:
