@@ -8,15 +8,18 @@ Inside a MatrixGroup an element is its packed key: the n*n codes,
 (q-1).bit_length() bits each, in one uint64 with the first entry highest,
 so key order is row-major lexicographic order.  A group stores its elements
 as keys alone, in position order, and pack_keys is the one place that packs
-them; the sorted copy the closure looks products up in is dropped when the
-walk ends.  The walk deduplicates each chunk of products with one unstable
-argsort (_unique) and merges its new keys into the sorted copy with one
-scatter (_merge), where np.unique and np.insert would each run a stable
-sort.  n^2 * bits <= 64 is checked before a group is built.  Row i of
+them.  n^2 * bits <= 64 is checked before a group is built.  Row i of
 x * h is (row i of x) * h, so the closure multiplies by a kept generator h
-with one lookup per row of x's key in h's row table.  The first kept
-generator's stage is its cyclic subgroup, h^0 to h^(m-1) in one Python pass
-over h's row tables (_powers); every later one is walked round by round.
+with one lookup per row of x's key in h's row table.  The walk goes round
+by round at two speeds, switching once.  A round of fewer than _SMALL
+products, as each power of the first kept generator is (one product a
+round), runs in plain Python on int keys, a dict and Python lists of the
+row tables, where numpy's per-call cost would exceed the work.  From the
+first larger round on, the walk runs in numpy on a sorted key array, which
+is dropped when the walk ends: it deduplicates each chunk of products with
+one unstable argsort (_unique) and merges its new keys into the sorted keys
+with one scatter (_merge), where np.unique and np.insert would each run a
+stable sort.
 
 classical_group, the one constructor, builds its own field: GF(q) for SL and
 PSL, GF(q^2) for SU and PSU, each with the one modulus that
@@ -35,7 +38,10 @@ by its member with the least packed key, which is also the least rows tuple.
 The group replaces each generator by that member, the argmin over the keys
 of all its multiples (one gather from the mul table), and the walk
 multiplies x by s*h for each kept generator h and each s in Z and keeps the
-least product; a linear walk multiplies by h alone.  PSL and PSU are SL and
+least product; a linear walk multiplies by h alone.  The Python rounds read
+the least s off the product's first row: row 0 of an invertible matrix is
+nonzero, so its multiples differ there, and s*y is least where s*(row 0 of
+y) is, one choice per row code taken before the walk.  PSL and PSU are SL and
 SU modulo the scalars they contain, gcd(n, q - 1) of them (gcd(n, q + 1)
 for PSU).  With Z all of GF(q)* the least multiple is the one whose first
 nonzero entry in row-major order is 1.
@@ -166,6 +172,9 @@ def row_table(field: FiniteField, h):
 
 
 _CHUNK = 65536
+# A round of fewer products than this runs in plain Python; numpy's per-call
+# cost exceeds the Python loop's there.
+_SMALL = 64
 
 
 class MatrixGroup(Group):
@@ -207,62 +216,102 @@ class MatrixGroup(Group):
     def _walk(self):
         """The closure on packed keys and the kept generators' row tables.
 
-        The first kept generator h spans its cyclic subgroup first, in one
-        pass (_powers): h^i is the i-th layer, with parent h^(i-1) and R's
-        first row i -> i + 1, wrapping to the identity.  Each later kept
-        generator is walked round by round.  Each chunk of products is
-        deduplicated by _unique, one unstable argsort, and looked up in the
-        sorted key array, into which _merge scatters the new keys; neither
-        runs a stable sort.  The lookup gives the position each product lands
-        on, and the first product to reach a new key its parent and letter.
-        elements is the keys in position order; the sorted keys live only as
-        long as the walk.
-        Modulo scalars, a kept generator h has a row table of s*h for each s
-        in scalars (h's read through s*I's), and a product's key is the least
-        over the scalars; a linear walk keeps h's table alone and takes no
-        least.  Raises CapExceededError past the cap, checked after each
-        power and each chunk.
+        A new generator multiplies every element known so far once, and the
+        elements it brings in then take every kept generator until nothing
+        new appears.  Each chunk of a round's products numbers its new keys
+        in key order and gives each its first product as parent and letter.
+        Rounds of fewer than _SMALL products run in Python, on a dict from
+        key to position; at the first larger round the sorted key and
+        position arrays are built from the dict, once, and every later round
+        runs in numpy: _unique, one unstable argsort, deduplicates a chunk,
+        and _merge scatters its new keys into the sorted keys.  Both speeds
+        give the same Closure.  Modulo scalars, a kept generator h has a row
+        table of s*h for each s in scalars (h's read through s*I's) and a
+        product's key is the least over the scalars, which the Python rounds
+        read off its first row (module docstring); a linear walk keeps h's
+        table alone.  Raises CapExceededError past the cap, checked after
+        each Python round and each numpy chunk.
         """
         n, q, nz = self.n, self.field.q, len(self.scalars)
         width = key_bits(q, n) * n  # bits of one row, the key's last row lowest
+        mask, shifts = (1 << width) - 1, range(width * (n - 1), -1, -width)  # first row first
         scales = [row_table(self.field, np.diag([z] * n)) for z in self.scalars if z != 1]
+        # least[c]: which of v, s*v for s in scales is least, for the row v coded c
+        least = np.array([np.arange(mask + 1, dtype=np.uint64)] + scales).argmin(axis=0).tolist()
+
         gens = self.generators
         gen_keys = pack_keys(np.array(gens, dtype=np.uint16).reshape(-1, n, n), q)
-        keys = pack_keys(np.eye(n, dtype=np.uint16)[None], q)  # sorted; I is least among s*I
-        positions = np.zeros(1, dtype=np.int32)  # element position of each key
-        stored, count, start = [keys], 1, 0
-        kept, row_tables, table = [], keys[:0], []  # table[k]: R's row k in pieces, by position
-        parent, letter, layers = [np.zeros(1, dtype=np.int32)], [np.zeros(1, dtype=np.int32)], [1]
+        elements = pack_keys(np.eye(n, dtype=np.uint16)[None], q).tolist()  # I is least among s*I
+        index, count, start, done = {elements[0]: 0}, 1, 0, False  # index: key -> position
+        kept, row_tables, lists = [], gen_keys[:0], []  # lists: the Python speed's tables
+        parent, letter, layers, table = [0], [0], [1], []  # table[k]: R's row k, by position
+        frontier, first, mults = [], 0, []
+
+        def python_round(frontier, first, mults):
+            """One round at the Python speed, from the lists of the kept
+            generators' tables: of the multiples of x * h, the least is the
+            one least[c] names, c the code of x * h's first row."""
+            hs, m = [lists[k] for k in mults], len(mults)  # the tables of s*h for each h
+            for s in range(0, len(frontier), _CHUNK):
+                prods, src = [], {}  # src: each new key's first product
+                for x in frontier[s:s + _CHUNK]:
+                    for ts in hs:
+                        t, y = ts[least[ts[0][x >> shifts[0]]]], 0
+                        for shift in shifts:
+                            y |= t[x >> shift & mask] << shift
+                        if y not in index and y not in src:
+                            src[y] = len(prods)
+                        prods.append(y)
+                for y in sorted(src):
+                    row, col = divmod(src[y], m)
+                    index[y] = len(elements)
+                    elements.append(y)
+                    parent.append(first + s + row)
+                    letter.append(mults[col])
+                landed = [index[y] for y in prods]
+                for col, k in enumerate(mults):
+                    table[k] += landed[col::m]
+
         while True:
-            # the next generator not already in the subgroup
-            missing = np.flatnonzero(~_locate(keys, gen_keys[start:])[1])
-            if not missing.size:
+            if not len(frontier):  # the next generator not already in the subgroup
+                rest = gen_keys[start:]
+                inside = (_locate(keys, rest)[1] if index is None
+                          else [y in index for y in rest.tolist()])
+                missing = np.flatnonzero(np.logical_not(inside))
+                done = not missing.size
+                if not done:
+                    start += int(missing[0])
+                    kept.append(start)
+                    t = row_table(self.field, gens[start])
+                    tables = [t] + [scale[t] for scale in scales]
+                    row_tables = np.concatenate([row_tables] + tables)
+                    table.append([])
+                    frontier = list(elements) if index is not None else np.concatenate(stored)
+                    first, mults = 0, [len(kept) - 1]
+            if index is not None and (done or len(frontier) * len(mults) >= _SMALL):
+                # to the numpy speed, once: its arrays from the Python speed's lists
+                stored = [np.array(elements, dtype=np.uint64)]
+                positions = np.argsort(stored[0]).astype(np.int32)
+                keys, frontier = stored[0][positions], stored[0][first:]
+                parent, letter = [np.array(parent, dtype=np.int32)], [np.array(letter, dtype=np.int32)]
+                table = [[np.array(row, dtype=np.int32)] for row in table]
+                index = lists = least = None  # the Python speed's dict and tables go
+            if done:
                 break
-            start += int(missing[0])
-            kept.append(start)
-            t = row_table(self.field, gens[start])
-            tables = [t] + [scale[t] for scale in scales]
-            row_tables = np.concatenate([row_tables] + tables)
-            if len(kept) == 1:  # h's cyclic subgroup, one power a layer
-                powers = np.array(_powers(tables, n, width, int(keys[0]), self.cap),
-                                  dtype=np.uint64)
-                stored, count = [powers], len(powers)
-                positions = np.argsort(powers).astype(np.int32)
-                keys = powers[positions]
-                table.append([np.roll(np.arange(count, dtype=np.int32), -1)])
-                parent.append(np.arange(count - 1, dtype=np.int32))
-                letter.append(np.zeros(count - 1, dtype=np.int32))
-                layers.extend(range(2, count + 1))
-                continue
-            table.append([])
-            frontier, first, mults = np.concatenate(stored), 0, np.array([len(kept) - 1])
-            while len(frontier):
-                fresh = []
+            if index is not None:
+                if len(lists) < len(kept):  # the stage of the generator just kept
+                    lists.append([t.tolist() for t in tables])
+                python_round(frontier, first, mults)
+                frontier, count = elements[count:], len(elements)
+                if count > self.cap:
+                    raise CapExceededError(self.cap)
+            else:
+                fresh, mults = [], np.array(mults)
                 letter_tables = mults * nz + np.arange(nz)[:, None, None] if scales else mults
                 for s in range(0, len(frontier), _CHUNK):
                     x, prod = frontier[s:s + _CHUNK, None], np.uint64(0)
                     for shift in np.arange(n, dtype=np.uint64) * np.uint64(width):
-                        rows = (x >> shift & np.uint64((1 << width) - 1)).astype(np.intp)
+                        rows = (x >> shift & np.uint64(mask)).astype(np.intp)
                         prod = prod | row_tables[letter_tables << width | rows] << shift
                     if scales:
                         prod = prod.min(axis=0)
@@ -285,33 +334,14 @@ class MatrixGroup(Group):
                     if count > self.cap:
                         raise CapExceededError(self.cap)
                 frontier = np.concatenate(fresh or [keys[:0]])
-                if len(frontier):
-                    layers.append(count)
                 stored.append(frontier)
-                first, mults = count - len(frontier), np.arange(len(kept))
+            if len(frontier):
+                layers.append(count)
+            first, mults = count - len(frontier), list(range(len(kept)))
         table = np.array([np.concatenate(row) for row in table], dtype=np.int32)
         return Closure(np.concatenate(stored), [gens[i] for i in kept],
                        table.reshape(len(kept), count), np.concatenate(parent),
                        np.concatenate(letter), layers)
-
-
-def _powers(tables, n: int, width: int, one: int, cap: int) -> list:
-    """Keys of h^0 = I, h, h^2, ... up to h's order, as Python ints, from the
-    row tables of h's multiples: a product is the least over the tables,
-    or the one table's alone.  Raises CapExceededError past the cap."""
-    shifts, mask = [width * i for i in range(n)], (1 << width) - 1
-
-    def times(x, t):
-        return sum(int(t[x >> s & mask]) << s for s in shifts)
-
-    powers, x = [one], one
-    while True:
-        x = times(x, tables[0]) if len(tables) == 1 else min(times(x, t) for t in tables)
-        if x == one:
-            return powers
-        powers.append(x)
-        if len(powers) > cap:
-            raise CapExceededError(cap)
 
 
 # -- classical constructors --------------------------------------------------------
@@ -407,14 +437,14 @@ def classical_scalars(family: str, n: int, q: int, field: FiniteField) -> tuple:
 
 def _words(field: FiniteField, gens) -> list:
     """Two fixed words of 16 letters in gens, as rows: letter i of word j is
-    gens[(7i + 3j + j*i^2) mod len(gens)], multiplied in with one _bmul on
-    both words at once."""
+    gens[(7i + 3j + j*i^2) mod len(gens)].  The letters are multiplied in a
+    balanced tree, neighbours pairwise, one _bmul a level on every pair of
+    both words at once: four levels in all."""
     i, j = np.arange(16)[:, None], np.arange(2)
-    letters = np.array(gens, dtype=np.uint16)[(7 * i + 3 * j + j * i * i) % len(gens)]
-    words = letters[0]
-    for letter in letters[1:]:
-        words = _bmul(field, words, letter)
-    return [tuple(map(tuple, w)) for w in words.tolist()]
+    words = np.array(gens, dtype=np.uint16)[(7 * i + 3 * j + j * i * i) % len(gens)]
+    while len(words) > 1:
+        words = _bmul(field, words[0::2], words[1::2])
+    return [tuple(map(tuple, w)) for w in words[0].tolist()]
 
 
 def classical_group(family: str, n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup:

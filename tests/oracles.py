@@ -282,3 +282,24 @@ def metacyclic_orders_naive(m: int, n: int, k: int, s: int = 0) -> dict:
             order, y = order + 1, mul(y, x)
         counts[order] = counts.get(order, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def factorizations_naive(limit: int) -> list:
+    """{prime: multiplicity} of every n below limit, at index n (index 0
+    holds None): trial division of n by the primes up to its square root,
+    each found on the way as an n that no smaller prime divides."""
+    out, primes = [None, {}], []
+    for n in range(2, limit):
+        fac, rest = {}, n
+        for p in primes:
+            if p * p > rest:
+                break
+            while rest % p == 0:
+                fac[p] = fac.get(p, 0) + 1
+                rest //= p
+        if rest > 1:
+            fac[rest] = fac.get(rest, 0) + 1
+        if rest == n:
+            primes.append(n)
+        out.append(fac)
+    return out

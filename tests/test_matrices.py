@@ -366,12 +366,42 @@ def test_two_builds_give_identical_closures(family, n, q):
             assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
-def test_cyclic_stage_checks_the_cap():
+def test_cyclic_stage_checks_the_cap(monkeypatch):
     """PSL(2,17) keeps its transvection of order 17 first, so a cap of 8 is
-    passed while its powers are taken, inside the one-pass cyclic stage."""
-    with pytest.raises(CapExceededError) as info:
-        classical_group("PSL", 2, 17, cap=8)
-    assert info.traceback[-1].name == "_powers"
+    passed while its powers are taken, one product a round: at the Python
+    speed, and at the numpy speed when every round is forced to it."""
+    for small in (matrices._SMALL, 0):
+        monkeypatch.setattr(matrices, "_SMALL", small)
+        with pytest.raises(CapExceededError) as info:
+            classical_group("PSL", 2, 17, cap=8)
+        assert info.traceback[-1].name == "_walk"
+
+
+@pytest.mark.parametrize("family,n,q,chunk", [
+    ("SL", 2, 3, None), ("SL", 3, 2, None), ("PSU", 4, 2, None), ("PSL", 2, 7, None),
+    ("PSL", 2, 9, None), ("PSL", 3, 4, None), ("PSU", 3, 3, None), ("PSL", 2, 9, 7)])
+def test_both_speeds_give_one_closure(monkeypatch, family, n, q, chunk):
+    """The walk runs its rounds of fewer than _SMALL products in plain Python
+    and the rest in numpy: forcing either speed for every round gives the
+    Closure of the default, field by field and dtype by dtype.  PSL(3,4) is
+    taken modulo three scalars, PSU(3,3) keeps three generators, and a
+    _CHUNK of 7 splits PSL(2,9)'s rounds into many chunks at both speeds."""
+    g = classical_group(family, n, q)
+    if chunk:
+        monkeypatch.setattr(matrices, "_CHUNK", chunk)
+    closures = []
+    for small in (matrices._SMALL, 0, 10**9):
+        monkeypatch.setattr(matrices, "_SMALL", small)
+        closures.append(MatrixGroup(g.generators, g.field, n, g.scalars)._walked())
+    want = closures[0]
+    assert len(want.kept) == (3 if family == "PSU" and n == 3 else 2)
+    assert len(want.elements) == classical_order(family, n, q)
+    for got in closures[1:]:
+        assert got.kept == want.kept
+        assert got.layers == want.layers and {type(c) for c in got.layers} == {int}
+        for field in ("elements", "table", "parent", "letter"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
 
 
 def positions(elems):
