@@ -64,7 +64,7 @@ def type_cardinalities(spectra: np.ndarray) -> np.ndarray:
     """|alpha| of each row of spectra: its distinct nonzero counts.
 
     Rows are put in order by an argsort of uint64, the kernel
-    matrices._unique runs already: a first np.sort of int64 would page in
+    MatrixGroup._walk runs already: a first np.sort of int64 would page in
     about 0.12 MB more of numpy's sorting code, seen in peak RSS."""
     u = spectra.astype(np.uint64)
     s = np.take_along_axis(u, np.argsort(u, axis=1), axis=1)

@@ -11,15 +11,16 @@ as keys alone, in position order, and pack_keys is the one place that packs
 them.  n^2 * bits <= 64 is checked before a group is built.  Row i of
 x * h is (row i of x) * h, so the closure multiplies by a kept generator h
 with one lookup per row of x's key in h's row table.  The walk goes round
-by round at two speeds, switching once.  A round of fewer than _SMALL
-products, as each power of the first kept generator is (one product a
-round), runs in plain Python on int keys, a dict and Python lists of the
-row tables, where numpy's per-call cost would exceed the work.  From the
-first larger round on, the walk runs in numpy on a sorted key array, which
-is dropped when the walk ends: it deduplicates each chunk of products with
-one unstable argsort (_unique) and merges its new keys into the sorted keys
-with one scatter (_merge), where np.unique and np.insert would each run a
-stable sort.
+by round, a round one batch per frontier chunk and kept generator, at two
+speeds, switching once.  A round of fewer than _SMALL products, as each
+power of the first kept generator is (one product a round), runs in plain
+Python on int keys, a dict and Python lists of the row tables, where
+numpy's per-call cost would exceed the work.  From the first larger round
+on, the walk runs in numpy on a sorted key array, which is dropped when the
+walk ends.  A batch holds no key twice (right multiplication is one-to-one),
+so it needs no dedupe: it is argsorted once, located in the sorted keys
+with one searchsorted (_locate), and its new keys are merged in with one
+scatter (_merge), where np.insert would run a stable sort.
 
 classical_group, the one constructor, builds its own field: GF(q) for SL and
 PSL, GF(q^2) for SU and PSU, each with the one modulus that
@@ -36,15 +37,14 @@ A MatrixGroup is a group of matrices modulo a subgroup Z of scalars, given
 as field codes; a linear group has Z = (1,).  Each coset xZ is represented
 by its member with the least packed key, which is also the least rows tuple.
 The group replaces each generator by that member, the argmin over the keys
-of all its multiples (one gather from the mul table), and the walk
-multiplies x by s*h for each kept generator h and each s in Z and keeps the
-least product; a linear walk multiplies by h alone.  The Python rounds read
-the least s off the product's first row: row 0 of an invertible matrix is
-nonzero, so its multiples differ there, and s*y is least where s*(row 0 of
-y) is, one choice per row code taken before the walk.  PSL and PSU are SL and
-SU modulo the scalars they contain, gcd(n, q - 1) of them (gcd(n, q + 1)
-for PSU).  With Z all of GF(q)* the least multiple is the one whose first
-nonzero entry in row-major order is 1.
+of all its multiples (one gather from the mul table).  The walk takes the
+least multiple of x * h as x * (s*h), from the row table of s*h, with s read
+off the first row of x * h: row 0 of an invertible matrix is nonzero, so its
+multiples differ there, and s*y is least where s*(row 0 of y) is, one choice
+per row code taken before the walk; a linear walk multiplies by h alone.
+PSL and PSU are SL and SU modulo the scalars they contain, gcd(n, q - 1) of
+them (gcd(n, q + 1) for PSU).  With Z all of GF(q)* the least multiple is
+the one whose first nonzero entry in row-major order is 1.
 """
 
 from __future__ import annotations
@@ -93,27 +93,10 @@ def pack_keys(codes, q: int):
 
 
 def _locate(sorted_keys, keys):
-    """Insertion points of keys in a nonempty sorted key array, and which are there."""
+    """Insertion points of keys in a nonempty sorted key array, and the
+    indices of the keys that are not there."""
     at = np.searchsorted(sorted_keys, keys)
-    found = sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys
-    return at, found
-
-
-def _unique(keys):
-    """np.unique(keys, return_index=True, return_inverse=True) of a nonempty
-    1-D key array, from one default (unstable) argsort: the keys in order,
-    the least index of each in keys, and where each of keys went.  np.unique
-    sorts stably so that its first index is the least; here the least index
-    of each run of equal keys is taken with minimum.reduceat instead."""
-    perm = np.argsort(keys)
-    ordered = keys[perm]
-    head = np.empty(len(keys), dtype=bool)  # where each run of equal keys starts
-    head[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-    starts = np.flatnonzero(head)
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[perm] = np.cumsum(head) - 1
-    return ordered[starts], np.minimum.reduceat(perm, starts), inverse
+    return at, np.flatnonzero(sorted_keys.take(at, mode="clip") != keys)
 
 
 def _merge(sorted_keys, positions, at, new, new_positions):
@@ -174,7 +157,7 @@ def row_table(field: FiniteField, h):
 _CHUNK = 65536
 # A round of fewer products than this runs in plain Python; numpy's per-call
 # cost exceeds the Python loop's there.
-_SMALL = 64
+_SMALL = 128
 
 
 class MatrixGroup(Group):
@@ -218,19 +201,19 @@ class MatrixGroup(Group):
 
         A new generator multiplies every element known so far once, and the
         elements it brings in then take every kept generator until nothing
-        new appears.  Each chunk of a round's products numbers its new keys
-        in key order and gives each its first product as parent and letter.
-        Rounds of fewer than _SMALL products run in Python, on a dict from
-        key to position; at the first larger round the sorted key and
-        position arrays are built from the dict, once, and every later round
-        runs in numpy: _unique, one unstable argsort, deduplicates a chunk,
-        and _merge scatters its new keys into the sorted keys.  Both speeds
-        give the same Closure.  Modulo scalars, a kept generator h has a row
-        table of s*h for each s in scalars (h's read through s*I's) and a
-        product's key is the least over the scalars, which the Python rounds
-        read off its first row (module docstring); a linear walk keeps h's
-        table alone.  Raises CapExceededError past the cap, checked after
-        each Python round and each numpy chunk.
+        new appears.  A round takes one batch per frontier chunk and kept
+        generator h, as PermutationGroup._walk does; a batch holds no key
+        twice, and its unknown keys are new elements, numbered in key order,
+        each with its one product as parent.  Rounds of fewer than _SMALL
+        products run in Python on a dict from key to position.  At the first
+        larger round the dict becomes sorted key and position arrays, once,
+        and every later batch runs in numpy: the chunk's row codes serve all
+        its batches, and a batch is argsorted once, located in the sorted
+        keys (_locate) and merged into them (_merge).  Both speeds give the
+        same Closure.  Modulo scalars a kept generator h has a row table of
+        s*h for each s in scalars, and x * h is read off the table of the s
+        that least names for its first row (module docstring).  Raises
+        CapExceededError past the cap, checked after each batch.
         """
         n, q, nz = self.n, self.field.q, len(self.scalars)
         width = key_bits(q, n) * n  # bits of one row, the key's last row lowest
@@ -247,38 +230,12 @@ class MatrixGroup(Group):
         parent, letter, layers, table = [0], [0], [1], []  # table[k]: R's row k, by position
         frontier, first, mults = [], 0, []
 
-        def python_round(frontier, first, mults):
-            """One round at the Python speed, from the lists of the kept
-            generators' tables: of the multiples of x * h, the least is the
-            one least[c] names, c the code of x * h's first row."""
-            hs, m = [lists[k] for k in mults], len(mults)  # the tables of s*h for each h
-            for s in range(0, len(frontier), _CHUNK):
-                prods, src = [], {}  # src: each new key's first product
-                for x in frontier[s:s + _CHUNK]:
-                    for ts in hs:
-                        t, y = ts[least[ts[0][x >> shifts[0]]]], 0
-                        for shift in shifts:
-                            y |= t[x >> shift & mask] << shift
-                        if y not in index and y not in src:
-                            src[y] = len(prods)
-                        prods.append(y)
-                for y in sorted(src):
-                    row, col = divmod(src[y], m)
-                    index[y] = len(elements)
-                    elements.append(y)
-                    parent.append(first + s + row)
-                    letter.append(mults[col])
-                landed = [index[y] for y in prods]
-                for col, k in enumerate(mults):
-                    table[k] += landed[col::m]
-
         while True:
             if not len(frontier):  # the next generator not already in the subgroup
                 rest = gen_keys[start:]
-                inside = (_locate(keys, rest)[1] if index is None
-                          else [y in index for y in rest.tolist()])
-                missing = np.flatnonzero(np.logical_not(inside))
-                done = not missing.size
+                missing = (_locate(keys, rest)[1] if index is None
+                           else [i for i, y in enumerate(rest.tolist()) if y not in index])
+                done = not len(missing)
                 if not done:
                     start += int(missing[0])
                     kept.append(start)
@@ -295,44 +252,66 @@ class MatrixGroup(Group):
                 keys, frontier = stored[0][positions], stored[0][first:]
                 parent, letter = [np.array(parent, dtype=np.int32)], [np.array(letter, dtype=np.int32)]
                 table = [[np.array(row, dtype=np.int32)] for row in table]
-                index = lists = least = None  # the Python speed's dict and tables go
+                index, lists, least = None, None, np.array(least)  # the dict and lists go
             if done:
                 break
             if index is not None:
                 if len(lists) < len(kept):  # the stage of the generator just kept
                     lists.append([t.tolist() for t in tables])
-                python_round(frontier, first, mults)
-                frontier, count = elements[count:], len(elements)
-                if count > self.cap:
-                    raise CapExceededError(self.cap)
-            else:
-                fresh, mults = [], np.array(mults)
-                letter_tables = mults * nz + np.arange(nz)[:, None, None] if scales else mults
                 for s in range(0, len(frontier), _CHUNK):
-                    x, prod = frontier[s:s + _CHUNK, None], np.uint64(0)
-                    for shift in np.arange(n, dtype=np.uint64) * np.uint64(width):
-                        rows = (x >> shift & np.uint64(mask)).astype(np.intp)
-                        prod = prod | row_tables[letter_tables << width | rows] << shift
-                    if scales:
-                        prod = prod.min(axis=0)
-                    cand, src, landed = _unique(prod.ravel())
-                    at, found = _locate(keys, cand)
-                    pos = positions[np.minimum(at, len(keys) - 1)]
-                    new = cand[~found]
-                    pos[~found] = np.arange(count, count + len(new))
-                    landed = pos[landed].reshape(-1, len(mults))
-                    for col, k in enumerate(mults):
-                        table[k].append(landed[:, col])
-                    if not new.size:
-                        continue
-                    row, col = np.divmod(src[~found], len(mults))
-                    parent.append((first + s + row).astype(np.int32))
-                    letter.append(mults[col].astype(np.int32))
-                    keys, positions = _merge(keys, positions, at[~found], new, pos[~found])
-                    count += len(new)
-                    fresh.append(new)
-                    if count > self.cap:
-                        raise CapExceededError(self.cap)
+                    chunk = frontier[s:s + _CHUNK]
+                    for k in mults:
+                        # x * h's least multiple is x * (s*h), s named by its first row
+                        ts, ys = lists[k], []
+                        for x in chunk:
+                            t, y = ts[least[ts[0][x >> shifts[0]]]], 0
+                            for shift in shifts:
+                                y |= t[x >> shift & mask] << shift
+                            ys.append(y)
+                        pos = list(map(index.get, ys))
+                        if None in pos:
+                            miss = [i for i, p in enumerate(pos) if p is None]
+                            miss.sort(key=ys.__getitem__)
+                            for i in miss:
+                                pos[i] = index[ys[i]] = len(elements)
+                                elements.append(ys[i])
+                                parent.append(first + s + i)
+                                letter.append(k)
+                        table[k] += pos
+                        if len(elements) > self.cap:
+                            raise CapExceededError(self.cap)
+                frontier, count = elements[count:], len(elements)
+            else:
+                fresh = []
+                for s in range(0, len(frontier), _CHUNK):
+                    x = frontier[s:s + _CHUNK]
+                    codes = [(x >> np.uint64(shift) & np.uint64(mask)).astype(np.intp)
+                             for shift in shifts]
+                    for k in mults:
+                        base = k * nz << width  # where h's table starts in row_tables
+                        if scales:  # the table of s*h, s read off the first row of x * h
+                            base = base + (least[row_tables[base | codes[0]]] << width)
+                        prod = np.uint64(0)
+                        for c, shift in zip(codes, shifts):
+                            prod = prod | row_tables[base | c] << np.uint64(shift)
+                        order = prod.argsort()
+                        prod = prod[order]
+                        at, miss = _locate(keys, prod)
+                        pos = positions.take(at, mode="clip")
+                        pos[miss] = np.arange(count, count + len(miss))
+                        landed = np.empty_like(pos)
+                        landed[order] = pos
+                        table[k].append(landed)
+                        if not miss.size:
+                            continue
+                        new = prod[miss]
+                        parent.append((first + s + order[miss]).astype(np.int32))
+                        letter.append(np.full(len(new), k, dtype=np.int32))
+                        keys, positions = _merge(keys, positions, at[miss], new, pos[miss])
+                        count += len(new)
+                        fresh.append(new)
+                        if count > self.cap:
+                            raise CapExceededError(self.cap)
                 frontier = np.concatenate(fresh or [keys[:0]])
                 stored.append(frontier)
             if len(frontier):

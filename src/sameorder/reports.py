@@ -16,11 +16,14 @@ import hashlib
 import json
 import os
 import sys
+import threading
+from itertools import count
 
 from .core import spectrum_checks
 from .errors import VerificationError
 
 ENGINE_VERSION = "0.1.0"
+_STORES = count()  # numbers the stores of this process, for their temp names
 
 
 def _report(expression, counts: dict, simple, solvable, center_order, engine_version) -> dict:
@@ -58,18 +61,21 @@ def render_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def report_is_consistent(rep) -> bool:
+def report_is_consistent(rep, text=None) -> bool:
     """Whether rep renders as the report _report lays out from its own
     spectrum, flags and center order: counts sum to the order, alpha
     matches counts, the keys come in order, and every value has its type.
     Rendered text is compared, not values: Python's == takes 6.0, True and
-    6 as one value, JSON does not."""
+    6 as one value, JSON does not.  Given text, as cache_load gives the
+    entry's, only the canonical report is rendered, and other bytes for the
+    same values, such as another indent, are inconsistent too."""
     try:
         counts = {int(t): int(c) for t, c in rep["spectrum"].items()}
         canonical = _report(str(rep["expression"]), dict(sorted(counts.items())),
                             bool(rep["simple"]), bool(rep["solvable"]),
                             int(rep["center_order"]), str(rep["engine_version"]))
-        return min(counts.values()) > 0 and render_json(rep) == render_json(canonical)
+        text = render_json(rep) if text is None else text
+        return min(counts.values()) > 0 and text == render_json(canonical)
     except (KeyError, TypeError, ValueError, AttributeError):
         return False
 
@@ -81,18 +87,18 @@ def cache_path(cache_dir: str, expression: str) -> str:
 
 def cache_load(cache_dir: str, expression: str) -> dict | None:
     """Return the cached report, or None when absent, corrupt or stale."""
-    path = cache_path(cache_dir, expression)
-    if not os.path.exists(path):
-        return None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rep = json.load(fh)
-        if report_is_consistent(rep) and rep["expression"] == expression:
+        with open(cache_path(cache_dir, expression), "r", encoding="utf-8") as fh:
+            text = fh.read()
+        rep = json.loads(text)
+        if report_is_consistent(rep, text) and rep["expression"] == expression:
             if rep["engine_version"] == ENGINE_VERSION:
                 return rep
             print(f"warning: stale cache entry for {expression!r} (engine version "
                   f"{rep['engine_version']!r}); recomputing", file=sys.stderr)
             return None
+    except FileNotFoundError:
+        return None
     except (OSError, UnicodeDecodeError, json.JSONDecodeError):
         pass
     print(f"warning: corrupt cache entry for {expression!r}; recomputing", file=sys.stderr)
@@ -100,12 +106,20 @@ def cache_load(cache_dir: str, expression: str) -> dict | None:
 
 
 def cache_store(cache_dir: str, expression: str, rep: dict):
+    """Write rep's entry through a temp file no other store shares, created
+    exclusively and renamed over the entry, so concurrent writers never meet
+    and a reader sees a whole entry; a failed store removes its temp file."""
     os.makedirs(cache_dir, exist_ok=True)
     path = cache_path(cache_dir, expression)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(render_json(rep))
-    os.replace(tmp, path)
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}-{next(_STORES)}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(render_json(rep))
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def report_for(expression: str, cap: int, cache_dir: str | None = None) -> dict:

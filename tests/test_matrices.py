@@ -404,6 +404,29 @@ def test_both_speeds_give_one_closure(monkeypatch, family, n, q, chunk):
             assert a.dtype == b.dtype and np.array_equal(a, b), field
 
 
+@pytest.mark.parametrize("small", [0, 10**9])
+@pytest.mark.parametrize("family,n,q,chunk", [
+    ("SL", 2, 3, None), ("PSL", 3, 4, None), ("PSU", 4, 2, None), ("PSL", 2, 9, 7)])
+def test_walk_keeps_its_structural_laws(monkeypatch, family, n, q, chunk, small):
+    """With every round at one speed, and PSL(2,9)'s rounds cut into chunks
+    of 7, the walk numbers each element once: each row of R is a permutation
+    of the positions, no key is stored twice, each parent sits in an earlier
+    layer and each letter names a kept generator.  A batch that numbered one
+    key twice would break the first two."""
+    g = classical_group(family, n, q)
+    if chunk:
+        monkeypatch.setattr(matrices, "_CHUNK", chunk)
+    monkeypatch.setattr(matrices, "_SMALL", small)
+    c = MatrixGroup(g.generators, g.field, n, g.scalars)._walked()
+    size = classical_order(family, n, q)
+    assert len(c.elements) == len(np.unique(c.elements)) == c.layers[-1] == size
+    for row in c.table:
+        assert np.array_equal(np.sort(row), np.arange(size))
+    layer = np.searchsorted(c.layers, np.arange(size), side="right")
+    assert (layer[c.parent[1:]] < layer[1:]).all()
+    assert ((0 <= c.letter[1:]) & (c.letter[1:] < len(c.kept))).all()
+
+
 def positions(elems):
     """Element position by element, as the oracles hold elements."""
     return {e: i for i, e in enumerate(elems)}
@@ -536,22 +559,23 @@ def test_chunked_walk_matches_one_chunk(monkeypatch, projective):
 
 @pytest.mark.parametrize("size,span", [(1, 1), (2, 1), (50, 3), (5000, 40), (65536, 9000),
                                        (3000, 2**64 - 1)])
-def test_unique_and_merge_match_numpy(size, span):
-    """The walk's sort-free _unique and _merge against np.unique and np.insert
-    on seeded uint64 keys, most of them repeated; a chunk may hold one
-    product."""
+def test_merge_and_locate_match_numpy(size, span):
+    """The walk's _locate and sort-free _merge against np.searchsorted,
+    np.isin, np.insert and np.union1d on seeded uint64 keys: a batch of
+    distinct keys in key order, as the walk sorts each batch, is located in
+    the sorted keys and its misses merged in; a batch may hold one product."""
     rng = np.random.default_rng(size)
     keys = rng.integers(0, span, size, dtype=np.uint64, endpoint=True)
-    got, want = matrices._unique(keys), np.unique(keys, return_index=True, return_inverse=True)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b.ravel())
+    batch = np.unique(keys)
     old = np.unique(rng.integers(0, span, size, dtype=np.uint64, endpoint=True))
     positions = rng.permutation(len(old)).astype(np.int32)
-    at, found = matrices._locate(old, got[0])
-    new, new_positions = got[0][~found], np.arange(len(old), len(old) + (~found).sum(), dtype=np.int32)
-    merged = matrices._merge(old, positions, at[~found], new, new_positions)
-    assert np.array_equal(merged[0], np.insert(old, at[~found], new))
-    assert np.array_equal(merged[1], np.insert(positions, at[~found], new_positions))
+    at, miss = matrices._locate(old, batch)
+    assert np.array_equal(at, np.searchsorted(old, batch))
+    assert np.array_equal(miss, np.flatnonzero(~np.isin(batch, old)))
+    new, new_positions = batch[miss], np.arange(len(old), len(old) + len(miss), dtype=np.int32)
+    merged = matrices._merge(old, positions, at[miss], new, new_positions)
+    assert np.array_equal(merged[0], np.insert(old, at[miss], new))
+    assert np.array_equal(merged[1], np.insert(positions, at[miss], new_positions))
     assert np.array_equal(merged[0], np.union1d(old, keys))
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from sameorder import reports
 from sameorder.reports import (
     ENGINE_VERSION,
     build_report,
@@ -166,3 +167,50 @@ def test_mistyped_cache_entry_is_recomputed(tmp_path, capsys, mutate):
     assert capsys.readouterr().err.count("corrupt") == 1
     with open(cache_path(str(tmp_path), "C(6)")) as fh:
         assert fh.read() == cold
+
+
+def test_reindented_cache_entry_is_recomputed(tmp_path, capsys):
+    """The entry's text is compared with one render of the report its values
+    lay out: the same values indented by 4 are not those bytes, so the entry
+    is corrupt and is overwritten with the cold run's bytes."""
+    cold = render_json(report_for("C(6)", 10_000))
+    path = cache_path(str(tmp_path), "C(6)")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(json.loads(cold), indent=4) + "\n")
+    assert render_json(report_for("C(6)", 10_000, str(tmp_path))) == cold
+    assert capsys.readouterr().err.count("corrupt") == 1
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == cold
+
+
+def test_overlapping_stores_of_one_entry_both_succeed(tmp_path, monkeypatch, capsys):
+    """A store that runs while another store of the same entry is between
+    its write and its rename, as concurrent writers do: each writes through
+    a temp file of its own, so both succeed, the entry loads, and no temp
+    file is left."""
+    rep = report_for("S(4)", 10_000)
+    replace, overlapped = os.replace, []
+
+    def store_again_first(src, dst):
+        if not overlapped:
+            overlapped.append(src)
+            cache_store(str(tmp_path), "S(4)", rep)
+        replace(src, dst)
+
+    monkeypatch.setattr(reports.os, "replace", store_again_first)
+    cache_store(str(tmp_path), "S(4)", rep)
+    assert overlapped
+    assert cache_load(str(tmp_path), "S(4)") == rep
+    assert capsys.readouterr().err == ""
+    assert os.listdir(tmp_path) == [os.path.basename(cache_path(str(tmp_path), "S(4)"))]
+
+
+def test_a_failed_store_leaves_no_temp_file(tmp_path, monkeypatch):
+    """A store whose rename fails raises, and removes its temp file."""
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(reports.os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        cache_store(str(tmp_path), "C(4)", report_for("C(4)", 10_000))
+    assert os.listdir(tmp_path) == []
