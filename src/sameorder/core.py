@@ -25,8 +25,9 @@ Left maps, class numbering and normal-closure rounds are linear passes over
 direct product is never enumerated: ``DirectProduct`` answers from its
 factors.  Nor is a metacyclic atom, cyclic, dihedral, dicyclic or F(m,n,k):
 ``Metacyclic`` answers from its parameters; nor a symmetric or alternating
-one, which ``Symmetric`` answers from its cycle types.  ``Invariants``, their
-one base, reads the same-order type and solvability off what each gives.
+one, which ``Symmetric`` answers from its cycle types; nor SL(2,q), which
+``SL2`` answers from q.  ``Invariants``, their one base, reads the same-order
+type and solvability off what each gives.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def _commutator(left_a, left_a_inv, left_b, left_b_inv):
 class Invariants:
     """The calls every kind of group answers, read off the order, spectrum
     and derived series that the subclass gives: Group by enumerating,
-    DirectProduct from its factors, Metacyclic and Symmetric from their
+    DirectProduct from its factors, Metacyclic, Symmetric and SL2 from their
     parameters."""
 
     def alpha(self) -> tuple:
@@ -759,6 +760,56 @@ class Symmetric(Invariants):
         orders = {1: (1,), 2: (1,), 3: (3, 1), 4: (12, 4, 1)}.get(n, (half, half))
         if not self.alternating and n >= 2:
             orders = (2 * half,) + orders
+        return orders, orders[-1] == 1
+
+
+class SL2(Invariants):
+    """SL(2,q) for a prime power q = p^f, answered from q (Dickson 1901;
+    Huppert, Endliche Gruppen I, §II.8): it is never enumerated.
+
+    Past the center {I} (q even) or {±I} (q odd), an element is a central
+    times a unipotent one, of order p, or 2p with p odd (q² - 1 of each), or
+    lies in a split torus of order q - 1, whose class holds q(q + 1)
+    elements, or a nonsplit one of order q + 1, q(q - 1); a torus element
+    of order t > gcd(2, q - 1) is conjugate only to itself and its inverse,
+    so it has φ(t)/2 such classes.  It answers the calls that reports,
+    verification and noniso_certificate make, as DirectProduct does.
+    """
+
+    def __init__(self, q: int, name=None):
+        self.q = q
+        self.name = name
+        self._spectrum = None
+
+    def order(self) -> int:
+        return self.q * (self.q**2 - 1)
+
+    def spectrum(self) -> Spectrum:
+        if self._spectrum is None:
+            q, center = self.q, self.center_order()
+            p, _ = prime_power(q)
+            acc = {1: 1, 2: q * q - 1} if p == 2 else {1: 1, 2: 1, p: q * q - 1, 2 * p: q * q - 1}
+            for torus, size in ((q - 1, q * (q + 1)), (q + 1, q * (q - 1))):
+                for t, phi in _divisor_totients(torus, factorize(torus)):
+                    if t > center:
+                        acc[t] = acc.get(t, 0) + phi * size // 2
+            self._spectrum = Spectrum(counts=dict(sorted(acc.items())), group_order=self.order())
+        return self._spectrum
+
+    def center_order(self) -> int:
+        return math.gcd(2, self.q - 1)
+
+    def is_simple(self) -> bool:
+        """SL(2,q) is PSL(2,q) for q even, simple from q = 4 on; for q odd
+        its center is a proper normal subgroup."""
+        return self.q % 2 == 0 and self.q >= 4
+
+    def derived_series(self) -> tuple:
+        """Orders along the derived series, plus the solvable flag, as in
+        Group.derived_series.  SL(2,2) is S(3) and SL(2,3)' is Q8, whose
+        derived subgroup is the center; from q = 4 on SL(2,q) is perfect."""
+        n = self.order()
+        orders = {2: (6, 3, 1), 3: (24, 8, 2, 1)}.get(self.q, (n, n))
         return orders, orders[-1] == 1
 
 

@@ -24,7 +24,7 @@ import re
 from collections import namedtuple
 
 from . import perms
-from .core import DEFAULT_CAP, DirectProduct, Group, Metacyclic, Symmetric
+from .core import DEFAULT_CAP, SL2, DirectProduct, Invariants, Metacyclic, Symmetric
 from .errors import (
     ArityError,
     CapExceededError,
@@ -39,10 +39,11 @@ ARITY = {
     "SL": 2, "PSL": 2, "SU": 2, "PSU": 2, "cex3": 0,
 }
 
-# the families answered from their parameters, never enumerated
+# the families answered from their parameters, never enumerated (SL(2,q) is too)
 METACYCLIC = ("C", "D", "Dic", "F")
 SYMMETRIC = ("S", "A")
-# the families built as matrix groups; perms validates the others
+# the families classical_order validates; all but SL(2,q) are built as matrix
+# groups, and perms validates the others
 CLASSICAL = ("SL", "PSL", "SU", "PSU")
 
 
@@ -249,13 +250,15 @@ def _metacyclic(family: str, params) -> tuple:
     return (n, 2, n - 1) if n >= 3 else (2, n, 1)
 
 
-def _eval_atom(ast, cap: int) -> Group | Metacyclic | Symmetric:
+def _eval_atom(ast, cap: int) -> Invariants:
     """The group of one atom, whose parameters and order eval_expr has
-    checked.  A family atom's point count is checked next, so C, D, Dic, F,
-    S and A atoms on more than MAX_DEGREE points are refused as the other
-    families are; those six are then answered from their parameters
-    (Metacyclic, Symmetric), and only cex3 and Perm[...] atoms are built
-    from permutations."""
+    checked.  SL(2,q) is answered from q (SL2).  The other classical atoms,
+    PSL, PSU, SU and SL of degree 3 and 4, are walked as matrix groups.  A
+    family atom's point count is checked next, so C, D, Dic, F, S and A
+    atoms on more than MAX_DEGREE points are refused as the other families
+    are; those six are then answered from their parameters (Metacyclic,
+    Symmetric), and only cex3 and Perm[...] atoms are built from
+    permutations."""
     name = print_expr(ast)
     if isinstance(ast, PermAtom):
         degree = _perm_degree(ast)
@@ -263,6 +266,8 @@ def _eval_atom(ast, cap: int) -> Group | Metacyclic | Symmetric:
             perms.perm_from_cycles([tuple(p - 1 for p in c) for c in cycles], degree)
             for cycles in ast.gens
         ]
+    elif ast.family == "SL" and ast.params[0] == 2:
+        return SL2(ast.params[1], name=name)
     elif ast.family in CLASSICAL:
         return classical_group(ast.family, *ast.params, cap=cap)  # named as print_expr names it
     else:
@@ -280,14 +285,15 @@ def factors_of(ast) -> tuple:
     return ast.factors if isinstance(ast, Product) else (ast,)
 
 
-def eval_expr(ast, cap: int = DEFAULT_CAP) -> Group | Metacyclic | Symmetric | DirectProduct:
+def eval_expr(ast, cap: int = DEFAULT_CAP) -> Invariants:
     """Build the group an expression denotes.
 
     Every atom's parameters are validated and the product of the atoms'
     orders is checked against cap before anything is built.  A product
     becomes a DirectProduct of its atoms, so only the atoms are enumerated,
-    and C, D, Dic, F, S and A atoms are not enumerated either (Metacyclic,
-    Symmetric).
+    and C, D, Dic, F, S, A and SL(2,q) atoms are not enumerated either
+    (Metacyclic, Symmetric, SL2): only PSL, PSU, SU, SL of degree 3 and 4,
+    cex3 and Perm[...] atoms are.
     """
     factors = factors_of(ast)
     if math.prod(_atom_order(f, cap) for f in factors) > cap:
@@ -298,5 +304,5 @@ def eval_expr(ast, cap: int = DEFAULT_CAP) -> Group | Metacyclic | Symmetric | D
     return DirectProduct(groups, name=print_expr(ast), cap=cap)
 
 
-def group_for(text: str, cap: int = DEFAULT_CAP) -> Group | Metacyclic | Symmetric | DirectProduct:
+def group_for(text: str, cap: int = DEFAULT_CAP) -> Invariants:
     return eval_expr(parse_expr(text), cap)

@@ -7,10 +7,11 @@ a matching type cardinality does not pin down the group, and a bounded
 search for further collisions at a given order.  Reports are deterministic:
 fixed group lists, sorted collections, no timestamps, identical output for
 any thread count.  Cyclic, dihedral, dicyclic and F(m,n,k) atoms, most of the
-hunt's, are answered from their parameters (core.Metacyclic), and symmetric
-and alternating atoms from their cycle types (core.Symmetric); only the
-counterexample's disputed counts still enumerate two of them, and the hunt
-enumerates its SL atoms, cex3 and the simple reference.  The hunt reads each
+hunt's, are answered from their parameters (core.Metacyclic), symmetric and
+alternating atoms from their cycle types (core.Symmetric), and SL(2,q) from q
+(core.SL2).  The counterexample enumerates cex3, PSL(2,7) and, for its
+disputed counts, Dic(2) and F(7,3,2); the hunt enumerates only its SL(n,q)
+atoms with n >= 3 and the simple reference.  The hunt reads each
 atom's spectrum once, as solution counts c(d) = #{x : x^d = 1} on the
 divisors d of the order, and gets every candidate product's spectrum from one
 numpy product of those counts and one integer Möbius matrix

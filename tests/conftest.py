@@ -1,11 +1,12 @@
 import itertools
+from functools import partial
 
 import pytest
 from oracles import alternating_generators, symmetric_generators
 
 from sameorder import DirectProduct, eval_expr, group_for, parse_expr, perms, print_expr
 from sameorder.dsl import METACYCLIC, factors_of
-from sameorder.matrices import MatrixGroup
+from sameorder.matrices import MatrixGroup, classical_group
 from sameorder.perms import permutation_group
 
 
@@ -23,23 +24,29 @@ def built():
 
 
 def _builder(atom):
-    """The generator builder of a C, D, Dic, F, S or A atom, the atoms the
-    engine answers from their parameters: the perms builder, or for S and A
-    the oracle's.  None for any other atom."""
+    """The enumerating builder of an atom the engine answers from its
+    parameters, called with those parameters: for C, D, Dic and F the perms
+    builder and for S and A the oracle's, each making a PermutationGroup,
+    and for SL(2,q) classical_group's matrix walk.  None for any other
+    atom."""
     family = getattr(atom, "family", None)  # a PermAtom has no family
+    if family == "SL" and atom.params[0] == 2:
+        return partial(classical_group, "SL")
     if family in METACYCLIC:
-        return perms.FAMILY_BUILDERS[family]
-    return {"S": symmetric_generators, "A": alternating_generators}.get(family)
+        gens = perms.FAMILY_BUILDERS[family]
+    elif family in ("S", "A"):
+        gens = {"S": symmetric_generators, "A": alternating_generators}[family]
+    else:
+        return None
+    return lambda *params: permutation_group(gens(*params), name=print_expr(atom))
 
 
 def _enumerated(expr: str):
-    """The group of expr with each C, D, Dic, F, S and A atom a
-    PermutationGroup from its builder: the oracle for their parametric
-    answers, with the closure, classes and maps that tests of Group's
-    internals read."""
+    """The group of expr with each C, D, Dic, F, S, A and SL(2,q) atom
+    enumerated by its builder: the oracle for their parametric answers, with
+    the closure, classes and maps that tests of Group's internals read."""
     ast = parse_expr(expr)
-    groups = [permutation_group(_builder(a)(*a.params), name=print_expr(a))
-              if _builder(a) else eval_expr(a) for a in factors_of(ast)]
+    groups = [_builder(a)(*a.params) if _builder(a) else eval_expr(a) for a in factors_of(ast)]
     return groups[0] if len(groups) == 1 else DirectProduct(groups, name=print_expr(ast))
 
 
@@ -52,9 +59,8 @@ def fresh_perm():
 
 @pytest.fixture(scope="session")
 def built_perm(built):
-    """built, except that an expression with a C, D, Dic, F, S or A atom
-    gets that atom built as a PermutationGroup (_enumerated).  Memoized as
-    built is."""
+    """built, except that an expression with a C, D, Dic, F, S, A or SL(2,q)
+    atom gets that atom enumerated (_enumerated).  Memoized as built is."""
     cache = {}
 
     def get(expr: str):

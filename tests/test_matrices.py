@@ -47,13 +47,15 @@ def test_matrix_inverse_and_det():
 
 @pytest.mark.parametrize("q,order", [(2, 6), (3, 24), (5, 120), (7, 336),
                                      (8, 504), (9, 720), (17, 4896)])
-def test_sl2_orders(built, q, order):
-    assert built(f"SL(2,{q})").order() == order
+def test_sl2_orders(built, built_perm, q, order):
+    """Answered from q, and enumerated."""
+    assert built(f"SL(2,{q})").order() == built_perm(f"SL(2,{q})").order() == order
     assert classical_order("SL", 2, q) == order
 
 
-def test_sl23_spectrum(built):
-    assert built("SL(2,3)").spectrum().counts == {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
+def test_sl23_spectrum(built, built_perm):
+    for g in (built("SL(2,3)"), built_perm("SL(2,3)")):
+        assert g.spectrum().counts == {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
 
 
 def test_sl_generators_are_transvections():
@@ -311,7 +313,7 @@ KEPT_FROM_TRANSVECTIONS = {
 }
 
 
-def test_word_generators_keep_no_more_generators(built):
+def test_word_generators_keep_no_more_generators(built_perm):
     """The two words classical_group puts in front of a family's generators
     when there are more than two keep no more generators than the
     transvections alone kept, on every theorem group and hunt SL atom, and
@@ -320,9 +322,9 @@ def test_word_generators_keep_no_more_generators(built):
     exprs = [*verify.THREE_PRIME_SIMPLE_GROUPS, *sorted(hunt_atoms)]
     assert set(exprs) == set(KEPT_FROM_TRANSVECTIONS)
     for expr in exprs:
-        g = built(expr)
+        g = built_perm(expr)  # walks SL(2,q), which the engine answers from q
         assert len(g.reduced_generators()) <= KEPT_FROM_TRANSVECTIONS[expr], expr
-    psu = built("PSU(4,2)")
+    psu = built_perm("PSU(4,2)")
     assert psu.reduced_generators() == psu.generators[:2]
 
 
@@ -516,12 +518,12 @@ def test_packed_index_and_conjugation_maps_match_generic(built_perm, expr):
 
 
 @pytest.mark.parametrize("expr", ["PSL(2,7)", "PSL(2,9)", "PSL(3,4)", "PSL(4,2)", "PSU(3,3)"])
-def test_scalar_quotient_matches_projective_closure(built, expr):
+def test_scalar_quotient_matches_projective_closure(built, built_perm, expr):
     """A P-group walks the linear group modulo its scalars Z, which are
     central elements of the linear group, |linear| / |P| of them; its keys
     are exactly {least key of s*x for s in Z : x in the linear group}, here
     by mat_mul with the scalar matrices s*I."""
-    grp, linear = built(expr), built(expr[1:])
+    grp, linear = built(expr), built_perm(expr[1:])  # walks SL(2,q) too
     f, n, z = linear.field, linear.n, grp.scalars
     assert len(z) == linear.order() // grp.order()
     linear_elems = elements(linear)

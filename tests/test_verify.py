@@ -220,13 +220,17 @@ def test_hunt_unaffected_by_cache_lifecycle(tmp_path):
 
 
 def test_hunt_builds_each_atom_once(monkeypatch):
+    """C, D, Dic, F, S, A and SL(2,q) atoms are answered from their
+    parameters and never walked, so a hunt walks only its SL(n,q) atoms for
+    n >= 3, none at 60 and SL(3,2) at 168, and the simple reference, which
+    is no atom."""
     from collections import Counter
 
     from sameorder import verify
     from sameorder.core import Group
-    from sameorder.dsl import METACYCLIC, SYMMETRIC, print_expr
+    from sameorder.dsl import print_expr
 
-    built, enumerated = Counter(), Counter()
+    built, enumerated, pools = Counter(), Counter(), []
     walked, evaluate = Group._walked, verify.eval_expr
 
     def counting(self):
@@ -238,8 +242,6 @@ def test_hunt_builds_each_atom_once(monkeypatch):
         built[print_expr(ast)] += 1
         return evaluate(ast, cap)
 
-    pools = []
-
     class Pool(verify._AtomPool):
         def __init__(self, *args):
             super().__init__(*args)
@@ -248,20 +250,20 @@ def test_hunt_builds_each_atom_once(monkeypatch):
     monkeypatch.setattr(Group, "_walked", counting)
     monkeypatch.setattr(verify, "eval_expr", building)
     monkeypatch.setattr(verify, "_AtomPool", Pool)
-    rep = hunt_report(60, 3)
-    atoms = {a for factors in _candidate_expressions(60, 3).values() for a in factors}
-    assert rep["candidates_searched"] == 53
-    assert set(built) == {print_expr(a) for a in atoms}
-    assert max(built.values()) == 1
-    # C, D, Dic, F, S and A atoms are answered from their parameters and
-    # never walked; PSL(2,5), the simple reference, is no atom and runs its
-    # own walk
-    walks = {print_expr(a) for a in atoms if a.family not in METACYCLIC + SYMMETRIC}
-    assert walks == {"SL(2,2)", "SL(2,4)"}
-    assert set(enumerated) == walks | {"PSL(2,5)"}
-    assert max(enumerated.values()) == 1
-    # each atom is dropped after the last candidate that uses it
-    assert pools[0].built == {}
+    for order, candidates, sl2, walks, simple in [
+            (60, 53, {"SL(2,2)", "SL(2,4)"}, set(), "PSL(2,5)"),
+            (168, 149, {"SL(2,2)", "SL(2,3)"}, {"SL(3,2)"}, "PSL(2,7)")]:
+        built.clear()
+        enumerated.clear()
+        rep = hunt_report(order, 3)
+        atoms = {print_expr(a) for fs in _candidate_expressions(order, 3).values() for a in fs}
+        assert rep["candidates_searched"] == candidates
+        assert set(built) == atoms and max(built.values()) == 1
+        assert sl2 < atoms  # built, not walked
+        assert set(enumerated) == walks | {simple}
+        assert max(enumerated.values()) == 1
+        # each atom is dropped after the last candidate that uses it
+        assert pools[-1].built == {}
 
 
 @pytest.mark.parametrize("order,max_factors", [(60, 2), (60, 3), (168, 2), (168, 3)])
