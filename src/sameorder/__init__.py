@@ -4,7 +4,7 @@ Build a group from a small expression language (cyclic, dihedral, dicyclic,
 symmetric, alternating, Frobenius, special linear and unitary families plus
 direct products), enumerate it (a direct product factor by factor; the
 cyclic, dihedral, dicyclic, Frobenius, symmetric and alternating atoms and
-SL(2,q) are answered from their parameters instead), and
+SL(2,q) and SL(3,q) are answered from their parameters instead), and
 compute how many elements it has of each order.  The distinct counts form the group's same-order type; the package
 verifies which small simple groups have a five-size type and exhibits
 solvable groups of order 168 sharing that cardinality with PSL(2,7).

@@ -25,9 +25,9 @@ Left maps, class numbering and normal-closure rounds are linear passes over
 direct product is never enumerated: ``DirectProduct`` answers from its
 factors.  Nor is a metacyclic atom, cyclic, dihedral, dicyclic or F(m,n,k):
 ``Metacyclic`` answers from its parameters; nor a symmetric or alternating
-one, which ``Symmetric`` answers from its cycle types; nor SL(2,q), which
-``SL2`` answers from q.  ``Invariants``, their one base, reads the same-order
-type and solvability off what each gives.
+one, which ``Symmetric`` answers from its cycle types; nor SL(2,q) or
+SL(3,q), which ``SpecialLinear`` answers from q.  ``Invariants``, their one
+base, reads the same-order type and solvability off what each gives.
 """
 
 from __future__ import annotations
@@ -164,8 +164,8 @@ def _commutator(left_a, left_a_inv, left_b, left_b_inv):
 class Invariants:
     """The calls every kind of group answers, read off the order, spectrum
     and derived series that the subclass gives: Group by enumerating,
-    DirectProduct from its factors, Metacyclic, Symmetric and SL2 from their
-    parameters."""
+    DirectProduct from its factors, Metacyclic, Symmetric and SpecialLinear
+    from their parameters."""
 
     def alpha(self) -> tuple:
         return self.spectrum().alpha()
@@ -763,53 +763,111 @@ class Symmetric(Invariants):
         return orders, orders[-1] == 1
 
 
-class SL2(Invariants):
-    """SL(2,q) for a prime power q = p^f, answered from q (Dickson 1901;
-    Huppert, Endliche Gruppen I, §II.8): it is never enumerated.
+class SpecialLinear(Invariants):
+    """SL(n,q) for n = 2 or 3 and a prime power q = p^f, answered from n and
+    q: it is never enumerated.  Its center is the d = gcd(n, q - 1) scalars,
+    it is perfect but for SL(2,2) and SL(2,3), and simple where it is
+    perfect with a trivial center, being PSL(n,q) then.  It answers the
+    calls that reports, verification and noniso_certificate make, as
+    DirectProduct does.
 
-    Past the center {I} (q even) or {±I} (q odd), an element is a central
-    times a unipotent one, of order p, or 2p with p odd (q² - 1 of each), or
-    lies in a split torus of order q - 1, whose class holds q(q + 1)
-    elements, or a nonsplit one of order q + 1, q(q - 1); a torus element
-    of order t > gcd(2, q - 1) is conjugate only to itself and its inverse,
-    so it has φ(t)/2 such classes.  It answers the calls that reports,
-    verification and noniso_certificate make, as DirectProduct does.
+    SL(2,q) (Dickson 1901; Huppert, Endliche Gruppen I, §II.8): past the
+    center, an element is a central times a unipotent one, of order p, or
+    2p with p odd (q² - 1 of each), or lies in a split torus of order q - 1,
+    whose class holds q(q + 1) elements, or a nonsplit one of order q + 1,
+    q(q - 1); a torus element of order t > gcd(2, q - 1) is conjugate only
+    to itself and its inverse, so it has φ(t)/2 such classes.
+
+    SL(3,q) (Steinberg 1951; Simpson and Frame 1973) is read off the class
+    types of GL(3,q) restricted to determinant 1: see _spectrum3.
     """
 
-    def __init__(self, q: int, name=None):
-        self.q = q
+    def __init__(self, n: int, q: int, name=None):
+        self.n, self.q = n, q
         self.name = name
         self._spectrum = None
 
     def order(self) -> int:
-        return self.q * (self.q**2 - 1)
+        n, q = self.n, self.q
+        return q ** (n * (n - 1) // 2) * math.prod(q**i - 1 for i in range(2, n + 1))
 
     def spectrum(self) -> Spectrum:
         if self._spectrum is None:
-            q, center = self.q, self.center_order()
-            p, _ = prime_power(q)
-            acc = {1: 1, 2: q * q - 1} if p == 2 else {1: 1, 2: 1, p: q * q - 1, 2 * p: q * q - 1}
-            for torus, size in ((q - 1, q * (q + 1)), (q + 1, q * (q - 1))):
-                for t, phi in _divisor_totients(torus, factorize(torus)):
-                    if t > center:
-                        acc[t] = acc.get(t, 0) + phi * size // 2
+            acc = self._spectrum2() if self.n == 2 else self._spectrum3()
             self._spectrum = Spectrum(counts=dict(sorted(acc.items())), group_order=self.order())
         return self._spectrum
 
+    def _spectrum2(self) -> dict:
+        q, center = self.q, self.center_order()
+        p, _ = prime_power(q)
+        acc = {1: 1, 2: q * q - 1} if p == 2 else {1: 1, 2: 1, p: q * q - 1, 2 * p: q * q - 1}
+        for torus, size in ((q - 1, q * (q + 1)), (q + 1, q * (q - 1))):
+            for t, phi in _divisor_totients(torus, factorize(torus)):
+                if t > center:
+                    acc[t] = acc.get(t, 0) + phi * size // 2
+        return acc
+
+    def _spectrum3(self) -> dict:
+        """Element counts by order, class type by class type, with N =
+        q³(q - 1)³(q + 1)(q² + q + 1) and d = gcd(3, q - 1).  For each a of
+        order t | q - 1: if a³ = 1, the scalar a, N/(q³(q - 1)²) elements a
+        times a transvection, of order pt, and N/(q²(q - 1)) a times a
+        regular unipotent, of order pt, or 4t for p = 2; otherwise
+        diag(a, a, a⁻²), N/(q(q - 1)³(q + 1)) of order t, and the same times
+        a transvection on the a-plane, N/(q(q - 1)²) of order pt.  Then
+        (J₂(t) - 3φ(t) + 2φ(t)[t | d])/6 classes of diag(a, b, c) with a, b, c
+        distinct, of order t | q - 1 and N/(q - 1)³ elements each (J₂ is
+        Jordan's totient: the ordered pairs (a, b) of order t, less those
+        with two or three equal); φ(t)/2 classes a ⊕ (β, β^q), of order t | q²
+        - 1 but not q - 1 and N/((q - 1)(q² - 1)) elements each; and φ(t)/3
+        classes (β, β^q, β^q²), of order t | q² + q + 1 but not d and
+        N/(q³ - 1) elements each."""
+        q, d = self.q, self.center_order()
+        p, _ = prime_power(q)
+        big = q**3 * (q - 1) ** 3 * (q + 1) * (q * q + q + 1)
+        acc = {}
+
+        def add(t, count):
+            if count:
+                acc[t] = acc.get(t, 0) + count
+
+        primes = factorize(q - 1)
+        for t, phi in _divisor_totients(q - 1, primes):
+            cube = d % t == 0
+            if cube:
+                add(t, phi)
+                add(p * t, phi * big // (q**3 * (q - 1) ** 2))
+                add((4 if p == 2 else p) * t, phi * big // (q * q * (q - 1)))
+            else:
+                add(t, phi * big // (q * (q - 1) ** 3 * (q + 1)))
+                add(p * t, phi * big // (q * (q - 1) ** 2))
+            jordan = t * t
+            for r in primes:
+                if t % r == 0:
+                    jordan = jordan // (r * r) * (r * r - 1)
+            add(t, (jordan - 3 * phi + 2 * phi * cube) // 6 * big // (q - 1) ** 3)
+        for t, phi in _divisor_totients(q * q - 1, factorize(q * q - 1)):
+            if (q - 1) % t:
+                add(t, phi * big // (2 * (q - 1) * (q * q - 1)))
+        for t, phi in _divisor_totients(q * q + q + 1, factorize(q * q + q + 1)):
+            if d % t:
+                add(t, phi * big // (3 * (q**3 - 1)))
+        return acc
+
     def center_order(self) -> int:
-        return math.gcd(2, self.q - 1)
+        return math.gcd(self.n, self.q - 1)
 
     def is_simple(self) -> bool:
-        """SL(2,q) is PSL(2,q) for q even, simple from q = 4 on; for q odd
-        its center is a proper normal subgroup."""
-        return self.q % 2 == 0 and self.q >= 4
+        """Simple iff perfect with a trivial center: SL(2,q) for q even from
+        q = 4 on, SL(3,q) for q ≢ 1 (mod 3)."""
+        return self.center_order() == 1 and (self.n, self.q) != (2, 2)
 
     def derived_series(self) -> tuple:
         """Orders along the derived series, plus the solvable flag, as in
         Group.derived_series.  SL(2,2) is S(3) and SL(2,3)' is Q8, whose
-        derived subgroup is the center; from q = 4 on SL(2,q) is perfect."""
+        derived subgroup is the center; every other SL(n,q) is perfect."""
         n = self.order()
-        orders = {2: (6, 3, 1), 3: (24, 8, 2, 1)}.get(self.q, (n, n))
+        orders = {(2, 2): (6, 3, 1), (2, 3): (24, 8, 2, 1)}.get((self.n, self.q), (n, n))
         return orders, orders[-1] == 1
 
 

@@ -24,7 +24,7 @@ import re
 from collections import namedtuple
 
 from . import perms
-from .core import DEFAULT_CAP, SL2, DirectProduct, Invariants, Metacyclic, Symmetric
+from .core import DEFAULT_CAP, DirectProduct, Invariants, Metacyclic, SpecialLinear, Symmetric
 from .errors import (
     ArityError,
     CapExceededError,
@@ -39,11 +39,13 @@ ARITY = {
     "SL": 2, "PSL": 2, "SU": 2, "PSU": 2, "cex3": 0,
 }
 
-# the families answered from their parameters, never enumerated (SL(2,q) is too)
+# the families answered from their parameters, never enumerated (SL(n,q) is
+# too, for n in SL_DEGREES)
 METACYCLIC = ("C", "D", "Dic", "F")
 SYMMETRIC = ("S", "A")
-# the families classical_order validates; all but SL(2,q) are built as matrix
-# groups, and perms validates the others
+SL_DEGREES = (2, 3)
+# the families classical_order validates; all but SL(2,q) and SL(3,q) are
+# built as matrix groups, and perms validates the others
 CLASSICAL = ("SL", "PSL", "SU", "PSU")
 
 
@@ -252,13 +254,13 @@ def _metacyclic(family: str, params) -> tuple:
 
 def _eval_atom(ast, cap: int) -> Invariants:
     """The group of one atom, whose parameters and order eval_expr has
-    checked.  SL(2,q) is answered from q (SL2).  The other classical atoms,
-    PSL, PSU, SU and SL of degree 3 and 4, are walked as matrix groups.  A
-    family atom's point count is checked next, so C, D, Dic, F, S and A
-    atoms on more than MAX_DEGREE points are refused as the other families
-    are; those six are then answered from their parameters (Metacyclic,
-    Symmetric), and only cex3 and Perm[...] atoms are built from
-    permutations."""
+    checked.  SL(2,q) and SL(3,q) are answered from q (SpecialLinear).  The
+    other classical atoms, PSL, PSU, SU and SL(4,q), are walked as matrix
+    groups.  A family atom's point count is checked next, so C, D, Dic, F, S
+    and A atoms on more than MAX_DEGREE points are refused as the other
+    families are; those six are then answered from their parameters
+    (Metacyclic, Symmetric), and only cex3 and Perm[...] atoms are built
+    from permutations."""
     name = print_expr(ast)
     if isinstance(ast, PermAtom):
         degree = _perm_degree(ast)
@@ -266,8 +268,8 @@ def _eval_atom(ast, cap: int) -> Invariants:
             perms.perm_from_cycles([tuple(p - 1 for p in c) for c in cycles], degree)
             for cycles in ast.gens
         ]
-    elif ast.family == "SL" and ast.params[0] == 2:
-        return SL2(ast.params[1], name=name)
+    elif ast.family == "SL" and ast.params[0] in SL_DEGREES:
+        return SpecialLinear(*ast.params, name=name)
     elif ast.family in CLASSICAL:
         return classical_group(ast.family, *ast.params, cap=cap)  # named as print_expr names it
     else:
@@ -291,9 +293,9 @@ def eval_expr(ast, cap: int = DEFAULT_CAP) -> Invariants:
     Every atom's parameters are validated and the product of the atoms'
     orders is checked against cap before anything is built.  A product
     becomes a DirectProduct of its atoms, so only the atoms are enumerated,
-    and C, D, Dic, F, S, A and SL(2,q) atoms are not enumerated either
-    (Metacyclic, Symmetric, SL2): only PSL, PSU, SU, SL of degree 3 and 4,
-    cex3 and Perm[...] atoms are.
+    and C, D, Dic, F, S, A, SL(2,q) and SL(3,q) atoms are not enumerated
+    either (Metacyclic, Symmetric, SpecialLinear): only PSL, PSU, SU,
+    SL(4,q), cex3 and Perm[...] atoms are.
     """
     factors = factors_of(ast)
     if math.prod(_atom_order(f, cap) for f in factors) > cap:

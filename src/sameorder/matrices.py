@@ -430,8 +430,9 @@ def classical_group(family: str, n: int, q: int, cap=DEFAULT_CAP) -> MatrixGroup
     """SL, PSL, SU or PSU of degree n over GF(q), checked against its order
     formula; PSL and PSU walk SL and SU modulo classical_scalars.  The
     generators are the family's transvections, after two _words in them
-    when there are more than two.  An SL(2,q) atom of an expression is
-    answered from q (core.SL2) instead; the walk here is its oracle."""
+    when there are more than two.  An SL(2,q) or SL(3,q) atom of an
+    expression is answered from q (core.SpecialLinear) instead; the walk
+    here is its oracle."""
     order = classical_order(family, n, q)
     unitary = family.endswith("SU")
     key_bits(q * q if unitary else q, n)  # before anything is built

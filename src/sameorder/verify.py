@@ -8,11 +8,11 @@ search for further collisions at a given order.  Reports are deterministic:
 fixed group lists, sorted collections, no timestamps, identical output for
 any thread count.  Cyclic, dihedral, dicyclic and F(m,n,k) atoms, most of the
 hunt's, are answered from their parameters (core.Metacyclic), symmetric and
-alternating atoms from their cycle types (core.Symmetric), and SL(2,q) from q
-(core.SL2).  The counterexample enumerates cex3, PSL(2,7) and, for its
-disputed counts, Dic(2) and F(7,3,2); the hunt enumerates only its SL(n,q)
-atoms with n >= 3 and the simple reference.  The hunt reads each
-atom's spectrum once, as solution counts c(d) = #{x : x^d = 1} on the
+alternating atoms from their cycle types (core.Symmetric), and SL(2,q) and
+SL(3,q) from q (core.SpecialLinear).  The counterexample enumerates cex3,
+PSL(2,7) and, for its disputed counts, Dic(2) and F(7,3,2); the hunt
+enumerates only its SL(4,q) atoms and the simple reference.  The hunt reads
+each atom's spectrum once, as solution counts c(d) = #{x : x^d = 1} on the
 divisors d of the order, and gets every candidate product's spectrum from one
 numpy product of those counts and one integer Möbius matrix
 (DivisorLattice): only the candidates whose type cardinality matches the
@@ -424,7 +424,7 @@ def hunt_report(order: int, max_factors: int, cap: int = DEFAULT_CAP,
         groups = atoms.take(factors[text])
         try:
             g = groups[0] if len(groups) == 1 else DirectProduct(groups, name=text, cap=cap)
-            g.is_simple()  # likewise, for a simple atom such as SL(3,2)
+            g.is_simple()  # likewise, for a walked simple atom such as SL(4,2)
             cert = noniso_certificate(simple, g)
             if cert is None:
                 return None

@@ -5,7 +5,7 @@ import pytest
 from oracles import alternating_generators, symmetric_generators
 
 from sameorder import DirectProduct, eval_expr, group_for, parse_expr, perms, print_expr
-from sameorder.dsl import METACYCLIC, factors_of
+from sameorder.dsl import METACYCLIC, SL_DEGREES, factors_of
 from sameorder.matrices import MatrixGroup, classical_group
 from sameorder.perms import permutation_group
 
@@ -27,10 +27,10 @@ def _builder(atom):
     """The enumerating builder of an atom the engine answers from its
     parameters, called with those parameters: for C, D, Dic and F the perms
     builder and for S and A the oracle's, each making a PermutationGroup,
-    and for SL(2,q) classical_group's matrix walk.  None for any other
-    atom."""
+    and for SL(2,q) and SL(3,q) classical_group's matrix walk.  None for
+    any other atom."""
     family = getattr(atom, "family", None)  # a PermAtom has no family
-    if family == "SL" and atom.params[0] == 2:
+    if family == "SL" and atom.params[0] in SL_DEGREES:
         return partial(classical_group, "SL")
     if family in METACYCLIC:
         gens = perms.FAMILY_BUILDERS[family]
@@ -42,8 +42,8 @@ def _builder(atom):
 
 
 def _enumerated(expr: str):
-    """The group of expr with each C, D, Dic, F, S, A and SL(2,q) atom
-    enumerated by its builder: the oracle for their parametric answers, with
+    """The group of expr with each C, D, Dic, F, S, A, SL(2,q) and SL(3,q)
+    atom enumerated by its builder: the oracle for their parametric answers, with
     the closure, classes and maps that tests of Group's internals read."""
     ast = parse_expr(expr)
     groups = [_builder(a)(*a.params) if _builder(a) else eval_expr(a) for a in factors_of(ast)]
@@ -59,8 +59,8 @@ def fresh_perm():
 
 @pytest.fixture(scope="session")
 def built_perm(built):
-    """built, except that an expression with a C, D, Dic, F, S, A or SL(2,q)
-    atom gets that atom enumerated (_enumerated).  Memoized as built is."""
+    """built, except that an expression with a C, D, Dic, F, S, A, SL(2,q) or
+    SL(3,q) atom gets that atom enumerated (_enumerated).  Memoized as built is."""
     cache = {}
 
     def get(expr: str):

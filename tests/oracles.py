@@ -286,20 +286,17 @@ def metacyclic_orders_naive(m: int, n: int, k: int, s: int = 0) -> dict:
 
 def factorizations_naive(limit: int) -> list:
     """{prime: multiplicity} of every n below limit, at index n (index 0
-    holds None): trial division of n by the primes up to its square root,
-    each found on the way as an n that no smaller prime divides."""
-    out, primes = [None, {}], []
+    holds None): a smallest-prime-factor sieve, then each n's factorization
+    is that of n / spf(n) with spf(n) counted once more."""
+    spf = list(range(limit))
+    for p in range(math.isqrt(limit - 1), 1, -1):
+        # descending, so the last write to a multiple of p^2 is its least
+        # prime factor, every composite m having spf(m)^2 <= m
+        spf[p * p::p] = [p] * len(range(p * p, limit, p))
+    out = [None, {}]
     for n in range(2, limit):
-        fac, rest = {}, n
-        for p in primes:
-            if p * p > rest:
-                break
-            while rest % p == 0:
-                fac[p] = fac.get(p, 0) + 1
-                rest //= p
-        if rest > 1:
-            fac[rest] = fac.get(rest, 0) + 1
-        if rest == n:
-            primes.append(n)
+        p = spf[n]
+        fac = dict(out[n // p])
+        fac[p] = fac.get(p, 0) + 1
         out.append(fac)
     return out

@@ -211,10 +211,10 @@ def test_scalar_normalization_is_scale_invariant():
 
 
 @pytest.mark.parametrize("expr", ["PSL(2,7)", "PSU(3,3)", "SL(3,4)"])
-def test_generators_and_kept_hold_python_ints(built, expr):
+def test_generators_and_kept_hold_python_ints(built_perm, expr):
     """The least multiples are picked on numpy arrays, but generators and the
     kept generators are stored as tuples of rows of Python ints."""
-    g = built(expr)
+    g = built_perm(expr)  # walks SL(3,4), which the engine answers from q
     for gens in (g.generators, g._walked().kept):
         assert all(type(c) is int for m in gens for row in m for c in row)
 
@@ -322,7 +322,7 @@ def test_word_generators_keep_no_more_generators(built_perm):
     exprs = [*verify.THREE_PRIME_SIMPLE_GROUPS, *sorted(hunt_atoms)]
     assert set(exprs) == set(KEPT_FROM_TRANSVECTIONS)
     for expr in exprs:
-        g = built_perm(expr)  # walks SL(2,q), which the engine answers from q
+        g = built_perm(expr)  # walks SL(2,q) and SL(3,q), which the engine answers from q
         assert len(g.reduced_generators()) <= KEPT_FROM_TRANSVECTIONS[expr], expr
     psu = built_perm("PSU(4,2)")
     assert psu.reduced_generators() == psu.generators[:2]
@@ -523,7 +523,7 @@ def test_scalar_quotient_matches_projective_closure(built, built_perm, expr):
     central elements of the linear group, |linear| / |P| of them; its keys
     are exactly {least key of s*x for s in Z : x in the linear group}, here
     by mat_mul with the scalar matrices s*I."""
-    grp, linear = built(expr), built_perm(expr[1:])  # walks SL(2,q) too
+    grp, linear = built(expr), built_perm(expr[1:])  # walks SL(2,q) and SL(3,q) too
     f, n, z = linear.field, linear.n, grp.scalars
     assert len(z) == linear.order() // grp.order()
     linear_elems = elements(linear)

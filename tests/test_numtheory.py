@@ -66,8 +66,8 @@ def test_mobius():
 
 
 def test_factorize_and_is_prime_match_trial_division():
-    """Every n below 10^5, against trial division: the same primes, in
-    ascending key order, with the same multiplicities."""
+    """Every n below 10^5, against a smallest-prime-factor sieve: the same
+    primes, in ascending key order, with the same multiplicities."""
     for n, want in enumerate(factorizations_naive(10**5)):
         if n:
             got = factorize(n)

@@ -220,10 +220,9 @@ def test_hunt_unaffected_by_cache_lifecycle(tmp_path):
 
 
 def test_hunt_builds_each_atom_once(monkeypatch):
-    """C, D, Dic, F, S, A and SL(2,q) atoms are answered from their
-    parameters and never walked, so a hunt walks only its SL(n,q) atoms for
-    n >= 3, none at 60 and SL(3,2) at 168, and the simple reference, which
-    is no atom."""
+    """C, D, Dic, F, S, A, SL(2,q) and SL(3,q) atoms are answered from their
+    parameters and never walked, so at 60 and 168 a hunt walks only its
+    simple reference, which is no atom."""
     from collections import Counter
 
     from sameorder import verify
@@ -250,17 +249,17 @@ def test_hunt_builds_each_atom_once(monkeypatch):
     monkeypatch.setattr(Group, "_walked", counting)
     monkeypatch.setattr(verify, "eval_expr", building)
     monkeypatch.setattr(verify, "_AtomPool", Pool)
-    for order, candidates, sl2, walks, simple in [
-            (60, 53, {"SL(2,2)", "SL(2,4)"}, set(), "PSL(2,5)"),
-            (168, 149, {"SL(2,2)", "SL(2,3)"}, {"SL(3,2)"}, "PSL(2,7)")]:
+    for order, candidates, sl_atoms, simple in [
+            (60, 53, {"SL(2,2)", "SL(2,4)"}, "PSL(2,5)"),
+            (168, 149, {"SL(2,2)", "SL(2,3)", "SL(3,2)"}, "PSL(2,7)")]:
         built.clear()
         enumerated.clear()
         rep = hunt_report(order, 3)
         atoms = {print_expr(a) for fs in _candidate_expressions(order, 3).values() for a in fs}
         assert rep["candidates_searched"] == candidates
         assert set(built) == atoms and max(built.values()) == 1
-        assert sl2 < atoms  # built, not walked
-        assert set(enumerated) == walks | {simple}
+        assert sl_atoms < atoms  # built, not walked
+        assert set(enumerated) == {simple}
         assert max(enumerated.values()) == 1
         # each atom is dropped after the last candidate that uses it
         assert pools[-1].built == {}
