@@ -106,15 +106,19 @@ def test_criterion_5_odd_prime_witness_for_all_eight(built):
 
 
 def test_criterion_6_classical_orders_match_enumeration(built, fresh_perm):
-    """SL(2,q) is answered from q, so its order is checked on a fresh walk."""
+    """SL(2,q) and SL(3,q) are answered from q, so their orders are checked
+    on a fresh walk."""
     seen = set()
     for q in (2, 3, 5, 7, 8, 9, 17):
         assert fresh_perm(f"SL(2,{q})").order() == classical_order("SL", 2, q)
         psl = built(f"PSL(2,{q})")
         assert psl.order() == classical_order("PSL", 2, q)
         seen.add(psl.order())
-    for expr, family, n, q in [("SL(3,3)", "SL", 3, 3),
-                               ("SU(3,3)", "SU", 3, 3),
+    sl33 = fresh_perm("SL(3,3)")
+    assert isinstance(sl33, MatrixGroup)
+    assert sl33.order() == classical_order("SL", 3, 3)
+    seen.add(sl33.order())
+    for expr, family, n, q in [("SU(3,3)", "SU", 3, 3),
                                ("SU(4,2)", "SU", 4, 2),
                                ("PSL(3,3)", "PSL", 3, 3),
                                ("PSU(3,3)", "PSU", 3, 3),

@@ -41,10 +41,11 @@ def test_even_q_matches_the_walked_psl(built, q):
     assert _invariants(group_for(f"SL(2,{q})")) == _invariants(built(f"PSL(2,{q})"))
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3])
 def test_degree_3_matches_the_walked_psl_where_the_center_is_trivial(built, q):
     """For gcd(3, q - 1) = 1 the center is trivial, so SL(3,q) is PSL(3,q),
-    which is walked modulo its one scalar."""
+    which is walked modulo its one scalar.  q = 5 would walk the 372000
+    elements test_closed_form_matches_enumeration[SL(3,5)] already walks."""
     assert _invariants(group_for(f"SL(3,{q})")) == _invariants(built(f"PSL(3,{q})"))
 
 
