@@ -8,6 +8,10 @@ SL(2,q) and SL(3,q) are answered from their parameters instead), and
 compute how many elements it has of each order.  The distinct counts form the group's same-order type; the package
 verifies which small simple groups have a five-size type and exhibits
 solvable groups of order 168 sharing that cardinality with PSL(2,7).
+
+numpy is imported inside the functions that use it, so importing the package
+loads none of it and neither does an expression answered from parameters;
+the first walk, finite field or divisor lattice imports it.
 """
 
 from .core import (

@@ -38,8 +38,6 @@ from functools import partial, reduce
 from itertools import combinations
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import CapExceededError, NoWitnessError
 from .numtheory import divisors, factorize, is_prime, multiplicative_order, prime_power, totient
 
@@ -151,6 +149,7 @@ Closure = namedtuple("Closure", "elements kept table parent letter layers")
 
 def _inverted(m):
     """The inverse of an int32 permutation of positions: one scatter."""
+    import numpy as np
     out = np.empty_like(m)
     out[m] = np.arange(len(m), dtype=m.dtype)
     return out
@@ -248,6 +247,7 @@ class Group(Invariants):
         """int32 L with L[i, x] the position of s[i] * x: one gather per tree
         layer from the flat table, so each map costs a linear pass over |G|
         with no sort."""
+        import numpy as np
         c = self._walked()
         n = c.table.shape[1]
         # R[k, y] sits at k * n + y of the flat table.  Each kept generator at
@@ -267,6 +267,7 @@ class Group(Invariants):
         sits where R_k takes the identity, so one tree pass gives them all.
         Kept for the group's life: conjugation maps, normal closures and the
         derived series read conjugation off them."""
+        import numpy as np
         if self._inverses is None:
             table = self._walked().table
             self._inverses = self._left_maps(np.argmax(table == 0, axis=1))
@@ -275,6 +276,7 @@ class Group(Invariants):
     def conjugation_maps(self):
         """int32 M, M[k, x] = position of k^-1 x k for kept k: R_k read
         through L_k^-1."""
+        import numpy as np
         table = self._walked().table
         return table[np.arange(len(table))[:, None], self._inverse_maps()]
 
@@ -282,6 +284,7 @@ class Group(Invariants):
         """L_{k^-1 x k} = L_k^-1 L_x L_k from x's left map L_x and kept k:
         L_x L_k is a scatter through L_k^-1, out[L_k^-1[y]] = L_x[y], so L_k
         itself is never made, and L_k^-1 of that is a gather."""
+        import numpy as np
         inverse = self._inverse_maps()[k]
         out = np.empty_like(left)
         out[inverse] = left
@@ -298,6 +301,7 @@ class Group(Invariants):
         their smallest element index (the identity's singleton class first),
         each an ascending int array.
         """
+        import numpy as np
         if self._classes is None:
             maps = self.conjugation_maps()
             label = new = np.arange(maps.shape[1], dtype=np.int32)
@@ -363,6 +367,7 @@ class Group(Invariants):
         of _power_classes read through the class labels.  Not kept; the
         spectrum and the simplicity test read the class orders, and this
         stays because the benchmark's tracer wraps it."""
+        import numpy as np
         return np.array(self._power_classes()[0])[self._class_of].tolist()
 
     def spectrum(self) -> Spectrum:
@@ -408,6 +413,7 @@ class Group(Invariants):
         reaches a position marked in known: being normal, the closure then
         holds a whole class known to generate G.
         """
+        import numpy as np
         table, inverses = self._walked().table, self._inverse_maps()
         inside = np.zeros(table.shape[1], dtype=bool)
         inside[0] = True
@@ -491,6 +497,7 @@ class Group(Invariants):
         closure of every prime-order class is the full group.  After the first
         success, a walk stops where it meets a class already known to succeed.
         """
+        import numpy as np
         n, known = self.order(), None
         for c, t in zip(self.conjugacy_classes(), self._power_classes()[0]):
             if not is_prime(t):

@@ -13,8 +13,6 @@ about 1.4e8 elements, far past any enumerable group.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import InvalidParameterError
 from .numtheory import is_prime
 
@@ -133,6 +131,7 @@ class FiniteField:
         raise AssertionError("unreachable: GF(q)* is cyclic")
 
     def _build_dense_tables(self):
+        import numpy as np
         q, p, k = self.q, self.p, self.k
         codes = np.arange(q)
         # digit by digit: each base-p digit of a code adds mod p

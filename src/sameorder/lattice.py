@@ -10,8 +10,6 @@ core.spectrum_direct_product convolves two spectra over lcm of orders.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .numtheory import divisors, mobius
 
 
@@ -29,6 +27,7 @@ class DivisorLattice:
     """
 
     def __init__(self, n: int):
+        import numpy as np
         self.divisors = divisors(n)
         self.index = {d: i for i, d in enumerate(self.divisors)}
         div = np.array(self.divisors, dtype=np.int64)
@@ -43,6 +42,7 @@ class DivisorLattice:
         solution counts: factor_rows[i] lists the positions in spectra (each
         a Spectrum) of product i's factors, whose orders multiply to a
         divisor of N.  No count passes N, so int64 holds them all."""
+        import numpy as np
         rows, cols, values = [], [], []
         for r, spectrum in enumerate(spectra):
             rows += [r] * len(spectrum.counts)
@@ -66,6 +66,7 @@ def type_cardinalities(spectra: np.ndarray) -> np.ndarray:
     Rows are put in order by an argsort of uint64, the kernel
     MatrixGroup._walk runs already: a first np.sort of int64 would page in
     about 0.12 MB more of numpy's sorting code, seen in peak RSS."""
+    import numpy as np
     u = spectra.astype(np.uint64)
     s = np.take_along_axis(u, np.argsort(u, axis=1), axis=1)
     fresh = np.ones(s.shape, dtype=bool)

@@ -53,8 +53,6 @@ import math
 from itertools import combinations, permutations
 from numbers import Integral
 
-import numpy as np
-
 from .core import DEFAULT_CAP, Closure, Group
 from .errors import CapExceededError, InvalidParameterError, OrderMismatchError
 from .fields import MAX_FIELD_SIZE, FiniteField
@@ -86,6 +84,7 @@ def pack_keys(codes, q: int):
     element keys for n x n matrices, row codes for 1 x n rows.  Entries never
     overlap, so the dot product with the place values is an exact bitwise
     concatenation, first entry highest."""
+    import numpy as np
     n = codes.shape[-1]
     flat = codes.reshape(codes.shape[:-2] + (codes.shape[-2] * n,)).astype(np.uint64)
     shifts = np.arange(flat.shape[-1] - 1, -1, -1, dtype=np.uint64) * np.uint64(key_bits(q, n))
@@ -95,6 +94,7 @@ def pack_keys(codes, q: int):
 def _locate(sorted_keys, keys):
     """Insertion points of keys in a nonempty sorted key array, and the
     indices of the keys that are not there."""
+    import numpy as np
     at = np.searchsorted(sorted_keys, keys)
     return at, np.flatnonzero(sorted_keys.take(at, mode="clip") != keys)
 
@@ -103,6 +103,7 @@ def _merge(sorted_keys, positions, at, new, new_positions):
     """np.insert(sorted_keys, at, new) and np.insert(positions, at,
     new_positions) for ascending at, by one scatter each way: new key i lands
     at at[i] + i, and the old keys fill the other slots in order."""
+    import numpy as np
     dest = at + np.arange(len(new))
     old = np.ones(len(sorted_keys) + len(new), dtype=bool)
     old[dest] = False
@@ -119,6 +120,7 @@ def _bmul(field: FiniteField, a, b):
     """Batched matrix product C[..., i, j] = sum_k A[..., i, k] B[..., k, j] of
     field codes, leading dimensions broadcasting: per k, one gather from the
     flattened mul table at a * q + b and one from the flattened add table."""
+    import numpy as np
     q = field.q
     add_f, mul_f = field.add.ravel(), field.mul.ravel()
     a = a.astype(np.intp) * q
@@ -133,6 +135,7 @@ def _bdet(field: FiniteField, m):
     """Batched determinant of n x n blocks of field codes, shape (..., n, n) -> (...),
     by the Leibniz sum over the n! permutations, each term a product of n
     table gathers (n <= 4 here), negated for an odd permutation."""
+    import numpy as np
     n = m.shape[-1]
     det = np.zeros(m.shape[:-2], dtype=np.uint16)
     for perm in permutations(range(n)):
@@ -149,6 +152,7 @@ def row_table(field: FiniteField, h):
     """T_h[c] = packed row v * h for each row v packed as c, from one _bmul over
     all 2^(bits * n) codes; a code naming no row (q not a power of two) gets
     a stand-in with clipped entries, never read."""
+    import numpy as np
     n, q = len(h), field.q
     rows = np.indices((1 << key_bits(q, n),) * n, dtype=np.uint16).reshape(n, -1).T[:, None]
     return pack_keys(_bmul(field, np.minimum(rows, q - 1), np.array(h)), q)
@@ -170,6 +174,7 @@ class MatrixGroup(Group):
 
     def __init__(self, generators, field: FiniteField, n: int,
                  scalars=(1,), name=None, cap=DEFAULT_CAP):
+        import numpy as np
         if not (all(isinstance(a, Integral) and 0 < a < field.q for a in scalars)
                 and len(set(scalars)) == len(scalars) and 1 in scalars
                 and set(field.mul[np.ix_(scalars, scalars)].flat) <= set(scalars)):
@@ -215,6 +220,7 @@ class MatrixGroup(Group):
         that least names for its first row (module docstring).  Raises
         CapExceededError past the cap, checked after each batch.
         """
+        import numpy as np
         n, q, nz = self.n, self.field.q, len(self.scalars)
         width = key_bits(q, n) * n  # bits of one row, the key's last row lowest
         mask, shifts = (1 << width) - 1, range(width * (n - 1), -1, -width)  # first row first
@@ -383,6 +389,7 @@ def su_generators(n: int, field: FiniteField) -> list:
     which preserves the antidiagonal Hermitian form and has determinant 1.
     The point search and both checks run batched on the field's tables.
     """
+    import numpy as np
     q = field.p ** (field.k // 2)
     conj = np.array([field.pow(c, q) for c in range(field.q)], dtype=np.uint16)
     codes = np.arange(1, field.q)
@@ -419,6 +426,7 @@ def _words(field: FiniteField, gens) -> list:
     gens[(7i + 3j + j*i^2) mod len(gens)].  The letters are multiplied in a
     balanced tree, neighbours pairwise, one _bmul a level on every pair of
     both words at once: four levels in all."""
+    import numpy as np
     i, j = np.arange(16)[:, None], np.arange(2)
     words = np.array(gens, dtype=np.uint16)[(7 * i + 3 * j + j * i * i) % len(gens)]
     while len(words) > 1:

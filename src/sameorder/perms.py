@@ -27,8 +27,6 @@ import math
 from array import array
 from itertools import compress, count, repeat
 
-import numpy as np
-
 from .core import DEFAULT_CAP, Closure, Group
 from .errors import CapExceededError, InvalidParameterError
 from .numtheory import divisors
@@ -91,6 +89,7 @@ class PermutationGroup(Group):
         elements is the keys in position order.  Raises CapExceededError
         past the cap, checked after each batch on either path.
         """
+        import numpy as np
         degree = len(self.generators[0])
         keys = [bytes(range(degree))]
         index = {keys[0]: 0}

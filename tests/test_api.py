@@ -1,14 +1,32 @@
 """The package's outward surface: its public names, the engine hooks the
-benchmark's tracer wraps, and the test oracles' independence from it."""
+benchmark's tracer wraps, the test oracles' independence from it, and which
+commands import numpy."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import sameorder
 from sameorder import core, dsl, reports, report_for
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+
+def _fresh_python(code: str, *argv: str) -> bytes:
+    """stdout of code run by a new interpreter that finds this sameorder
+    first: the test process has numpy loaded already."""
+    src = str(Path(sameorder.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
 
 
 def test_public_api_is_pinned():
@@ -53,3 +71,61 @@ def test_benchmark_tracer_hooks_exist():
     assert tracer.counts["matrices.gens_kept"] > 0 and tracer.counts["dsl.parses"] > 0
     layers = set(tracer.self_times())
     assert {"dsl.parse", "matrices.build", "core.classes", "reports.build"} <= layers
+
+
+_NUMPY_ON_FIRST_WALK = """
+import io, sys
+from contextlib import redirect_stdout
+
+def numpy_loaded():
+    return [m for m in sys.modules if m.split(".")[0] == "numpy"]
+
+import sameorder.cli
+assert not numpy_loaded(), numpy_loaded()
+for argv in (["spectrum", "S(8)"], ["alpha", "C(12) x D(5)"], ["spectrum", "SL(2,97)"],
+             ["spectrum", "Dic(2) x F(7,3,2)"]):
+    with redirect_stdout(io.StringIO()):
+        assert sameorder.cli.main(argv) == 0, argv
+    assert not numpy_loaded(), (argv, numpy_loaded())
+assert sameorder.cli.main(["spectrum", "PSL(2,7)", "--json"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_answered_commands_import_no_numpy():
+    """Importing the CLI and answering atoms from their parameters loads
+    no numpy module; the first walk, PSL(2,7)'s, loads it in the same
+    process and gives the golden report."""
+    out = _fresh_python(_NUMPY_ON_FIRST_WALK)
+    assert out == (GOLDEN / "report_PSL_2_7.json").read_bytes()
+
+
+_NUMPY_IN_A_POOL_THREAD = """
+import sys, threading
+
+in_main_thread = []
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            in_main_thread.append(threading.current_thread() is threading.main_thread())
+
+sys.meta_path.insert(0, Spy())
+import sameorder.cli
+assert sameorder.cli.main(sys.argv[2:]) == 0
+assert in_main_thread and (sys.argv[1] == "any" or not in_main_thread[0]), in_main_thread
+"""
+
+
+@pytest.mark.parametrize("argv, golden, importer", [
+    ("verify theorem", "theorem", "pool"),
+    # the hunt walks its reference PSL(2,7) before the pool starts
+    ("hunt --order 168 --max-factors 3", "hunt_168_3", "any"),
+], ids=["theorem", "hunt_168_3"])
+def test_numpy_first_imported_in_a_pool_thread(argv, golden, importer):
+    """Four pool threads building the theorem's groups at once import numpy
+    for the first time under the import lock; both threaded claim reports
+    are the goldens' bytes."""
+    out = _fresh_python(_NUMPY_IN_A_POOL_THREAD, importer, *argv.split(),
+                        "--threads", "4", "--json")
+    assert out == (GOLDEN / f"{golden}.json").read_bytes()
