@@ -14,20 +14,25 @@ multiplication map.  A group runs one such pass, for the inverse maps L_k^-1
 of its kept generators k; the conjugacy classes are the orbits of the
 conjugation maps R_k read through them, and an element's order is a class
 function found by one power walk per class, which also gives each class's
-powers.  The spectrum sums class sizes per class order.  Simplicity is first
-decided from class data: sizes, orders and powers, with Lagrange and Sylow,
-rule out every order a proper normal subgroup could have.  Where they cannot,
-and for the derived series, normal closures walk on a bool mask over
-positions and queue each kept element's conjugates by the kept generators,
-whose left maps L_k^-1 L_x L_k are a scatter and a gather, not a tree pass.
-Left maps, class numbering and normal-closure rounds are linear passes over
-|G| with no sort: a set of positions is a mask, read in position order.  A
-direct product is never enumerated: ``DirectProduct`` answers from its
-factors.  Nor is a metacyclic atom, cyclic, dihedral, dicyclic or F(m,n,k):
-``Metacyclic`` answers from its parameters; nor a symmetric or alternating
-one, which ``Symmetric`` answers from its cycle types; nor SL(2,q) or
-SL(3,q), which ``SpecialLinear`` answers from q.  ``Invariants``, their one
-base, reads the same-order type and solvability off what each gives.
+powers.  The spectrum sums class sizes per class order.  Simplicity and
+solvability are first decided from theorems.  Class data (sizes, orders and
+powers, with Lagrange and Sylow) rule out orders a normal subgroup could
+have: every proper one, so the group is simple, or every prime power, so it
+is not solvable.  An order with at most two prime divisors (Burnside) or an
+odd one (Feit-Thompson) makes a group solvable, and a permutation group with
+an odd generator is not simple (``perms``).  Where none decides, and for the
+derived series, normal closures walk on a bool mask over positions and queue
+each kept element's conjugates by the kept generators, whose left maps L_k^-1
+L_x L_k are a scatter and a gather, not a tree pass.  Left maps, class
+numbering and normal-closure rounds are linear passes over |G| with no sort:
+a set of positions is a mask, read in position order.  A direct product is
+never enumerated: ``DirectProduct`` answers from its factors.  Nor is a
+metacyclic atom, cyclic, dihedral, dicyclic or F(m,n,k): ``Metacyclic``
+answers from its parameters; nor a symmetric or alternating one, which
+``Symmetric`` answers from its cycle types; nor SL(2,q) or SL(3,q), which
+``SpecialLinear`` answers from q.  ``Invariants``, their one base, reads the
+same-order type off what each gives, and solvability off the derived series
+where a subclass has no shorter route.
 """
 
 from __future__ import annotations
@@ -164,7 +169,8 @@ class Invariants:
     """The calls every kind of group answers, read off the order, spectrum
     and derived series that the subclass gives: Group by enumerating,
     DirectProduct from its factors, Metacyclic, Symmetric and SpecialLinear
-    from their parameters."""
+    from their parameters.  Group and DirectProduct answer is_solvable
+    without the derived series where they can."""
 
     def alpha(self) -> tuple:
         return self.spectrum().alpha()
@@ -452,8 +458,13 @@ class Group(Invariants):
 
     def _simple_by_classes(self):
         """True if no d with 1 < d < |G| can be the order of a normal subgroup
-        N, judged from the classes' sizes, orders and powers alone (for a
-        nontrivial group); "undecided" otherwise.
+        (_room_for_normal), for a nontrivial group; "undecided" otherwise."""
+        proper = reversed(divisors(self.order())[1:-1])
+        return "undecided" if self._room_for_normal(proper) else True
+
+    def _room_for_normal(self, ds) -> bool:
+        """Whether the classes' sizes, orders and powers alone leave room for
+        a normal subgroup N of order d, for some d in ds (each 1 < d < |G|).
 
         Such an N is the identity's class plus whole classes whose sizes sum
         to d, each of an element order dividing d (Lagrange).  With m = |G|/d,
@@ -462,10 +473,10 @@ class Group(Invariants):
         p-subgroup of G, so all of them, so every class of p-power order
         (Sylow).  The classes so forced have orders dividing d already: x^m
         has order o / gcd(o, m) for o the order of x, and lcm(o, m) divides
-        |G|.  For each d, largest first, their sizes must sum to some
-        need <= d, and the other classes of order dividing d must have sizes
-        summing to d - need: one bitset pass in which bit s of reach is set
-        iff some of them sum to s.
+        |G|.  For each d their sizes must sum to some need <= d, and the
+        other classes of order dividing d must have sizes summing to
+        d - need: one bitset pass in which bit s of reach is set iff some of
+        them sum to s.
         """
         n = self.order()
         orders, powers = self._power_classes()
@@ -473,7 +484,7 @@ class Group(Invariants):
         primes = factorize(n)
         # p for a class of order p^a, a >= 1; 1 for any other class
         prime_of = [(prime_power(t) or (1,))[0] for t in orders]
-        for d in reversed(divisors(n)[1:-1]):
+        for d in ds:
             sylow = {p for p, e in primes.items() if d % p**e == 0}
             forced = {walk[j * (n // d) % len(walk)] for walk, j in powers}
             forced.update(i for i, p in enumerate(prime_of) if p in sylow)
@@ -485,8 +496,8 @@ class Group(Invariants):
                 if d % t == 0 and i not in forced:
                     reach = (reach | reach << s) & mask
             if reach >> (d - need):
-                return "undecided"
-        return True
+                return True
+        return False
 
     def _simple_by_closures(self) -> bool:
         """True iff the group is nontrivial and no proper nontrivial normal
@@ -507,6 +518,22 @@ class Group(Invariants):
             known = np.zeros(n, dtype=bool) if known is None else known
             known[c] = True
         return n > 1
+
+    def is_solvable(self) -> bool:
+        """Solvable if |G| has at most two prime divisors (Burnside 1904) or
+        is odd (Feit and Thompson 1963).  Not solvable if class data leave
+        no room for a normal subgroup of prime-power order p^a > 1, since a
+        minimal normal subgroup of a solvable group is elementary abelian.
+        Otherwise, and once the derived series or simplicity is known, read
+        off derived_series."""
+        n = self.order()
+        primes = factorize(n)
+        if len(primes) <= 2 or n % 2:
+            return True
+        if self._derived is None and not self._simple and not self._room_for_normal(
+                p**a for p, e in primes.items() for a in range(1, e + 1)):
+            return False
+        return self.derived_series()[1]
 
     def derived_series(self) -> tuple:
         """Orders along the derived series, plus the solvable flag.
@@ -590,6 +617,9 @@ class DirectProduct(Invariants):
         """True iff exactly one factor is nontrivial and that factor is simple."""
         nontrivial = [f for f in self.factors if f.order() > 1]
         return len(nontrivial) == 1 and nontrivial[0].is_simple()
+
+    def is_solvable(self) -> bool:
+        return all(f.is_solvable() for f in self.factors)
 
     def derived_series(self) -> tuple:
         """Orders along the derived series, plus the solvable flag.

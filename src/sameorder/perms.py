@@ -139,6 +139,27 @@ class PermutationGroup(Group):
         return Closure(keys, kept, table, np.frombuffer(parent, dtype=np.intc),
                        np.frombuffer(letter, dtype=np.intc), layers)
 
+    def is_simple(self) -> bool:
+        """As Group.is_simple, but a group of order past 2 with an odd
+        generator is not simple: its even elements are a normal subgroup of
+        index 2."""
+        if self._simple is None and any(map(_is_odd, self.generators)) and self.order() > 2:
+            self._simple = False
+        return super().is_simple()
+
+
+def _is_odd(key: bytes) -> bool:
+    """Whether a permutation is odd: its degree less its number of cycles is."""
+    seen, cycles = bytearray(len(key)), 0
+    for start in range(len(key)):
+        if not seen[start]:
+            cycles += 1
+            x = start
+            while not seen[x]:
+                seen[x] = 1
+                x = key[x]
+    return (len(key) - cycles) % 2 == 1
+
 
 def permutation_group(generators, name=None, cap=DEFAULT_CAP) -> PermutationGroup:
     if not generators:

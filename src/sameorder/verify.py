@@ -412,7 +412,7 @@ def hunt_report(order: int, max_factors: int, cap: int = DEFAULT_CAP,
     simple_expr = by_order[order]
     simple = group_for(simple_expr, cap)
     # proved simple from class data, so a certificate that asks solvability
-    # reads its derived series off the memo
+    # reads it off that memo, with no second class test
     simple.is_simple()
     target_card = len(simple.alpha())
 

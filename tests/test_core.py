@@ -29,6 +29,7 @@ from sameorder.fields import FiniteField
 from sameorder.matrices import MatrixGroup, sl_generators
 from sameorder.numtheory import divisors, is_prime
 from sameorder.perms import family_order, permutation_group
+from sameorder.reports import report_for
 from sameorder.verify import THREE_PRIME_SIMPLE_GROUPS, theorem_report
 
 AXIOM_GROUPS = [
@@ -350,6 +351,70 @@ def test_theorem_report_walks_no_normal_closure(monkeypatch):
     monkeypatch.setattr(Group, "_grow_normal", lambda *args: calls.append(args) or grow(*args))
     assert theorem_report()["verified"]
     assert calls == []
+
+
+def _perm(*cycles) -> str:
+    return "Perm[" + ", ".join("(" + ",".join(map(str, c)) + ")" for c in cycles) + "]"
+
+
+# S(n) as an n-cycle and a transposition, A(n) as the 3-cycles (1,2,k)
+TWO_ROUTE_GROUPS = [
+    *(_perm(range(1, n + 1), (1, 2)) for n in range(3, 9)),
+    *(_perm(*((1, 2, k) for k in range(3, n + 1))) for n in range(4, 9)),
+    "cex3", M11, "Perm[(1,2,3,4)(5,6), (1,3)]", "PSL(2,7)", "SL(4,2)", "SL(2,3)", "SL(2,5)",
+]
+
+
+@pytest.mark.parametrize("expr", TWO_ROUTE_GROUPS)
+def test_structure_theorems_agree_with_closures(monkeypatch, fresh_perm, expr):
+    """is_solvable and is_simple, which try Burnside, Feit-Thompson, class
+    data and a generator's sign first, against the derived series and the
+    normal closures of a second fresh group.  SL(2,5), of three primes with
+    a center of order 2, is decided by neither theorem nor class data, so
+    both of its calls fall back to closures."""
+    g, oracle = fresh_perm(expr), fresh_perm(expr)
+    assert isinstance(g, MatrixGroup) == expr.startswith(("PSL", "SL"))
+    walks = []
+    grow = Group._grow_normal
+    monkeypatch.setattr(Group, "_grow_normal",
+                        lambda self, *args: walks.append(self is g) or grow(self, *args))
+    assert g.is_solvable() == oracle.derived_series()[1]
+    solvable_walks = walks.count(True)
+    if g.order() > 2:
+        assert g.is_simple() == oracle._simple_by_closures()
+    if expr == "SL(2,5)":
+        assert solvable_walks > 0 and walks.count(True) > solvable_walks
+
+
+@pytest.mark.parametrize("expr,closures", [
+    ("Perm[(1,5,7,6,3,2,4), (2,3)]", 0),
+    ("Perm[(1,5,3,2,4), (1,4)]", 0),
+    ("C(2) x PSL(2,7)", 0),
+    ("cex3", 2),
+])
+def test_reports_decided_by_theorems_walk_no_normal_closure(monkeypatch, expr, closures):
+    """An odd generator shows S(7) and S(5) are not simple, class data show
+    them and PSL(2,7) not solvable; cex3, solvable with a normal subgroup of
+    each order 2, 4 and 7, walks its derived series: G' and G'' = 1."""
+    calls = []
+    grow = Group._grow_normal
+    monkeypatch.setattr(Group, "_grow_normal", lambda *args: calls.append(args) or grow(*args))
+    report_for(expr, DEFAULT_CAP)
+    assert len(calls) == closures
+
+
+@pytest.mark.parametrize("expr,want", [
+    ("Perm[(1,2)]", (2, {"1": 1, "2": 1}, True, True, 2)),
+    ("Perm[(1)]", (1, {"1": 1}, False, True, 1)),
+    ("Perm[(1,2)(3,4)]", (2, {"1": 1, "2": 1}, True, True, 2)),
+    ("Perm[(1,2),(3,4)]", (4, {"1": 1, "2": 3}, False, True, 4)),
+])
+def test_small_permutation_reports(expr, want):
+    """An odd generator rules simplicity out only past order 2: C2 spelled
+    with a transposition is simple, as with a double one."""
+    rep = report_for(expr, DEFAULT_CAP)
+    assert (rep["order"], rep["spectrum"], rep["simple"], rep["solvable"],
+            rep["center_order"]) == want
 
 
 @pytest.mark.parametrize("expr", ["A(8)", "PSL(2,8)"])
