@@ -30,9 +30,10 @@ never enumerated: ``DirectProduct`` answers from its factors.  Nor is a
 metacyclic atom, cyclic, dihedral, dicyclic or F(m,n,k): ``Metacyclic``
 answers from its parameters; nor a symmetric or alternating one, which
 ``Symmetric`` answers from its cycle types; nor SL(2,q) or SL(3,q), which
-``SpecialLinear`` answers from q.  ``Invariants``, their one base, reads the
-same-order type off what each gives, and solvability off the derived series
-where a subclass has no shorter route.
+``SpecialLinear`` answers from q, as it answers the hunt's PSL references.
+``Invariants``, their one base, reads the same-order type off what each
+gives, and solvability off the derived series where a subclass has no
+shorter route.
 """
 
 from __future__ import annotations
@@ -801,32 +802,41 @@ class Symmetric(Invariants):
 
 
 class SpecialLinear(Invariants):
-    """SL(n,q) for n = 2 or 3 and a prime power q = p^f, answered from n and
-    q: it is never enumerated.  Its center is the d = gcd(n, q - 1) scalars,
-    it is perfect but for SL(2,2) and SL(2,3), and simple where it is
-    perfect with a trivial center, being PSL(n,q) then.  It answers the
-    calls that reports, verification and noniso_certificate make, as
-    DirectProduct does.
+    """SL(n,q) for n = 2 or 3 and a prime power q = p^f, or PSL(n,q), its
+    quotient by the center, where projective is set, answered from n and q:
+    it is never enumerated.  The center of SL(n,q) is the d = gcd(n, q - 1)
+    scalars, and that of PSL(n,q) is trivial.  Both are perfect but for
+    SL(2,2) = PSL(2,2) ≅ S(3), SL(2,3) and PSL(2,3) ≅ A(4), and simple where
+    perfect with a trivial center.  PSL(3,q) is answered only where d = 1,
+    so that it is SL(3,q).  It answers the calls that reports, verification
+    and noniso_certificate make, as DirectProduct does.
 
     SL(2,q) (Dickson 1901; Huppert, Endliche Gruppen I, §II.8): past the
     center, an element is a central times a unipotent one, of order p, or
     2p with p odd (q² - 1 of each), or lies in a split torus of order q - 1,
     whose class holds q(q + 1) elements, or a nonsplit one of order q + 1,
     q(q - 1); a torus element of order t > gcd(2, q - 1) is conjugate only
-    to itself and its inverse, so it has φ(t)/2 such classes.
+    to itself and its inverse, so it has φ(t)/2 such classes.  Modulo the
+    center the tori have orders (q ∓ 1)/d, and the classes of x and -x
+    merge: PSL(2,q) holds q² - 1 elements of order p and φ(t)·q(q ± 1)/2
+    of each order t > 1 dividing (q ∓ 1)/d.  For q even, d = 1 and the two
+    forms agree.
 
     SL(3,q) (Steinberg 1951; Simpson and Frame 1973) is read off the class
     types of GL(3,q) restricted to determinant 1: see _spectrum3.
     """
 
-    def __init__(self, n: int, q: int, name=None):
-        self.n, self.q = n, q
+    def __init__(self, n: int, q: int, projective: bool = False, name=None):
+        if projective and n == 3 and math.gcd(3, q - 1) > 1:
+            raise ValueError(f"PSL(3,{q}) is SL(3,{q}) modulo 3 scalars: no closed form here")
+        self.n, self.q, self.projective = n, q, projective
         self.name = name
         self._spectrum = None
 
     def order(self) -> int:
         n, q = self.n, self.q
-        return q ** (n * (n - 1) // 2) * math.prod(q**i - 1 for i in range(2, n + 1))
+        order = q ** (n * (n - 1) // 2) * math.prod(q**i - 1 for i in range(2, n + 1))
+        return order // math.gcd(n, q - 1) if self.projective else order
 
     def spectrum(self) -> Spectrum:
         if self._spectrum is None:
@@ -835,12 +845,15 @@ class SpecialLinear(Invariants):
         return self._spectrum
 
     def _spectrum2(self) -> dict:
-        q, center = self.q, self.center_order()
+        q, d = self.q, math.gcd(2, self.q - 1)
         p, _ = prime_power(q)
-        acc = {1: 1, 2: q * q - 1} if p == 2 else {1: 1, 2: 1, p: q * q - 1, 2 * p: q * q - 1}
-        for torus, size in ((q - 1, q * (q + 1)), (q + 1, q * (q - 1))):
+        if self.projective or p == 2:
+            acc, tori, least = {1: 1, p: q * q - 1}, ((q - 1) // d, (q + 1) // d), 1
+        else:
+            acc, tori, least = {1: 1, 2: 1, p: q * q - 1, 2 * p: q * q - 1}, (q - 1, q + 1), 2
+        for torus, size in zip(tori, (q * (q + 1), q * (q - 1))):
             for t, phi in _divisor_totients(torus, factorize(torus)):
-                if t > center:
+                if t > least:
                     acc[t] = acc.get(t, 0) + phi * size // 2
         return acc
 
@@ -892,19 +905,22 @@ class SpecialLinear(Invariants):
         return acc
 
     def center_order(self) -> int:
-        return math.gcd(self.n, self.q - 1)
+        return 1 if self.projective else math.gcd(self.n, self.q - 1)
 
     def is_simple(self) -> bool:
-        """Simple iff perfect with a trivial center: SL(2,q) for q even from
-        q = 4 on, SL(3,q) for q ≢ 1 (mod 3)."""
-        return self.center_order() == 1 and (self.n, self.q) != (2, 2)
+        """Simple iff perfect with a trivial center: PSL(2,q) from q = 4 on,
+        so SL(2,q) for q even, and SL(3,q) for q ≢ 1 (mod 3)."""
+        return self.center_order() == 1 and (self.n, self.q) not in ((2, 2), (2, 3))
 
     def derived_series(self) -> tuple:
         """Orders along the derived series, plus the solvable flag, as in
-        Group.derived_series.  SL(2,2) is S(3) and SL(2,3)' is Q8, whose
-        derived subgroup is the center; every other SL(n,q) is perfect."""
+        Group.derived_series.  SL(2,2) is S(3); SL(2,3)' is Q8, whose
+        derived subgroup is the center, and PSL(2,3) is A(4), whose derived
+        subgroup is the Klein four-group; every other group here is
+        perfect."""
         n = self.order()
-        orders = {(2, 2): (6, 3, 1), (2, 3): (24, 8, 2, 1)}.get((self.n, self.q), (n, n))
+        small = {(2, 2): (6, 3, 1), (2, 3): (12, 4, 1) if self.projective else (24, 8, 2, 1)}
+        orders = small.get((self.n, self.q), (n, n))
         return orders, orders[-1] == 1
 
 

@@ -9,14 +9,17 @@ fixed group lists, sorted collections, no timestamps, identical output for
 any thread count.  Cyclic, dihedral, dicyclic and F(m,n,k) atoms, most of the
 hunt's, are answered from their parameters (core.Metacyclic), symmetric and
 alternating atoms from their cycle types (core.Symmetric), and SL(2,q) and
-SL(3,q) from q (core.SpecialLinear).  The counterexample enumerates cex3,
-PSL(2,7) and, for its disputed counts, Dic(2) and F(7,3,2); the hunt
-enumerates only its SL(4,q) atoms and the simple reference.  The hunt reads
-each atom's spectrum once, as solution counts c(d) = #{x : x^d = 1} on the
-divisors d of the order, and gets every candidate product's spectrum from one
-numpy product of those counts and one integer Möbius matrix
-(DivisorLattice): only the candidates whose type cardinality matches the
-simple group's are built as a DirectProduct and certified.
+SL(3,q) from q (core.SpecialLinear).  The theorem enumerates its eight
+groups and the counterexample cex3, PSL(2,7) and, for its disputed counts,
+Dic(2) and F(7,3,2), so each claim is checked on walked groups.  The hunt
+enumerates only its SL(4,q) atoms and a PSU reference: its PSL references
+are answered from q (core.SpecialLinear), so the hunts at 60 and 168 walk
+nothing.  The hunt reads each atom's spectrum once, as solution counts
+c(d) = #{x : x^d = 1} on the divisors d of the order, and gets every
+candidate product's spectrum from one numpy product of those counts and one
+integer Möbius matrix (DivisorLattice): only the candidates whose type
+cardinality matches the simple group's are built as a DirectProduct and
+certified.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ import threading
 from collections import Counter
 
 from . import perms
-from .core import DEFAULT_CAP, DirectProduct, noniso_certificate
+from .core import DEFAULT_CAP, DirectProduct, SpecialLinear, noniso_certificate
 from .dsl import Atom, eval_expr, factors_of, group_for, parse_expr, print_expr
-from .errors import VerificationError
+from .errors import CapExceededError, VerificationError
 from .lattice import DivisorLattice, type_cardinalities
 from .matrices import classical_order
 from .numtheory import divisors, factorize, prime_power, totient
@@ -394,11 +397,15 @@ def hunt_report(order: int, max_factors: int, cap: int = DEFAULT_CAP,
 
     A collision is a candidate with the same type cardinality as the simple
     group plus a non-isomorphism certificate.  Empty results mean none were
-    found in the searched families, not that none exist.  Each distinct atom
-    is built once per call and shared by the candidates that use it.
-    Candidates are taken in blocks: one numpy product of solution counts
-    gives every candidate's type cardinality, and only those that match the
-    simple group's become a DirectProduct and get a certificate.
+    found in the searched families, not that none exist.  The simple group,
+    the reference, is validated by classical_order and checked against cap
+    as eval_expr checks an expression; a PSL(2,q) reference, or a PSL(3,q)
+    one with gcd(3, q - 1) = 1, is then answered from q (SpecialLinear), and
+    a PSU one walked.  Each distinct atom is built once per call and shared
+    by the candidates that use it.  Candidates are taken in blocks: one
+    numpy product of solution counts gives every candidate's type
+    cardinality, and only those that match the simple group's become a
+    DirectProduct and get a certificate.
     """
     base = {"order": order, "max_factors": max_factors}
     # the collision reference: the unique nonabelian simple group of this
@@ -410,9 +417,16 @@ def hunt_report(order: int, max_factors: int, cap: int = DEFAULT_CAP,
         return {**base, "collisions": [],
                 "note": f"no simple catalog group of order {order} (nonabelian)"}
     simple_expr = by_order[order]
-    simple = group_for(simple_expr, cap)
-    # proved simple from class data, so a certificate that asks solvability
-    # reads it off that memo, with no second class test
+    if order > cap:  # as eval_expr checks it, before anything is built
+        raise CapExceededError(cap)
+    family, (n, q) = parse_expr(simple_expr)
+    if family == "PSL" and (n == 2 or math.gcd(3, q - 1) == 1):
+        # only the hunt takes these from q: the claim reports walk them
+        simple = SpecialLinear(n, q, projective=True, name=simple_expr)
+    else:
+        simple = group_for(simple_expr, cap)
+    # a walked reference is proved simple from class data, so a certificate
+    # that asks solvability reads it off that memo, with no second class test
     simple.is_simple()
     target_card = len(simple.alpha())
 

@@ -130,6 +130,13 @@ def test_cap_exceeded_exits_1(capsys):
     assert err.startswith("failed:")
 
 
+def test_hunt_reference_over_the_cap_exits_1(capsys):
+    """The hunt's reference, answered from q, is still held to the cap."""
+    code, out, err = run(capsys, "hunt", "--order", "168", "--max-factors", "2",
+                         "--max-elements", "100")
+    assert (code, out, err) == (1, "", "failed: group order exceeds the cap of 100 elements\n")
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -1,6 +1,6 @@
-"""SL(2,q) and SL(3,q) atoms are answered from q (core.SpecialLinear); the
-same groups walked as matrix groups by classical_group are checked against
-them."""
+"""SL(2,q) and SL(3,q) atoms, and the hunt's PSL(2,q) references, are
+answered from q (core.SpecialLinear); the same groups walked as matrix
+groups by classical_group are checked against them."""
 
 import math
 
@@ -11,10 +11,11 @@ from sameorder.core import Group, SpecialLinear
 from sameorder.errors import CapExceededError, InvalidParameterError
 from sameorder.fields import MAX_FIELD_SIZE
 from sameorder.matrices import MatrixGroup, classical_order
-from sameorder.numtheory import prime_power
+from sameorder.numtheory import factorize, prime_power
 from sameorder.reports import report_for
 
 PRIME_POWERS = [q for q in range(2, 33) if prime_power(q)]
+PSL2_WALKED = [q for q in range(2, 50) if prime_power(q)]
 FIELDS = [q for q in range(2, MAX_FIELD_SIZE + 1) if prime_power(q)]
 
 
@@ -41,6 +42,24 @@ def test_even_q_matches_the_walked_psl(built, q):
     assert _invariants(group_for(f"SL(2,{q})")) == _invariants(built(f"PSL(2,{q})"))
 
 
+@pytest.mark.parametrize("q", PSL2_WALKED)
+def test_psl2_closed_form_matches_the_walked_psl(built, q):
+    """PSL(2,q) from q, against classical_group's walk modulo the scalars,
+    for every prime power q < 50: q = 2 and 3, which are S(3) and A(4), and
+    q odd, where the form differs from SL(2,q)'s, included."""
+    g, ref = SpecialLinear(2, q, projective=True), built(f"PSL(2,{q})")
+    assert isinstance(ref, MatrixGroup)
+    assert _invariants(g) == _invariants(ref)
+
+
+def test_psl3_is_answered_only_with_a_trivial_center():
+    """For q = 1 (mod 3), PSL(3,q) is SL(3,q) modulo three scalars, which
+    the SL(3,q) form does not give."""
+    assert _invariants(SpecialLinear(3, 3, projective=True)) == _invariants(SpecialLinear(3, 3))
+    with pytest.raises(ValueError):
+        SpecialLinear(3, 4, projective=True)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_degree_3_matches_the_walked_psl_where_the_center_is_trivial(built, q):
     """For gcd(3, q - 1) = 1 the center is trivial, so SL(3,q) is PSL(3,q),
@@ -51,12 +70,14 @@ def test_degree_3_matches_the_walked_psl_where_the_center_is_trivial(built, q):
 
 def test_every_field_passes_the_spectrum_laws():
     """Every SL(2,q) and SL(3,q) the field limit allows, past the default cap
-    too, as nothing is walked: SL(2,512) has 134217216 elements."""
-    for n in (2, 3):
+    too, as nothing is walked: SL(2,512) has 134217216 elements.  Likewise
+    PSL(2,q), the hunt's reference, which no expression answers from q."""
+    for n, family in ((2, "SL"), (3, "SL"), (2, "PSL")):
         for q in FIELDS:
-            g = group_for(f"SL({n},{q})", cap=10**30)
-            assert all(ok for _, ok, _ in spectrum_checks(g.spectrum())), (n, q)
-            assert sum(g.spectrum().counts.values()) == g.order() == classical_order("SL", n, q)
+            g = (SpecialLinear(2, q, projective=True) if family == "PSL"
+                 else group_for(f"SL({n},{q})", cap=10**30))
+            assert all(ok for _, ok, _ in spectrum_checks(g.spectrum())), (family, n, q)
+            assert sum(g.spectrum().counts.values()) == g.order() == classical_order(family, n, q)
     assert FIELDS[-1] == 512
 
 
@@ -106,3 +127,15 @@ def test_only_sl32_has_five_element_counts():
              for q in FIELDS if math.gcd(3, q - 1) == 1}
     assert [q for q, size in sizes.items() if size == 5] == [2]
     assert sizes[2] == 5 and min(size for q, size in sizes.items() if q > 2) == 7
+
+
+def test_psl2_five_element_counts():
+    """Over the prime powers 4 <= q <= 4096, PSL(2,q) has a same-order type
+    of five counts exactly at q = 7, 8, 9, 11, 13, 27 and 2187; of these only
+    PSL(2,7), PSL(2,8) and PSL(2,9) have three prime divisors, the paper's
+    K3 statement."""
+    five = [q for q in range(4, 4097)
+            if prime_power(q) and len(SpecialLinear(2, q, projective=True).alpha()) == 5]
+    assert five == [7, 8, 9, 11, 13, 27, 2187]
+    three = [q for q in five if len(factorize(SpecialLinear(2, q, projective=True).order())) == 3]
+    assert three == [7, 8, 9]

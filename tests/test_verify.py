@@ -221,8 +221,8 @@ def test_hunt_unaffected_by_cache_lifecycle(tmp_path):
 
 def test_hunt_builds_each_atom_once(monkeypatch):
     """C, D, Dic, F, S, A, SL(2,q) and SL(3,q) atoms are answered from their
-    parameters and never walked, so at 60 and 168 a hunt walks only its
-    simple reference, which is no atom."""
+    parameters and never walked, and so is a PSL(2,q) reference, so at 60
+    and 168 a hunt walks nothing."""
     from collections import Counter
 
     from sameorder import verify
@@ -249,9 +249,9 @@ def test_hunt_builds_each_atom_once(monkeypatch):
     monkeypatch.setattr(Group, "_walked", counting)
     monkeypatch.setattr(verify, "eval_expr", building)
     monkeypatch.setattr(verify, "_AtomPool", Pool)
-    for order, candidates, sl_atoms, simple in [
-            (60, 53, {"SL(2,2)", "SL(2,4)"}, "PSL(2,5)"),
-            (168, 149, {"SL(2,2)", "SL(2,3)", "SL(3,2)"}, "PSL(2,7)")]:
+    for order, candidates, sl_atoms in [
+            (60, 53, {"SL(2,2)", "SL(2,4)"}),
+            (168, 149, {"SL(2,2)", "SL(2,3)", "SL(3,2)"})]:
         built.clear()
         enumerated.clear()
         rep = hunt_report(order, 3)
@@ -259,10 +259,54 @@ def test_hunt_builds_each_atom_once(monkeypatch):
         assert rep["candidates_searched"] == candidates
         assert set(built) == atoms and max(built.values()) == 1
         assert sl_atoms < atoms  # built, not walked
-        assert set(enumerated) == {simple}
-        assert max(enumerated.values()) == 1
+        assert not enumerated
         # each atom is dropped after the last candidate that uses it
         assert pools[-1].built == {}
+
+
+def test_claim_reports_still_walk_their_groups(monkeypatch):
+    """The theorem and the counterexample keep enumerating their simple
+    groups through classical_group: only the hunt answers its reference
+    from q, so each claim is checked on walked groups."""
+    from collections import Counter
+
+    from sameorder import group_for
+    from sameorder.core import Group
+    from sameorder.matrices import MatrixGroup
+
+    assert isinstance(group_for("PSL(2,7)"), MatrixGroup)
+    enumerated, walked = Counter(), Group._walked
+
+    def counting(self):
+        if self._closure is None:
+            enumerated[self.name] += 1
+        return walked(self)
+
+    monkeypatch.setattr(Group, "_walked", counting)
+    theorem_report()
+    assert enumerated == Counter(verify.THREE_PRIME_SIMPLE_GROUPS)
+    enumerated.clear()
+    counterexample_report()
+    assert enumerated["PSL(2,7)"] == 1
+
+
+def test_hunt_reference_over_the_cap_is_refused_first(monkeypatch):
+    """The reference's order is checked against cap as eval_expr checks an
+    expression's, before any atom is built or anything walked."""
+    from sameorder.core import Group
+    from sameorder.errors import CapExceededError
+
+    def walked(self):
+        raise AssertionError(f"walked {self.name}")
+
+    def built(ast, cap):
+        raise AssertionError(f"built {ast}")
+
+    monkeypatch.setattr(Group, "_walked", walked)
+    monkeypatch.setattr(verify, "eval_expr", built)
+    for order in (60, 168, 25920):
+        with pytest.raises(CapExceededError):
+            hunt_report(order, 2, cap=order - 1)
 
 
 @pytest.mark.parametrize("order,max_factors", [(60, 2), (60, 3), (168, 2), (168, 3)])
