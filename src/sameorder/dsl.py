@@ -6,11 +6,12 @@ Grammar, whitespace-insensitive:
     term  := atom | '(' expr ')'
     atom  := NAME '(' int-list ')' | 'Perm' '[' cycles ']' | 'cex3'
 
-Families: C, D, Dic, Q, S, A, F take integers; SL, PSL, SU, PSU take
-(degree, field size); Perm lists explicit generators in 1-indexed
-disjoint-cycle notation, commas separating generators; cex3 is the fixed
-order-168 construction and takes no parameters.  Q(n) is sugar for
-Dic(n/4).  Products flatten, so reassociation changes nothing.
+FAMILIES gives each family name its arity, its order from the parameters
+and its builder: C, D, Dic, S, A take one integer and F three; SL, PSL, SU,
+PSU take (degree, field size); cex3, the fixed order-168 construction, takes
+none and is a constant Perm[...] spelling.  Perm lists generators in
+1-indexed disjoint-cycle notation, commas separating generators.  Q(n) is
+sugar for Dic(n/4).  Products flatten, so reassociation changes nothing.
 
 Names and integers are ASCII ([A-Za-z][A-Za-z0-9]* and [0-9]+); any other
 character but whitespace and ( ) [ ] , is a syntax error.  All parse errors
@@ -33,20 +34,10 @@ from .errors import (
     UnknownFamilyError,
 )
 from .matrices import classical_group, classical_order
+from .numtheory import divisors
 
-ARITY = {
-    "C": 1, "D": 1, "Dic": 1, "Q": 1, "S": 1, "A": 1, "F": 3,
-    "SL": 2, "PSL": 2, "SU": 2, "PSU": 2, "cex3": 0,
-}
-
-# the families answered from their parameters, never enumerated (SL(n,q) is
-# too, for n in SL_DEGREES)
-METACYCLIC = ("C", "D", "Dic", "F")
-SYMMETRIC = ("S", "A")
+# the SL(n,q) answered from q (SpecialLinear); other degrees are walked
 SL_DEGREES = (2, 3)
-# the families classical_order validates; all but SL(2,q) and SL(3,q) are
-# built as matrix groups, and perms validates the others
-CLASSICAL = ("SL", "PSL", "SU", "PSU")
 
 
 # An expression's nodes.  A PermAtom's gens are tuples of cycles of
@@ -129,21 +120,22 @@ class _Parser:
         name = self.take()
         if name.text == "Perm":
             return self.perm_atom(name)
-        if name.text not in ARITY:
+        family = "Dic" if name.text == "Q" else name.text
+        if family not in FAMILIES:
             raise UnknownFamilyError(f"unknown family {name.text!r}", position=name.pos)
-        if name.text == "cex3":
+        arity = FAMILIES[family].arity
+        if not arity:
             # parameter-free; a trailing empty () is tolerated
             if self.peek().kind == "LP":
                 self.take()
-                self.expect("RP", "')' (cex3 takes no parameters)")
-            return Atom("cex3", ())
+                self.expect("RP", f"')' ({name.text} takes no parameters)")
+            return Atom(family, ())
         self.expect("LP", "'('")
         params = [int(self.expect("INT", "an integer").text)]
         while self.peek().kind == "COMMA":
             self.take()
             params.append(int(self.expect("INT", "an integer").text))
         self.expect("RP", "')'")
-        arity = ARITY[name.text]
         if len(params) != arity:
             raise ArityError(
                 f"{name.text} takes {arity} parameter(s), got {len(params)}",
@@ -156,7 +148,7 @@ class _Parser:
                     f"Q({m}): group order must be a multiple of 4, at least 8"
                 )
             return Atom("Dic", (m // 4,))
-        return Atom(name.text, tuple(params))
+        return Atom(family, tuple(params))
 
     def perm_atom(self, name_tok):
         self.expect("LB", "'['")
@@ -208,13 +200,133 @@ def print_expr(ast) -> str:
         for cycles in ast.gens:
             gens.append("".join("(" + ",".join(map(str, c)) + ")" for c in cycles))
         return "Perm[" + ", ".join(gens) + "]"
-    if ast.family == "cex3":
-        return "cex3"
+    if not ast.params:
+        return ast.family
     return f"{ast.family}({','.join(map(str, ast.params))})"
 
 
 def normalize_expr(text: str) -> str:
     return print_expr(parse_expr(text))
+
+
+# -- families ----------------------------------------------------------------------
+# FAMILIES maps a name to its arity, order(params, cap) and build(params, cap,
+# name).  order validates the parameters and allocates nothing; build runs
+# once eval_expr has checked every atom's order against cap.  C, D, Dic, F, S
+# and A are answered from their parameters (Metacyclic, Symmetric), but their
+# build first refuses, from the parameters, an atom whose permutation builder
+# (tests/oracles.py) would act on more than MAX_DEGREE points.
+
+Family = namedtuple("Family", "arity order build")
+
+
+def _positive(family: str, n: int) -> int:
+    if n < 1:
+        raise InvalidParameterError(f"{family}({n}): parameter must be >= 1")
+    return n
+
+
+def _factorial(n: int, cap: int, start: int) -> int:
+    """start * (start + 1) * ... * n, stopping once past cap: exact up to
+    cap and only known to exceed it beyond."""
+    order = 1
+    for i in range(start, n + 1):
+        order *= i
+        if order > cap:
+            break
+    return order
+
+
+def _check_frobenius(m: int, n: int, k: int, cap: int):
+    """Raise unless F(m,n,k), Z_m extended by C_n acting as x -> k*x, is
+    defined: k must have multiplicative order exactly n mod m.
+
+    The cheap conditions come first.  Whether k's order is exactly n is
+    asked only when m*n <= cap, from the divisors of n, so a modulus is
+    never factored: a larger group is past the cap and is never built.
+    """
+    if m < 2:
+        raise InvalidParameterError(f"F({m},{n},{k}): modulus must be >= 2")
+    if n < 1 or k < 0:
+        raise InvalidParameterError(f"F({m},{n},{k}): parameters out of range")
+    kk = k % m
+    if math.gcd(kk, m) != 1:
+        raise InvalidParameterError(
+            f"F({m},{n},{k}): gcd({k},{m}) = {math.gcd(kk, m)}, multiplier must be a unit"
+        )
+    if pow(kk, n, m) != 1:
+        raise InvalidParameterError(
+            f"F({m},{n},{k}): {k}^{n} = {pow(kk, n, m)} (mod {m}), need 1"
+        )
+    if m * n > cap:
+        return
+    d = next(e for e in divisors(n) if pow(kk, e, m) == 1)
+    if d != n:
+        raise InvalidParameterError(
+            f"F({m},{n},{k}): {k} has multiplicative order {d} (mod {m}), need exactly {n}"
+        )
+
+
+def _frobenius_order(params, cap):
+    _check_frobenius(*params, cap)
+    return params[0] * params[1]
+
+
+def _answered(points, make):
+    """build(params, cap, name): make(*params, name), once the points(*params)
+    that the family's permutation builder acts on pass check_degree."""
+    def build(params, cap, name):
+        perms.check_degree(points(*params))  # before anything is constructed
+        return make(*params, name)
+    return build
+
+
+def _classical(family: str) -> Family:
+    """(degree, q), validated by classical_order.  SL(2,q) and SL(3,q) are
+    answered from q; the others are walked as matrix groups."""
+    def build(params, cap, name):
+        if family == "SL" and params[0] in SL_DEGREES:
+            return SpecialLinear(*params, name=name)
+        return classical_group(family, *params, cap=cap)  # named as print_expr names it
+    return Family(2, lambda params, cap: classical_order(family, *params), build)
+
+
+def _permutations(ast: PermAtom, cap: int, name: str):
+    degree = _perm_degree(ast)
+    gens = [perms.perm_from_cycles([tuple(p - 1 for p in c) for c in cycles], degree)
+            for cycles in ast.gens]
+    return perms.permutation_group(gens, name=name, cap=cap)
+
+
+# cex3 = C2 x ((C14 x C2) : C3), with C14 x C2 = C7 x (C2 x C2) and the C3
+# acting diagonally: as squaring on the C7 (points 1-7) and as the 3-cycle on
+# the involutions of the Klein four-group (points 8-11, its regular action).
+# Points 12-13 carry the outer C2.  Letting C3 act on one factor only gives
+# the type a sixth size.
+CEX3 = parse_expr("Perm[(1,2,3,4,5,6,7), (8,9)(10,11), (8,10)(9,11), "
+                  "(2,3,5)(4,7,6)(9,10,11), (12,13)]")
+
+FAMILIES = {
+    "C": Family(1, lambda p, cap: _positive("C", *p),
+                _answered(lambda n: n, lambda n, name: Metacyclic(n, 1, 1, name=name))),
+    # D(1) is C2 and D(2) is C2 x C2 (-1 = 1 mod 1 and mod 2), on 2n points
+    "D": Family(1, lambda p, cap: 2 * _positive("D", *p), _answered(
+        lambda n: 2 * n if n <= 2 else n,
+        lambda n, name: Metacyclic(*((n, 2, n - 1) if n >= 3 else (2, n, 1)), name=name))),
+    "Dic": Family(1, lambda p, cap: 4 * _positive("Dic", *p), _answered(
+        lambda n: 4 * n, lambda n, name: Metacyclic(2 * n, 2, 2 * n - 1, n, name=name))),
+    "F": Family(3, _frobenius_order, _answered(
+        lambda m, n, k: m, lambda m, n, k, name: Metacyclic(m, n, k, name=name))),
+    "S": Family(1, lambda p, cap: _factorial(_positive("S", *p), cap, 2),
+                _answered(lambda n: n, lambda n, name: Symmetric(n, name=name))),
+    "A": Family(1, lambda p, cap: _factorial(_positive("A", *p), cap, 3), _answered(
+        lambda n: n, lambda n, name: Symmetric(n, alternating=True, name=name))),
+    "SL": _classical("SL"),
+    "PSL": _classical("PSL"),
+    "SU": _classical("SU"),
+    "PSU": _classical("PSU"),
+    "cex3": Family(0, lambda p, cap: 168, lambda p, cap, name: _permutations(CEX3, cap, name)),
+}
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -234,52 +346,16 @@ def _atom_order(ast, cap: int) -> int:
     if isinstance(ast, PermAtom):
         perms.check_degree(_perm_degree(ast))
         return 1
-    if ast.family in CLASSICAL:
-        return classical_order(ast.family, *ast.params)
-    return perms.family_order(ast.family, ast.params, cap)
-
-
-def _metacyclic(family: str, params) -> tuple:
-    """The (m, n, k[, s]) that Metacyclic takes for a C, D, Dic or F atom."""
-    if family == "F":
-        return params
-    (n,) = params
-    if family == "C":
-        return n, 1, 1
-    if family == "Dic":
-        return 2 * n, 2, 2 * n - 1, n
-    # D(1) is C2 and D(2) is C2 x C2: -1 = 1 mod 1 and mod 2
-    return (n, 2, n - 1) if n >= 3 else (2, n, 1)
+    return FAMILIES[ast.family].order(ast.params, cap)
 
 
 def _eval_atom(ast, cap: int) -> Invariants:
     """The group of one atom, whose parameters and order eval_expr has
-    checked.  SL(2,q) and SL(3,q) are answered from q (SpecialLinear).  The
-    other classical atoms, PSL, PSU, SU and SL(4,q), are walked as matrix
-    groups.  A family atom's point count is checked next, so C, D, Dic, F, S
-    and A atoms on more than MAX_DEGREE points are refused as the other
-    families are; those six are then answered from their parameters
-    (Metacyclic, Symmetric), and only cex3 and Perm[...] atoms are built
-    from permutations."""
+    checked: a Perm[...] atom's permutation group, or its family's build."""
     name = print_expr(ast)
     if isinstance(ast, PermAtom):
-        degree = _perm_degree(ast)
-        gens = [
-            perms.perm_from_cycles([tuple(p - 1 for p in c) for c in cycles], degree)
-            for cycles in ast.gens
-        ]
-    elif ast.family == "SL" and ast.params[0] in SL_DEGREES:
-        return SpecialLinear(*ast.params, name=name)
-    elif ast.family in CLASSICAL:
-        return classical_group(ast.family, *ast.params, cap=cap)  # named as print_expr names it
-    else:
-        perms.check_degree(perms.family_degree(ast.family, ast.params))  # before any allocation
-        if ast.family in METACYCLIC:
-            return Metacyclic(*_metacyclic(ast.family, ast.params), name=name)
-        if ast.family in SYMMETRIC:
-            return Symmetric(*ast.params, alternating=ast.family == "A", name=name)
-        gens = perms.FAMILY_BUILDERS[ast.family](*ast.params)
-    return perms.permutation_group(gens, name=name, cap=cap)
+        return _permutations(ast, cap, name)
+    return FAMILIES[ast.family].build(ast.params, cap, name)
 
 
 def factors_of(ast) -> tuple:

@@ -10,8 +10,9 @@ any thread count.  Cyclic, dihedral, dicyclic and F(m,n,k) atoms, most of the
 hunt's, are answered from their parameters (core.Metacyclic), symmetric and
 alternating atoms from their cycle types (core.Symmetric), and SL(2,q) and
 SL(3,q) from q (core.SpecialLinear).  The theorem enumerates its eight
-groups and the counterexample cex3, PSL(2,7) and, for its disputed counts,
-Dic(2) and F(7,3,2), so each claim is checked on walked groups.  The hunt
+groups and the counterexample cex3 and PSL(2,7), so each claim is checked
+on walked groups.  For its disputed counts the counterexample enumerates
+Dic(2) x F(7,3,2) from a constant Perm[...] spelling, DISPUTED_PERMS.  The hunt
 enumerates only its SL(4,q) atoms and a PSU reference: its PSL references
 are answered from q (core.SpecialLinear), so the hunts at 60 and 168 walk
 nothing.  The hunt reads each atom's spectrum once, as solution counts
@@ -28,9 +29,8 @@ import math
 import threading
 from collections import Counter
 
-from . import perms
 from .core import DEFAULT_CAP, DirectProduct, SpecialLinear, noniso_certificate
-from .dsl import Atom, eval_expr, factors_of, group_for, parse_expr, print_expr
+from .dsl import Atom, eval_expr, group_for, parse_expr, print_expr
 from .errors import CapExceededError, VerificationError
 from .lattice import DivisorLattice, type_cardinalities
 from .matrices import classical_order
@@ -50,6 +50,11 @@ THREE_PRIME_SIMPLE_GROUPS = (
 ALPHA_FIVE = {"PSL(2,7)", "PSL(2,8)", "PSL(2,9)"}
 
 COUNTEREXAMPLES = ("Dic(2) x F(7,3,2)", "C(7) x SL(2,3)", "cex3")
+
+# Dic(2) x F(7,3,2) as permutations, which counterexample_report enumerates:
+# Q8 acting on itself from the left, and Z_7 extended by doubling
+DISPUTED_PERMS = parse_expr("Perm[(1,2,3,4)(5,6,7,8), (1,5,3,7)(2,8,4,6)] x "
+                            "Perm[(1,2,3,4,5,6,7), (2,3,5)(4,7,6)]")
 
 
 def _pmap(fn, items, threads: int) -> list:
@@ -128,8 +133,8 @@ def counterexample_report(cap: int = DEFAULT_CAP, threads: int = 1) -> dict:
     PSL(2,7); certificates separate each from it.  Also records two widely
     repeated but wrong counts for Dic(2) x F(7,3,2): 8 and 56 are its Sylow
     subgroup counts at 2 and 7, not element counts.  The counts recorded are
-    enumerated: Dic(2) and F(7,3,2) are built as permutation groups, and
-    their product's spectrum must equal the one answered from parameters.
+    enumerated from DISPUTED_PERMS, whose spectrum must equal the one
+    answered from parameters.
     """
     reference = "PSL(2,7)"
     exprs = (reference,) + COUNTEREXAMPLES
@@ -173,9 +178,7 @@ def counterexample_report(cap: int = DEFAULT_CAP, threads: int = 1) -> dict:
         certificates.append({"against": expr, "certificate": cert.to_dict()})
 
     disputed_expr = "Dic(2) x F(7,3,2)"
-    enumerated = DirectProduct([
-        perms.permutation_group(perms.FAMILY_BUILDERS[a.family](*a.params), cap=cap)
-        for a in factors_of(parse_expr(disputed_expr))])
+    enumerated = eval_expr(DISPUTED_PERMS, cap)
     if enumerated.spectrum() != groups[disputed_expr].spectrum():
         raise VerificationError(
             f"{disputed_expr}: enumerated spectrum {enumerated.spectrum().counts} differs "

@@ -2,10 +2,10 @@ import itertools
 from functools import partial
 
 import pytest
-from oracles import alternating_generators, symmetric_generators
+from oracles import PERMUTATION_BUILDERS
 
-from sameorder import DirectProduct, eval_expr, group_for, parse_expr, perms, print_expr
-from sameorder.dsl import METACYCLIC, SL_DEGREES, factors_of
+from sameorder import DirectProduct, eval_expr, group_for, parse_expr, print_expr
+from sameorder.dsl import SL_DEGREES, factors_of
 from sameorder.matrices import MatrixGroup, classical_group
 from sameorder.perms import permutation_group
 
@@ -25,19 +25,15 @@ def built():
 
 def _builder(atom):
     """The enumerating builder of an atom the engine answers from its
-    parameters, called with those parameters: for C, D, Dic and F the perms
-    builder and for S and A the oracle's, each making a PermutationGroup,
-    and for SL(2,q) and SL(3,q) classical_group's matrix walk.  None for
-    any other atom."""
+    parameters, called with those parameters: for C, D, Dic, F, S and A the
+    oracle's permutation builder, making a PermutationGroup, and for SL(2,q)
+    and SL(3,q) classical_group's matrix walk.  None for any other atom."""
     family = getattr(atom, "family", None)  # a PermAtom has no family
     if family == "SL" and atom.params[0] in SL_DEGREES:
         return partial(classical_group, "SL")
-    if family in METACYCLIC:
-        gens = perms.FAMILY_BUILDERS[family]
-    elif family in ("S", "A"):
-        gens = {"S": symmetric_generators, "A": alternating_generators}[family]
-    else:
+    if family not in PERMUTATION_BUILDERS:
         return None
+    gens = PERMUTATION_BUILDERS[family]
     return lambda *params: permutation_group(gens(*params), name=print_expr(atom))
 
 

@@ -193,6 +193,63 @@ def derived_series_naive(group, elements) -> tuple:
     return tuple(orders), orders[-1] == 1
 
 
+def cyclic_generators(n: int) -> list:
+    """C(n) on n points: the n-cycle."""
+    return [bytes([(i + 1) % n for i in range(n)])]
+
+
+def dihedral_generators(n: int) -> list:
+    """D(n) of order 2n: rotation and reflection of n points.
+
+    n = 1 and n = 2 get bespoke point sets: the natural action on n points
+    collapses there (negation mod 1 or 2 fixes everything).
+    """
+    if n == 1:
+        return [bytes([1, 0])]
+    if n == 2:
+        return [bytes([1, 0, 2, 3]), bytes([0, 1, 3, 2])]
+    rot = bytes([(i + 1) % n for i in range(n)])
+    ref = bytes([(-i) % n for i in range(n)])
+    return [rot, ref]
+
+
+def dicyclic_generators(n: int) -> list:
+    """Dic(n) of order 4n via its left regular representation.
+
+    Elements are a^i b^j with a of order 2n, b^2 = a^n, b a b^-1 = a^-1;
+    the point a^i b^j gets index j*2n + i.
+    """
+    m = 2 * n
+
+    def left_mul(i0, j0):
+        images = []
+        for j in range(2):
+            for i in range(m):
+                # (a^i0 b^j0) * (a^i b^j)
+                if j0 == 0:
+                    ii, jj = (i0 + i) % m, j
+                elif j == 0:
+                    ii, jj = (i0 - i) % m, 1
+                else:
+                    ii, jj = (i0 - i + n) % m, 0
+                images.append(jj * m + ii)
+        return bytes(images)
+
+    return [left_mul(1, 0), left_mul(0, 1)]
+
+
+def frobenius_generators(m: int, n: int, k: int) -> list:
+    """F(m,n,k): C_m extended by C_n acting as x -> k*x mod m, on m points.
+
+    The group has order m*n when k has multiplicative order exactly n mod
+    m, which the DSL checks; these generators are not checked here.
+    """
+    kk = k % m
+    shift = bytes([(x + 1) % m for x in range(m)])
+    mult = bytes([(kk * x) % m for x in range(m)])
+    return [shift, mult]
+
+
 def symmetric_generators(n: int) -> list:
     """Generators of S(n) on n points: the swap of the first two and the
     n-cycle."""
@@ -216,6 +273,13 @@ def alternating_generators(n: int) -> list:
         # an n-cycle is odd for even n; rotate all but the first point instead
         big = bytes([0] + [1 + (i + 1) % (n - 1) for i in range(n - 1)])
     return [three, big]
+
+
+# the generators of each family the DSL answers from its parameters, by name
+PERMUTATION_BUILDERS = {
+    "C": cyclic_generators, "D": dihedral_generators, "Dic": dicyclic_generators,
+    "F": frobenius_generators, "S": symmetric_generators, "A": alternating_generators,
+}
 
 
 def _partitions(n, largest=None):

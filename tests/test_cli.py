@@ -267,15 +267,13 @@ def test_permutation_degree_limit_exits_2(capsys, monkeypatch):
                                       ("F(1000003,2,1000002)", "3000000")])
 def test_family_degree_limit_exits_2_before_building(capsys, monkeypatch, expr, cap):
     """A family atom under the cap given but over 256 points is refused from
-    its parameters: the builder, which would allocate a list of that many
-    points, never runs."""
-    from sameorder import perms
+    its parameters, before its group is constructed."""
+    from sameorder import dsl
 
-    def build(*args):
-        raise AssertionError("ran a family builder past the degree limit")
+    def build(*args, **kwargs):
+        raise AssertionError("constructed a family atom past the degree limit")
 
-    for family in ("C", "F"):
-        monkeypatch.setitem(perms.FAMILY_BUILDERS, family, build)
+    monkeypatch.setattr(dsl, "Metacyclic", build)
     code, out, err = run(capsys, "alpha", expr, "--max-elements", cap)
     assert code == 2
     assert out == ""

@@ -1,6 +1,13 @@
-import pytest
+import random
 
+import pytest
+from oracles import dicyclic_generators, frobenius_generators
+
+from sameorder import verify
+from sameorder.core import DEFAULT_CAP, spectrum_checks
 from sameorder.dsl import (
+    FAMILIES,
+    Atom,
     eval_expr,
     group_for,
     normalize_expr,
@@ -10,6 +17,7 @@ from sameorder.dsl import (
 from sameorder.errors import (
     ArityError,
     DslSyntaxError,
+    EngineError,
     InvalidParameterError,
     UnknownFamilyError,
 )
@@ -156,3 +164,107 @@ def test_integer_parameters_only():
         parse_expr("C(2.5)")
     with pytest.raises(DslSyntaxError):
         parse_expr("C(-3)")
+
+
+# a fixed sample of parameters for every FAMILIES entry
+FAMILY_SAMPLE = {
+    "C": [(1,), (12,)], "D": [(1,), (2,), (7,)], "Dic": [(1,), (3,)],
+    "F": [(7, 3, 2), (9, 2, 8)], "S": [(1,), (5,)], "A": [(2,), (6,)],
+    "SL": [(2, 4), (3, 2)], "PSL": [(2, 7), (3, 2)], "SU": [(3, 3)], "PSU": [(3, 3)],
+    "cex3": [()],
+}
+
+
+def test_family_sample_covers_the_table():
+    assert set(FAMILY_SAMPLE) == set(FAMILIES)
+    for family, sample in FAMILY_SAMPLE.items():
+        assert all(len(ps) == FAMILIES[family].arity for ps in sample), family
+
+
+@pytest.mark.parametrize("family,params", [(f, ps) for f, sample in FAMILY_SAMPLE.items()
+                                           for ps in sample])
+def test_family_entry_round_trips_and_orders(built_perm, family, params):
+    """An entry's atom prints and parses back, and its order from the
+    parameters is the order of its group, enumerated where the engine
+    answers it from its parameters (built_perm)."""
+    atom = Atom(family, params)
+    text = print_expr(atom)
+    assert parse_expr(text) == atom
+    assert FAMILIES[family].order(params, DEFAULT_CAP) == built_perm(text).order()
+
+
+def _old_cex3_generators() -> list:
+    """cex3 as its former builder made it, on points 0-12: the 7-cycle, the
+    Klein four-group's two involutions, C3 acting as doubling on 0-6 and as
+    the 3-cycle 8 -> 9 -> 10, and the outer involution."""
+    fixed = list(range(13))
+    return [bytes(images) for images in (
+        [1, 2, 3, 4, 5, 6, 0] + fixed[7:],
+        fixed[:7] + [8, 7, 10, 9, 11, 12],
+        fixed[:7] + [9, 10, 7, 8, 11, 12],
+        [0, 2, 4, 6, 1, 3, 5, 7, 9, 10, 8, 11, 12],
+        fixed[:11] + [12, 11],
+    )]
+
+
+def test_constant_spellings_match_the_builders():
+    """The Perm[...] spellings that stand for cex3 and for the enumerated
+    Dic(2) x F(7,3,2) give the former builders' generators, byte for byte."""
+    dic, frob = eval_expr(verify.DISPUTED_PERMS).factors
+    assert dic.generators == dicyclic_generators(2)
+    assert frob.generators == frobenius_generators(7, 3, 2)
+    cex3 = group_for("cex3")
+    assert cex3.generators == _old_cex3_generators()
+    assert cex3.name == "cex3"
+
+
+# hostile parameters: zero, both sides of the 256-point limit, a prime past
+# the cap and the field sizes, and numbers past a machine word
+_HOSTILE = (0, 256, 257, 1000003, 2**64 + 1, 10**30)
+
+
+def _fuzz_text(rng: random.Random) -> str:
+    """An expression of one to three atoms, of every family, Q and Perm,
+    with small parameters and now and then a hostile one or a wrong count."""
+    def n() -> int:
+        return rng.choice(_HOSTILE) if rng.random() < 0.15 else rng.randint(0, 9)
+
+    def atom() -> str:
+        kind = rng.choice(sorted(FAMILIES) + ["Q", "Perm"])
+        if kind == "Perm":
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                points = rng.sample(range(1, 9), rng.randint(1, 8))
+                if rng.random() < 0.1:
+                    points.append(rng.choice([points[0], 300]))  # repeated, or past 256
+                cut = rng.randint(1, len(points))  # one cycle or two disjoint ones
+                gens.append("".join("(" + ",".join(map(str, c)) + ")"
+                                    for c in (points[:cut], points[cut:]) if c))
+            return "Perm[" + ", ".join(gens) + "]"
+        arity = 1 if kind == "Q" else FAMILIES[kind].arity
+        params = [n() for _ in range(arity + (rng.random() < 0.05))]
+        if kind in ("SL", "PSL", "SU", "PSU") and rng.random() < 0.8:
+            params[0] = rng.choice((2, 3, 4))
+        return f"{kind}({','.join(map(str, params))})" if params else kind
+
+    return " x ".join(atom() for _ in range(rng.randint(1, 3)))
+
+
+def test_grammar_fuzz_builds_or_refuses():
+    """300 seeded expressions, hostile parameters among them: each gives a
+    group whose spectrum passes spectrum_checks and whose center,
+    simplicity, solvability and derived series are computed, or raises an
+    EngineError subclass, and nothing else."""
+    rng, cap, outcomes = random.Random(1931), 20000, {"built": 0, "refused": 0}
+    for _ in range(300):
+        text = _fuzz_text(rng)
+        try:
+            g = group_for(text, cap)
+            failed = [name for name, ok, _ in spectrum_checks(g.spectrum()) if not ok]
+            assert not failed, (text, failed)
+            g.center_order(), g.is_simple(), g.is_solvable(), g.derived_series()
+        except EngineError:
+            outcomes["refused"] += 1
+        else:
+            outcomes["built"] += 1
+    assert min(outcomes.values()) >= 50, outcomes

@@ -1,6 +1,6 @@
 """C, D, Dic and F atoms are answered from their parameters (core.Metacyclic);
-the permutation builders of perms are their oracle, and past 256 points the
-per-e passes and element multiplication of tests/oracles.py are."""
+the permutation builders of tests/oracles.py are their oracle, and past 256
+points its per-e passes and element multiplication are."""
 
 import math
 import random
@@ -10,14 +10,25 @@ import tracemalloc
 import pytest
 from oracles import metacyclic_orders_naive, metacyclic_spectrum
 
-from sameorder import group_for, perms
+from sameorder import eval_expr, group_for, perms, verify
 from sameorder.core import Metacyclic, Spectrum, noniso_certificate
-from sameorder.dsl import METACYCLIC, print_expr
-from sameorder.errors import VerificationError
+from sameorder.dsl import parse_expr, print_expr
+from sameorder.errors import InvalidParameterError, VerificationError
 from sameorder.numtheory import divisors, multiplicative_order, totient
 from sameorder.verify import _candidate_atoms, counterexample_report
 
 CATALOG_ORDERS = (60, 168, 360, 504, 2448, 5616, 6048, 25920)
+METACYCLIC = ("C", "D", "Dic", "F")
+
+
+def _accepted(atom) -> bool:
+    """Whether the DSL accepts the atom: it refuses a C, D, Dic or F atom
+    whose permutation builder would act on more than 256 points."""
+    try:
+        eval_expr(atom)
+    except InvalidParameterError:
+        return False
+    return True
 
 
 def _hunt_atoms() -> list:
@@ -26,9 +37,7 @@ def _hunt_atoms() -> list:
     texts = set()
     for order in (60, 168, 360, 504):
         for _, atom in _candidate_atoms(order):
-            if atom.family not in METACYCLIC:
-                continue
-            if order < 360 or perms.family_degree(atom.family, atom.params) <= perms.MAX_DEGREE:
+            if atom.family in METACYCLIC and (order < 360 or _accepted(atom)):
                 texts.add(print_expr(atom))
     return sorted(texts)
 
@@ -60,9 +69,11 @@ def test_parametric_answers_match_enumeration(built_perm, expr):
 
 def test_counterexample_checks_the_enumerated_spectrum(monkeypatch):
     """The disputed counts are read off Dic(2) x F(7,3,2) enumerated; an
-    enumeration that disagrees with the parametric spectrum is an error."""
-    monkeypatch.setitem(perms.FAMILY_BUILDERS, "F",
-                        lambda m, n, k: perms.cyclic_generators(m * n))
+    enumeration that disagrees with the parametric spectrum is an error.
+    Here F(7,3,2)'s spelling is swapped for C(21)'s."""
+    spelling = print_expr(verify.DISPUTED_PERMS)
+    monkeypatch.setattr(verify, "DISPUTED_PERMS", parse_expr(spelling.replace(
+        "(1,2,3,4,5,6,7), (2,3,5)(4,7,6)", "(1,2,3,4,5,6,7)(8,9,10)")))
     with pytest.raises(VerificationError, match="enumerated spectrum"):
         counterexample_report()
 
@@ -103,8 +114,7 @@ def _accepted_atoms(order: int) -> list:
     """The C, D, Dic and F atoms of the hunt at order that the DSL accepts:
     those on at most MAX_DEGREE points."""
     return [print_expr(atom) for _, atom in _candidate_atoms(order)
-            if atom.family in METACYCLIC
-            and perms.family_degree(atom.family, atom.params) <= perms.MAX_DEGREE]
+            if atom.family in METACYCLIC and _accepted(atom)]
 
 
 @pytest.mark.parametrize("order", CATALOG_ORDERS)

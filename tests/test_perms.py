@@ -1,26 +1,20 @@
 import numpy as np
 import pytest
 from oracles import (
-    alternating_generators,
+    PERMUTATION_BUILDERS,
+    dicyclic_generators,
     element_order_naive,
     elements,
     perm_inv,
     perm_mul,
     perm_order,
-    symmetric_generators,
 )
 
-from sameorder import perms
+from sameorder import dsl, perms
+from sameorder.core import DEFAULT_CAP
+from sameorder.dsl import FAMILIES
 from sameorder.errors import InvalidParameterError
-from sameorder.perms import (
-    FAMILY_BUILDERS,
-    cex3_generators,
-    dicyclic_generators,
-    family_degree,
-    family_order,
-    perm_from_cycles,
-    permutation_group,
-)
+from sameorder.perms import MAX_DEGREE, perm_from_cycles, permutation_group
 
 
 def test_perm_order_examples():
@@ -80,26 +74,44 @@ def test_frobenius_group_spectrum(built):
 
 
 def test_frobenius_parameter_validation():
-    # family_order validates for frobenius_generators, which takes its parameters
+    # F's order validates the parameters its build takes
+    order = FAMILIES["F"].order
     with pytest.raises(InvalidParameterError, match="need 1"):
-        family_order("F", (7, 3, 3))
+        order((7, 3, 3), DEFAULT_CAP)
     with pytest.raises(InvalidParameterError):
-        family_order("F", (7, 3, 1))  # order of 1 is 1, not 3
+        order((7, 3, 1), DEFAULT_CAP)  # order of 1 is 1, not 3
     with pytest.raises(InvalidParameterError):
-        family_order("F", (8, 2, 4))  # gcd(4, 8) != 1
+        order((8, 2, 4), DEFAULT_CAP)  # gcd(4, 8) != 1
     with pytest.raises(InvalidParameterError):
-        family_order("F", (1, 2, 1))
+        order((1, 2, 1), DEFAULT_CAP)
 
 
-def test_family_degree_matches_the_builders():
-    """family_degree, read from parameters alone, is the degree each builder's
-    permutations have, the bespoke D(1) and D(2) point sets included; for S
-    and A, the oracle's builders, which stand in for them in the tests."""
-    special = {"F": [(3, 2, 2), (7, 3, 2), (8, 2, 3)], "cex3": [()]}
-    builders = {**FAMILY_BUILDERS, "S": symmetric_generators, "A": alternating_generators}
-    for family, builder in builders.items():
-        for ps in special.get(family, [(n,) for n in range(1, 9)]):
-            assert family_degree(family, ps) == len(builder(*ps)[0]), (family, ps)
+# for each family, (params on at most MAX_DEGREE points, params past it)
+_BOUNDARY = {
+    "C": [(256,), (257,)], "D": [(256,), (257,)], "Dic": [(64,), (65,)],
+    "F": [(256, 2, 255), (257, 2, 256)], "S": [(256,), (257,)], "A": [(256,), (257,)],
+}
+
+
+def test_point_limit_matches_the_oracle_builders(monkeypatch):
+    """A family's build checks, from its parameters, the point count of the
+    oracle's permutation builder, the bespoke D(1) and D(2) point sets
+    included.  At the MAX_DEGREE boundary the last atom is accepted and the
+    next refused."""
+    checked = []
+    check = perms.check_degree
+    monkeypatch.setattr(perms, "check_degree", lambda d: checked.append(d) or check(d))
+    special = {"F": [(3, 2, 2), (7, 3, 2), (8, 2, 3)]}
+    for family, builder in PERMUTATION_BUILDERS.items():
+        inside, past = _BOUNDARY[family]
+        for ps in special.get(family, [(n,) for n in range(1, 9)]) + [inside]:
+            FAMILIES[family].build(ps, DEFAULT_CAP, "")
+            assert checked.pop() == len(builder(*ps)[0]), (family, ps)
+        assert len(builder(*inside)[0]) == MAX_DEGREE
+        # past the limit the oracle has no bytes keys to build
+        with pytest.raises(InvalidParameterError, match=f"at most {MAX_DEGREE} points"):
+            FAMILIES[family].build(past, DEFAULT_CAP, "")
+        assert checked.pop() > MAX_DEGREE
 
 
 def test_quaternion_group(built_perm):
@@ -155,7 +167,7 @@ def test_cex3_structure(built):
     assert g.spectrum().counts == {1: 1, 2: 7, 3: 56, 6: 56, 7: 6, 14: 42}
     assert g.alpha() == (1, 6, 7, 42, 56)
     assert g.is_solvable()
-    assert len(cex3_generators()) >= 2
+    assert len(g.generators) == len(dsl.CEX3.gens) == 5
 
 
 def test_permutation_group_rejects_mixed_degrees():
