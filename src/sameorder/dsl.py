@@ -14,7 +14,8 @@ none and is a constant Perm[...] spelling.  Perm lists generators in
 sugar for Dic(n/4).  Products flatten, so reassociation changes nothing.
 
 Names and integers are ASCII ([A-Za-z][A-Za-z0-9]* and [0-9]+); any other
-character but whitespace and ( ) [ ] , is a syntax error.  All parse errors
+character but whitespace and ( ) [ ] , is a syntax error, and so is a '('
+that opens more than MAX_NESTING levels of parentheses.  All parse errors
 carry the character offset of the offending token.
 """
 
@@ -72,10 +73,16 @@ def _tokenize(text: str) -> list:
 # -- parser ----------------------------------------------------------------------
 
 
+# parentheses nest at most this deep; each level is two Python frames of the
+# recursive descent, so a deeper text would exhaust the interpreter's stack
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -107,8 +114,14 @@ class _Parser:
     def term(self):
         t = self.peek()
         if t.kind == "LP":
+            if self.depth == MAX_NESTING:
+                raise DslSyntaxError(
+                    f"parentheses nest deeper than MAX_NESTING = {MAX_NESTING}", position=t.pos
+                )
             self.take()
+            self.depth += 1
             inner = self.expression()
+            self.depth -= 1
             self.expect("RP", "')'")
             return inner
         if t.kind == "NAME" and t.text != "x":
@@ -226,14 +239,28 @@ def _positive(family: str, n: int) -> int:
     return n
 
 
-def _factorial(n: int, cap: int, start: int) -> int:
-    """start * (start + 1) * ... * n, stopping once past cap: exact up to
-    cap and only known to exceed it beyond."""
+# the largest n for which S(n) and A(n) are answered: Symmetric lists every
+# partition of n, and a report's spectrum checks grow faster still.  Through
+# the CLI on a 2-vCPU Xeon VM, S(38) and A(38) report in about 1.1 s and
+# S(50) in 28 s; S(100) has about 1.9e8 partitions.
+MAX_SYMMETRIC_DEGREE = 38
+
+
+def _symmetric_order(family: str, n: int, cap: int, start: int) -> int:
+    """start * (start + 1) * ... * n, S(n)'s order from start 2 and A(n)'s
+    from 3, stopping once past cap: exact up to cap and only known to exceed
+    it beyond.  An n past MAX_SYMMETRIC_DEGREE is refused unless the first
+    factors up to MAX_SYMMETRIC_DEGREE + 1 already pass cap, so no more are
+    ever multiplied."""
     order = 1
-    for i in range(start, n + 1):
+    for i in range(start, min(_positive(family, n), MAX_SYMMETRIC_DEGREE + 1) + 1):
         order *= i
         if order > cap:
-            break
+            return order
+    if n > MAX_SYMMETRIC_DEGREE:
+        raise InvalidParameterError(
+            f"{family}({n}): degree exceeds MAX_SYMMETRIC_DEGREE = {MAX_SYMMETRIC_DEGREE}"
+        )
     return order
 
 
@@ -317,9 +344,9 @@ FAMILIES = {
         lambda n: 4 * n, lambda n, name: Metacyclic(2 * n, 2, 2 * n - 1, n, name=name))),
     "F": Family(3, _frobenius_order, _answered(
         lambda m, n, k: m, lambda m, n, k, name: Metacyclic(m, n, k, name=name))),
-    "S": Family(1, lambda p, cap: _factorial(_positive("S", *p), cap, 2),
+    "S": Family(1, lambda p, cap: _symmetric_order("S", *p, cap, 2),
                 _answered(lambda n: n, lambda n, name: Symmetric(n, name=name))),
-    "A": Family(1, lambda p, cap: _factorial(_positive("A", *p), cap, 3), _answered(
+    "A": Family(1, lambda p, cap: _symmetric_order("A", *p, cap, 3), _answered(
         lambda n: n, lambda n, name: Symmetric(n, alternating=True, name=name))),
     "SL": _classical("SL"),
     "PSL": _classical("PSL"),

@@ -37,11 +37,10 @@ class DivisorLattice:
         quotient = np.searchsorted(div, np.where(divides, div[:, None] // div[None, :], 1))
         self.mobius = np.where(divides, mu[quotient], 0)
 
-    def products(self, spectra, factor_rows) -> np.ndarray:
-        """The spectra of direct products, one row each, from one product of
-        solution counts: factor_rows[i] lists the positions in spectra (each
-        a Spectrum) of product i's factors, whose orders multiply to a
-        divisor of N.  No count passes N, so int64 holds them all."""
+    def counts(self, spectra) -> np.ndarray:
+        """The solution counts of spectra (each a Spectrum of a group of order
+        dividing N), one row each, and a last row of ones, the trivial
+        group's, that fills out a shorter product."""
         import numpy as np
         rows, cols, values = [], [], []
         for r, spectrum in enumerate(spectra):
@@ -50,8 +49,15 @@ class DivisorLattice:
             values += spectrum.counts.values()
         s = np.zeros((len(spectra) + 1, len(self.divisors)), dtype=np.int64)
         s[rows, cols] = values
-        s[-1, 0] = 1  # the trivial group, row -1, fills a shorter product
-        counts = s @ self.zeta.T
+        s[-1, 0] = 1
+        return s @ self.zeta.T
+
+    def products(self, counts, factor_rows) -> np.ndarray:
+        """The spectra of direct products, one row each: factor_rows[i] lists
+        the rows of counts (from counts()) of product i's factors, whose
+        orders multiply to a divisor of N.  No count passes N, so int64
+        holds them all."""
+        import numpy as np
         width = max(map(len, factor_rows))
         index = np.array([list(r) + [-1] * (width - len(r)) for r in factor_rows]).T
         out = counts[index[0]]

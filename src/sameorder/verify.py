@@ -15,19 +15,20 @@ on walked groups.  For its disputed counts the counterexample enumerates
 Dic(2) x F(7,3,2) from a constant Perm[...] spelling, DISPUTED_PERMS.  The hunt
 enumerates only its SL(4,q) atoms and a PSU reference: its PSL references
 are answered from q (core.SpecialLinear), so the hunts at 60 and 168 walk
-nothing.  The hunt reads each atom's spectrum once, as solution counts
-c(d) = #{x : x^d = 1} on the divisors d of the order, and gets every
-candidate product's spectrum from one numpy product of those counts and one
-integer Möbius matrix (DivisorLattice): only the candidates whose type
+nothing.  The hunt builds each distinct atom once, before it examines any
+candidate, and holds it to the end; it reads each atom's solution counts
+c(d) = #{x : x^d = 1} on the divisors d of the order once per hunt, and gets
+every candidate product's spectrum from a numpy product of those counts and
+one integer Möbius matrix (DivisorLattice): only the candidates whose type
 cardinality matches the simple group's are built as a DirectProduct and
-certified.
+certified.  Worker threads share the atoms and the counts and change
+neither, but for the atoms' lazily cached invariants, which are idempotent
+(core.Group).
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import Counter
 
 from .core import DEFAULT_CAP, DirectProduct, SpecialLinear, noniso_certificate
 from .dsl import Atom, eval_expr, group_for, parse_expr, print_expr
@@ -345,52 +346,9 @@ def _candidate_expressions(order: int, max_factors: int) -> dict:
     return dict(sorted(out.items()))
 
 
-class _AtomPool:
-    """A hunt's atoms, each built on its first use and dropped after its last.
-
-    Candidates share their atoms, so each distinct atom is built once per
-    hunt, and only the atoms some unexamined candidate still needs are held.
-    A candidate is examined once its block's batch has read its type
-    cardinality, and, if that matches, once it has been certified.  Worker
-    threads share the pool, so every access holds the lock.
-    """
-
-    def __init__(self, factor_lists, cap: int):
-        self.uses = Counter(a for fs in factor_lists for a in fs)
-        self.built = {}
-        self.cap = cap
-        self.lock = threading.Lock()
-
-    def take(self, atoms) -> list:
-        with self.lock:
-            for a in atoms:
-                if a not in self.built:
-                    self.built[a] = eval_expr(a, self.cap)
-            return [self.built[a] for a in atoms]
-
-    def release(self, atoms):
-        with self.lock:
-            for a in atoms:
-                self.uses[a] -= 1
-                if not self.uses[a]:
-                    del self.built[a]
-
-
 # candidates whose solution counts are multiplied in one numpy product; one
 # block holds every candidate of the 168/3 and 60/3 hunts
 _BLOCK = 256
-
-
-def _block_spectra(lattice: DivisorLattice, factor_lists, atoms: _AtomPool):
-    """The spectra of the direct products of factor_lists, one row each
-    (DivisorLattice.products).  Takes every atom from the pool, and reads
-    each one's spectrum once; releases none."""
-    rows = {}
-    for fs in factor_lists:
-        for a in fs:
-            rows.setdefault(a, len(rows))
-    spectra = [g.spectrum() for g in atoms.take(list(rows))]
-    return lattice.products(spectra, [[rows[a] for a in fs] for fs in factor_lists])
 
 
 def hunt_report(order: int, max_factors: int, cap: int = DEFAULT_CAP,
@@ -404,11 +362,12 @@ def hunt_report(order: int, max_factors: int, cap: int = DEFAULT_CAP,
     the reference, is validated by classical_order and checked against cap
     as eval_expr checks an expression; a PSL(2,q) reference, or a PSL(3,q)
     one with gcd(3, q - 1) = 1, is then answered from q (SpecialLinear), and
-    a PSU one walked.  Each distinct atom is built once per call and shared
-    by the candidates that use it.  Candidates are taken in blocks: one
-    numpy product of solution counts gives every candidate's type
-    cardinality, and only those that match the simple group's become a
-    DirectProduct and get a certificate.
+    a PSU one walked.  Each distinct atom is built once per call, before
+    any candidate is examined, held to the end and shared by the candidates
+    that use it; its solution counts are read once per call.  Candidates
+    are taken in blocks: one numpy product of those counts gives every
+    candidate's type cardinality, and only those that match the simple
+    group's become a DirectProduct and get a certificate.
     """
     base = {"order": order, "max_factors": max_factors}
     # the collision reference: the unique nonabelian simple group of this
@@ -434,35 +393,32 @@ def hunt_report(order: int, max_factors: int, cap: int = DEFAULT_CAP,
     target_card = len(simple.alpha())
 
     factors = _candidate_expressions(order, max_factors)
-    atoms = _AtomPool(factors.values(), cap)
+    # each distinct atom, built once and held to the end of the hunt
+    atoms = {a: eval_expr(a, cap) for a in dict.fromkeys(a for fs in factors.values() for a in fs)}
+    row = {a: i for i, a in enumerate(atoms)}
     lattice = DivisorLattice(order)
+    counts = lattice.counts([g.spectrum() for g in atoms.values()])
 
     def examine(text: str):
-        groups = atoms.take(factors[text])
-        try:
-            g = groups[0] if len(groups) == 1 else DirectProduct(groups, name=text, cap=cap)
-            g.is_simple()  # likewise, for a walked simple atom such as SL(4,2)
-            cert = noniso_certificate(simple, g)
-            if cert is None:
-                return None
-            alpha = list(g.alpha())
-            return {
-                "expression": text,
-                "alpha": alpha,
-                "alpha_cardinality": len(alpha),
-                "certificate": cert.to_dict(),
-            }
-        finally:
-            atoms.release(factors[text])
+        groups = [atoms[a] for a in factors[text]]
+        g = groups[0] if len(groups) == 1 else DirectProduct(groups, name=text, cap=cap)
+        g.is_simple()  # likewise, for a walked simple atom such as SL(4,2)
+        cert = noniso_certificate(simple, g)
+        if cert is None:
+            return None
+        alpha = list(g.alpha())
+        return {
+            "expression": text,
+            "alpha": alpha,
+            "alpha_cardinality": len(alpha),
+            "certificate": cert.to_dict(),
+        }
 
     texts, found = list(factors), []
     for start in range(0, len(texts), _BLOCK):
         block = texts[start:start + _BLOCK]
-        cards = type_cardinalities(_block_spectra(lattice, [factors[t] for t in block], atoms))
-        matched = [t for t, card in zip(block, cards) if card == target_card]
-        for t, card in zip(block, cards):
-            if card != target_card:
-                atoms.release(factors[t])
+        spectra = lattice.products(counts, [[row[a] for a in factors[t]] for t in block])
+        matched = [t for t, card in zip(block, type_cardinalities(spectra)) if card == target_card]
         found.extend(r for r in _pmap(examine, matched, threads) if r is not None)
     return {
         **base,

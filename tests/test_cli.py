@@ -281,6 +281,17 @@ def test_family_degree_limit_exits_2_before_building(capsys, monkeypatch, expr, 
     assert "at most 256 points" in err
 
 
+@pytest.mark.parametrize("expr", ["S(100)", "A(256)", pytest.param(
+    "(" * 3000 + "C(2)" + ")" * 3000, id="3000-nested")])
+def test_hostile_sizes_exit_2_in_one_line(capsys, expr):
+    """S(100) and A(256) under a cap past their orders, whose partitions
+    would not be listed in a lifetime, and 3000 nested parentheses, which
+    would exhaust the interpreter's stack, are usage errors."""
+    code, out, err = run(capsys, "alpha", expr, "--max-elements", str(10**600))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_matrix_key_width_limit_exits_2(capsys, monkeypatch):
     from sameorder import matrices
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from sameorder import verify
 from sameorder.core import DEFAULT_CAP, spectrum_checks
 from sameorder.dsl import (
     FAMILIES,
+    MAX_NESTING,
+    MAX_SYMMETRIC_DEGREE,
     Atom,
     eval_expr,
     group_for,
@@ -16,6 +19,7 @@ from sameorder.dsl import (
 )
 from sameorder.errors import (
     ArityError,
+    CapExceededError,
     DslSyntaxError,
     EngineError,
     InvalidParameterError,
@@ -113,6 +117,42 @@ def test_syntax_errors_carry_positions():
         with pytest.raises(DslSyntaxError, match="unexpected character") as exc:
             parse_expr(text)
         assert exc.value.position == position
+
+
+def test_nesting_depth_is_bounded():
+    """Parentheses nest up to MAX_NESTING levels; the '(' that opens one
+    more is a syntax error at its offset, before the recursive descent can
+    exhaust the interpreter's stack."""
+    assert parse_expr("(" * 50 + "C(2)" + ")" * 50) == Atom("C", (2,))
+    assert parse_expr("(" * (MAX_NESTING - 1) + "C(2) x (C(3))" + ")" * (MAX_NESTING - 1)) \
+        == parse_expr("C(2) x C(3)")
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(DslSyntaxError, match="MAX_NESTING") as exc:
+            parse_expr("(" * depth + "C(2)" + ")" * depth)
+        assert exc.value.position == MAX_NESTING
+    # sibling groups each start again from the depth they sit at
+    side = "(" * MAX_NESTING + "C(2)" + ")" * MAX_NESTING
+    assert parse_expr(f"{side} x {side}") == parse_expr("C(2) x C(2)")
+
+
+def test_symmetric_degree_is_bounded_before_anything_is_built(monkeypatch):
+    """S(n) and A(n) past MAX_SYMMETRIC_DEGREE are refused from n before
+    Symmetric lists a partition (S(100) has about 1.9e8): as usage errors
+    under a cap past their orders, and as over the cap under one below."""
+    from sameorder import dsl
+
+    def build(*args, **kwargs):
+        raise AssertionError("constructed a symmetric atom past the degree limit")
+
+    huge, top = 10**600, MAX_SYMMETRIC_DEGREE
+    assert FAMILIES["S"].order((top,), huge) == math.factorial(top)
+    assert FAMILIES["A"].order((top,), huge) == math.factorial(top) // 2
+    monkeypatch.setattr(dsl, "Symmetric", build)
+    for text in (f"S({top + 1})", f"A({top + 1})", "S(100)", "A(256)", "C(2) x A(300)"):
+        with pytest.raises(InvalidParameterError, match="MAX_SYMMETRIC_DEGREE"):
+            group_for(text, huge)
+        with pytest.raises(CapExceededError):
+            group_for(text)
 
 
 def test_unknown_family():

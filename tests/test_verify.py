@@ -9,14 +9,12 @@ import pytest
 
 from sameorder import verify
 from sameorder.core import DEFAULT_CAP, spectrum_direct_product
-from sameorder.dsl import Atom
-from sameorder.errors import VerificationError
+from sameorder.dsl import Atom, eval_expr
+from sameorder.errors import InvalidParameterError, VerificationError
 from sameorder.lattice import DivisorLattice, type_cardinalities
 from sameorder.numtheory import divisors, multiplicative_order
 from sameorder.reports import render_json, report_for
 from sameorder.verify import (
-    _AtomPool,
-    _block_spectra,
     _candidate_expressions,
     _frobenius_atoms,
     counterexample_report,
@@ -229,7 +227,7 @@ def test_hunt_builds_each_atom_once(monkeypatch):
     from sameorder.core import Group
     from sameorder.dsl import print_expr
 
-    built, enumerated, pools = Counter(), Counter(), []
+    built, enumerated = Counter(), Counter()
     walked, evaluate = Group._walked, verify.eval_expr
 
     def counting(self):
@@ -241,14 +239,8 @@ def test_hunt_builds_each_atom_once(monkeypatch):
         built[print_expr(ast)] += 1
         return evaluate(ast, cap)
 
-    class Pool(verify._AtomPool):
-        def __init__(self, *args):
-            super().__init__(*args)
-            pools.append(self)
-
     monkeypatch.setattr(Group, "_walked", counting)
     monkeypatch.setattr(verify, "eval_expr", building)
-    monkeypatch.setattr(verify, "_AtomPool", Pool)
     for order, candidates, sl_atoms in [
             (60, 53, {"SL(2,2)", "SL(2,4)"}),
             (168, 149, {"SL(2,2)", "SL(2,3)", "SL(3,2)"})]:
@@ -260,8 +252,6 @@ def test_hunt_builds_each_atom_once(monkeypatch):
         assert set(built) == atoms and max(built.values()) == 1
         assert sl_atoms < atoms  # built, not walked
         assert not enumerated
-        # each atom is dropped after the last candidate that uses it
-        assert pools[-1].built == {}
 
 
 def test_claim_reports_still_walk_their_groups(monkeypatch):
@@ -309,20 +299,45 @@ def test_hunt_reference_over_the_cap_is_refused_first(monkeypatch):
             hunt_report(order, 2, cap=order - 1)
 
 
-@pytest.mark.parametrize("order,max_factors", [(60, 2), (60, 3), (168, 2), (168, 3)])
-def test_batch_spectra_match_convolution(order, max_factors):
-    """Every candidate's spectrum and type cardinality from the one product
-    of solution counts, against its factors' spectra convolved over lcm of
+def _assert_lattice_matches_convolution(order: int, factors: dict):
+    """Every candidate's spectrum and type cardinality from one counts() and
+    one products() call, against its factors' spectra convolved over lcm of
     orders (spectrum_direct_product)."""
-    factors = _candidate_expressions(order, max_factors)
-    lattice, pool = DivisorLattice(order), _AtomPool(factors.values(), DEFAULT_CAP)
-    spectra = _block_spectra(lattice, list(factors.values()), pool)
+    groups = {a: eval_expr(a) for a in dict.fromkeys(a for fs in factors.values() for a in fs)}
+    row = {a: i for i, a in enumerate(groups)}
+    lattice = DivisorLattice(order)
+    counts = lattice.counts([g.spectrum() for g in groups.values()])
+    assert counts.shape == (len(groups) + 1, len(divisors(order)))
+    assert (counts[-1] == 1).all()  # the trivial group, which pads a shorter product
+    spectra = lattice.products(counts, [[row[a] for a in fs] for fs in factors.values()])
     cards = type_cardinalities(spectra)
     assert spectra.shape == (len(factors), len(divisors(order)))
-    for (text, atoms), row, card in zip(factors.items(), spectra.tolist(), cards.tolist()):
-        want = reduce(spectrum_direct_product, [g.spectrum() for g in pool.take(atoms)])
-        assert {t: c for t, c in zip(lattice.divisors, row) if c} == want.counts, text
+    for (text, atoms), got, card in zip(factors.items(), spectra.tolist(), cards.tolist()):
+        want = reduce(spectrum_direct_product, [groups[a].spectrum() for a in atoms])
+        assert {t: c for t, c in zip(lattice.divisors, got) if c} == want.counts, text
         assert card == len(want.alpha()), text
+
+
+@pytest.mark.parametrize("order,max_factors", [(60, 2), (60, 3), (168, 2), (168, 3)])
+def test_batch_spectra_match_convolution(order, max_factors):
+    _assert_lattice_matches_convolution(order, _candidate_expressions(order, max_factors))
+
+
+def test_batch_spectra_match_convolution_at_2448():
+    """The 2448/3 hunt, PSL(2,17)'s, over the candidates whose every atom
+    the DSL accepts: its cyclic, dihedral and dicyclic atoms past 256 points
+    are refused, so the hunt itself exits 2."""
+    factors = _candidate_expressions(2448, 3)
+    accepted = set()
+    for a in dict.fromkeys(a for fs in factors.values() for a in fs):
+        try:
+            eval_expr(a)
+        except InvalidParameterError:
+            continue
+        accepted.add(a)
+    factors = {t: fs for t, fs in factors.items() if accepted.issuperset(fs)}
+    assert (len(accepted), len(factors)) == (140, 919)
+    _assert_lattice_matches_convolution(2448, factors)
 
 
 @pytest.mark.parametrize("order", [1, 12, 60, 168, 25920])
@@ -333,7 +348,7 @@ def test_mobius_matrix_inverts_zeta(order):
     assert (lattice.mobius @ lattice.zeta == np.eye(size, dtype=np.int64)).all()
 
 
-def testtype_cardinalities_count_distinct_nonzero_values():
+def test_type_cardinalities_count_distinct_nonzero_values():
     rows = np.array([[1, 0, 3, 3, 0], [1, 1, 1, 1, 1], [1, 2, 4, 8, 16], [1, 0, 0, 0, 0]])
     assert type_cardinalities(rows).tolist() == [2, 1, 5, 1]
 
@@ -341,19 +356,10 @@ def testtype_cardinalities_count_distinct_nonzero_values():
 @pytest.mark.parametrize("block", [1, 7, 52])
 def test_hunt_report_is_the_same_in_any_block_size(monkeypatch, block):
     """Block edges split candidates, and atoms they share, between batches;
-    the report and the pool's dropping of atoms do not change."""
-    pools = []
-
-    class Pool(verify._AtomPool):
-        def __init__(self, *args):
-            super().__init__(*args)
-            pools.append(self)
-
+    the report does not change."""
     expected = render_json(hunt_report(60, 3)), render_json(hunt_report(168, 2))
     monkeypatch.setattr(verify, "_BLOCK", block)
-    monkeypatch.setattr(verify, "_AtomPool", Pool)
     assert (render_json(hunt_report(60, 3)), render_json(hunt_report(168, 2))) == expected
-    assert [p.built for p in pools] == [{}, {}]
 
 
 def _frobenius_atoms_by_subgroup(n: int) -> list:
