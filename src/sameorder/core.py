@@ -31,9 +31,10 @@ metacyclic atom, cyclic, dihedral, dicyclic or F(m,n,k): ``Metacyclic``
 answers from its parameters; nor a symmetric or alternating one, which
 ``Symmetric`` answers from its cycle types; nor SL(2,q) or SL(3,q), which
 ``SpecialLinear`` answers from q, as it answers the hunt's PSL references.
-``Invariants``, their one base, reads the same-order type off what each
-gives, and solvability off the derived series where a subclass has no
-shorter route.
+``Invariants``, their one base, memoizes the spectrum and the derived series
+once, from the counts (_counts) and the orders (_series) that each subclass
+gives, and reads the same-order type and, where a subclass has no shorter
+route, solvability off them.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ def spectrum_checks(spec: Spectrum) -> list:
     through g = gcd(d, E), for E the lcm of the orders dividing |G|, and the
     d with gcd(d, E) = g all divide the largest of them, so that one d per
     divisor g of E is tested: a large group order's divisors are never
-    listed.
+    listed.  The sums for all g at once are prefix sums of s along each
+    prime axis of E's divisors, taken in ascending order.
     """
     n = spec.group_order
     total = sum(spec.counts.values())
@@ -110,10 +112,15 @@ def spectrum_checks(spec: Spectrum) -> list:
         checks.append(("s_2 odd in a group of even order", s2 % 2 == 1, f"s_2 = {s2}"))
     exponent = math.lcm(*(t for t in spec.counts if n % t == 0))
     spare = factorize(n // exponent)
+    solutions = {g: spec.counts.get(g, 0) for g in divisors(exponent)}
+    for p in factorize(exponent):
+        for g in solutions:
+            if g % p == 0:
+                solutions[g] += solutions[g // p]
     bad_d = []
-    for g in divisors(exponent):
+    for g, c in solutions.items():
         d = g * math.prod(p**e for p, e in spare.items() if exponent // g % p)
-        if sum(s for t, s in spec.counts.items() if g % t == 0) % d:
+        if c % d:
             bad_d.append(d)
     bad_d.sort()
     checks.append(("d divides #{x : x^d = 1} for every d dividing the group order", not bad_d,
@@ -167,11 +174,31 @@ def _commutator(left_a, left_a_inv, left_b, left_b_inv):
 
 
 class Invariants:
-    """The calls every kind of group answers, read off the order, spectrum
-    and derived series that the subclass gives: Group by enumerating,
-    DirectProduct from its factors, Metacyclic, Symmetric and SpecialLinear
-    from their parameters.  Group and DirectProduct answer is_solvable
-    without the derived series where they can."""
+    """The calls every kind of group answers, read off what the subclass
+    gives: Group by enumerating, DirectProduct from its factors, Metacyclic,
+    Symmetric and SpecialLinear from their parameters.  A subclass gives
+    order(), center_order() and is_simple(), _counts(), {element order:
+    count} in any key order, and _series(), the orders along the derived
+    series; spectrum() and derived_series() memoize what those give, once.
+    Group and DirectProduct answer is_solvable without the derived series
+    where they can."""
+
+    _spectrum = _derived = None
+
+    def spectrum(self) -> Spectrum:
+        """The counts of _counts, keys ascending, with the group's order."""
+        if self._spectrum is None:
+            n = self.order()
+            self._spectrum = Spectrum(counts=dict(sorted(self._counts().items())), group_order=n)
+        return self._spectrum
+
+    def derived_series(self) -> tuple:
+        """The orders of _series, plus the solvable flag: whether they end
+        at 1."""
+        if self._derived is None:
+            orders = tuple(self._series())
+            self._derived = (orders, orders[-1] == 1)
+        return self._derived
 
     def alpha(self) -> tuple:
         return self.spectrum().alpha()
@@ -224,7 +251,7 @@ class Group(Invariants):
         self.cap = cap
         # all computed on first use
         self._closure = self._inverses = self._class_of = self._classes = None
-        self._powers = self._spectrum = self._simple = self._derived = None
+        self._powers = self._simple = None
 
     # -- enumeration ---------------------------------------------------------
 
@@ -377,14 +404,12 @@ class Group(Invariants):
         import numpy as np
         return np.array(self._power_classes()[0])[self._class_of].tolist()
 
-    def spectrum(self) -> Spectrum:
+    def _counts(self) -> dict:
         """The class sizes summed per class order."""
-        if self._spectrum is None:
-            acc = {}
-            for members, t in zip(self.conjugacy_classes(), self._power_classes()[0]):
-                acc[t] = acc.get(t, 0) + len(members)
-            self._spectrum = Spectrum(counts=dict(sorted(acc.items())), group_order=self.order())
-        return self._spectrum
+        acc = {}
+        for members, t in zip(self.conjugacy_classes(), self._power_classes()[0]):
+            acc[t] = acc.get(t, 0) + len(members)
+        return acc
 
     # -- normal closures, simplicity, solvability -------------------------------
 
@@ -536,8 +561,8 @@ class Group(Invariants):
             return False
         return self.derived_series()[1]
 
-    def derived_series(self) -> tuple:
-        """Orders along the derived series, plus the solvable flag.
+    def _series(self) -> list:
+        """Orders along the derived series.
 
         Each term is the normal closure of the commutators a^-1 b^-1 a b of
         the previous term's kept generators.  A commutator's position and
@@ -555,27 +580,25 @@ class Group(Invariants):
         (|G|, |G|) with no closure.  Only the memo is read; the simplicity
         test is never run from here.
         """
-        if self._derived is None and self._simple and not is_prime(self.order()):
-            self._derived = ((self.order(),) * 2, False)
-        if self._derived is None:
-            left_inv = self._inverse_maps()
-            left = [_inverted(m) for m in left_inv]
-            # the kept generators sit where R takes the identity
-            gens, cur_order = self._walked().table[:, 0], self.order()
-            orders = [cur_order]
-            while cur_order > 1:
-                seeds = [(int(left_inv[a][left_inv[b][left[a][gens[b]]]]),
-                          partial(_commutator, left[a], left_inv[a], left[b], left_inv[b]))
-                         for a, b in combinations(range(len(gens)), 2)]
-                sub = self._grow_normal(seeds, cur_order // 2)
-                if sub is None:
-                    orders.append(cur_order)
-                    break
-                cur_order, gens, left = sub
+        cur_order = self.order()
+        if self._simple and not is_prime(cur_order):
+            return [cur_order, cur_order]
+        left_inv = self._inverse_maps()
+        left = [_inverted(m) for m in left_inv]
+        # the kept generators sit where R takes the identity
+        gens, orders = self._walked().table[:, 0], [cur_order]
+        while cur_order > 1:
+            seeds = [(int(left_inv[a][left_inv[b][left[a][gens[b]]]]),
+                      partial(_commutator, left[a], left_inv[a], left[b], left_inv[b]))
+                     for a, b in combinations(range(len(gens)), 2)]
+            sub = self._grow_normal(seeds, cur_order // 2)
+            if sub is None:
                 orders.append(cur_order)
-                left_inv = [_inverted(m) for m in left]
-            self._derived = (tuple(orders), orders[-1] == 1)
-        return self._derived
+                break
+            cur_order, gens, left = sub
+            orders.append(cur_order)
+            left_inv = [_inverted(m) for m in left]
+        return orders
 
     def __repr__(self):
         label = self.name or f"{len(self.generators)} generators"
@@ -606,10 +629,9 @@ class DirectProduct(Invariants):
             raise CapExceededError(self.cap)
         return n
 
-    def spectrum(self) -> Spectrum:
-        self.order()
+    def _counts(self) -> dict:
         return reduce(spectrum_direct_product, [f.spectrum() for f in self.factors]
-                      or [Spectrum(counts={1: 1}, group_order=1)])
+                      or [Spectrum(counts={1: 1}, group_order=1)]).counts
 
     def center_order(self) -> int:
         return math.prod(f.center_order() for f in self.factors)
@@ -622,19 +644,16 @@ class DirectProduct(Invariants):
     def is_solvable(self) -> bool:
         return all(f.is_solvable() for f in self.factors)
 
-    def derived_series(self) -> tuple:
-        """Orders along the derived series, plus the solvable flag.
-
-        The factors' series multiplied term by term, a series that ends early
-        padded with its last value.  As in Group.derived_series, the result
-        stops at order 1 or at the first repeated order.
-        """
+    def _series(self) -> list:
+        """The factors' series multiplied term by term, a series that ends
+        early padded with its last value.  As in Group._series, the result
+        stops at order 1 or at the first repeated order."""
         series = [f.derived_series()[0] for f in self.factors]
         orders = [self.order()]
         while orders[-1] > 1 and (len(orders) < 2 or orders[-1] != orders[-2]):
             i = len(orders)
             orders.append(math.prod(s[min(i, len(s) - 1)] for s in series))
-        return tuple(orders), orders[-1] == 1
+        return orders
 
 
 def _geometric_sum(u: int, d: int, m: int) -> int:
@@ -677,12 +696,11 @@ class Metacyclic(Invariants):
     def __init__(self, m: int, n: int, k: int, s: int = 0, name=None):
         self.params = (m, n, k % m, s % m)
         self.name = name
-        self._spectrum = None
 
     def order(self) -> int:
         return self.params[0] * self.params[1]
 
-    def spectrum(self) -> Spectrum:
+    def _counts(self) -> dict:
         """With u = k^e and d = n / gcd(n, e), a power (a^c b^e)^j lies in
         <a> iff d divides j, and (a^c b^e)^d = a^(cG + t) for the geometric
         sum G = 1 + u + ... + u^(d-1) and t = s·de/n, so a^c b^e has order
@@ -696,24 +714,22 @@ class Metacyclic(Invariants):
         (m/M)·φ(δ) values of c, each of order dδ·m/(DM), for every δ | M.
         With t = 0 that is g·φ(δ) elements of order dδ for each δ | m/g;
         with G = 0 (Dic's odd e) all m have order dm/gcd(m, t)."""
-        if self._spectrum is None:
-            m, n, k, s = self.params
-            cells, u = {}, 1
-            for e in range(n):
-                d = n // math.gcd(n, e)
-                g = math.gcd(_geometric_sum(u, d, m), m)
-                D, M = math.gcd(g, s * d * e // n % m), m // g
-                while (q := math.gcd(M, g // D)) > 1:
-                    M //= q
-                key = (d * m // (D * M), M)
-                cells[key] = cells.get(key, 0) + 1
-                u = u * k % m
-            primes, acc = list(factorize(m)), {}
-            for (base, M), times in cells.items():
-                for delta, phi in _divisor_totients(M, primes):
-                    acc[base * delta] = acc.get(base * delta, 0) + times * (m // M) * phi
-            self._spectrum = Spectrum(counts=dict(sorted(acc.items())), group_order=m * n)
-        return self._spectrum
+        m, n, k, s = self.params
+        cells, u = {}, 1
+        for e in range(n):
+            d = n // math.gcd(n, e)
+            g = math.gcd(_geometric_sum(u, d, m), m)
+            D, M = math.gcd(g, s * d * e // n % m), m // g
+            while (q := math.gcd(M, g // D)) > 1:
+                M //= q
+            key = (d * m // (D * M), M)
+            cells[key] = cells.get(key, 0) + 1
+            u = u * k % m
+        primes, acc = list(factorize(m)), {}
+        for (base, M), times in cells.items():
+            for delta, phi in _divisor_totients(M, primes):
+                acc[base * delta] = acc.get(base * delta, 0) + times * (m // M) * phi
+        return acc
 
     def center_order(self) -> int:
         """a^c b^e is central iff it commutes with a, so k^e = 1, and with b,
@@ -725,14 +741,12 @@ class Metacyclic(Invariants):
         """The group is solvable, so simple iff of prime order."""
         return is_prime(self.order())
 
-    def derived_series(self) -> tuple:
-        """Orders along the derived series, plus the solvable flag, as in
-        Group.derived_series.  The commutator of b and a is a^(k - 1), and
-        modulo it a is central, so G' = <a^(k - 1)>, of order
-        m / gcd(m, k - 1), which is cyclic: G'' = 1."""
+    def _series(self) -> list:
+        """The commutator of b and a is a^(k - 1), and modulo it a is
+        central, so G' = <a^(k - 1)>, of order m / gcd(m, k - 1), which is
+        cyclic: G'' = 1."""
         m, _, k, _ = self.params
-        orders = {self.order(), m // math.gcd(m, k - 1), 1}
-        return tuple(sorted(orders, reverse=True)), True
+        return sorted({self.order(), m // math.gcd(m, k - 1), 1}, reverse=True)
 
 
 def _partitions(n: int, largest: int):
@@ -760,27 +774,24 @@ class Symmetric(Invariants):
         self.n = n
         self.alternating = alternating
         self.name = name
-        self._spectrum = None
 
     def order(self) -> int:
         order = math.factorial(self.n)
         return order // 2 if self.alternating and self.n >= 2 else order
 
-    def spectrum(self) -> Spectrum:
+    def _counts(self) -> dict:
         """The cycle types, one at a time, so nothing held grows with n!."""
-        if self._spectrum is None:
-            n, full, acc = self.n, math.factorial(self.n), {}
-            for parts in _partitions(n, n):
-                if self.alternating and (n - len(parts)) % 2:
-                    continue
-                size = full
-                for k in set(parts):
-                    m = parts.count(k)
-                    size //= k**m * math.factorial(m)
-                t = math.lcm(*parts)
-                acc[t] = acc.get(t, 0) + size
-            self._spectrum = Spectrum(counts=dict(sorted(acc.items())), group_order=self.order())
-        return self._spectrum
+        n, full, acc = self.n, math.factorial(self.n), {}
+        for parts in _partitions(n, n):
+            if self.alternating and (n - len(parts)) % 2:
+                continue
+            size = full
+            for k in set(parts):
+                m = parts.count(k)
+                size //= k**m * math.factorial(m)
+            t = math.lcm(*parts)
+            acc[t] = acc.get(t, 0) + size
+        return acc
 
     def center_order(self) -> int:
         """Trivial once the group is nonabelian, past order 3 (S(3), A(4))."""
@@ -790,15 +801,12 @@ class Symmetric(Invariants):
         """Of prime order (S(2), A(3)), or A(n) for n >= 5."""
         return is_prime(self.order()) or self.alternating and self.n >= 5
 
-    def derived_series(self) -> tuple:
-        """Orders along the derived series, plus the solvable flag, as in
-        Group.derived_series.  S(n)' = A(n); A(4)' is the Klein four-group,
-        and A(n) is perfect for n >= 5."""
+    def _series(self) -> tuple:
+        """S(n)' = A(n); A(4)' is the Klein four-group, and A(n) is perfect
+        for n >= 5."""
         n, half = self.n, max(math.factorial(self.n) // 2, 1)
         orders = {1: (1,), 2: (1,), 3: (3, 1), 4: (12, 4, 1)}.get(n, (half, half))
-        if not self.alternating and n >= 2:
-            orders = (2 * half,) + orders
-        return orders, orders[-1] == 1
+        return orders if self.alternating or n < 2 else (2 * half,) + orders
 
 
 class SpecialLinear(Invariants):
@@ -831,18 +839,14 @@ class SpecialLinear(Invariants):
             raise ValueError(f"PSL(3,{q}) is SL(3,{q}) modulo 3 scalars: no closed form here")
         self.n, self.q, self.projective = n, q, projective
         self.name = name
-        self._spectrum = None
 
     def order(self) -> int:
         n, q = self.n, self.q
         order = q ** (n * (n - 1) // 2) * math.prod(q**i - 1 for i in range(2, n + 1))
         return order // math.gcd(n, q - 1) if self.projective else order
 
-    def spectrum(self) -> Spectrum:
-        if self._spectrum is None:
-            acc = self._spectrum2() if self.n == 2 else self._spectrum3()
-            self._spectrum = Spectrum(counts=dict(sorted(acc.items())), group_order=self.order())
-        return self._spectrum
+    def _counts(self) -> dict:
+        return self._spectrum2() if self.n == 2 else self._spectrum3()
 
     def _spectrum2(self) -> dict:
         q, d = self.q, math.gcd(2, self.q - 1)
@@ -912,16 +916,12 @@ class SpecialLinear(Invariants):
         so SL(2,q) for q even, and SL(3,q) for q ≢ 1 (mod 3)."""
         return self.center_order() == 1 and (self.n, self.q) not in ((2, 2), (2, 3))
 
-    def derived_series(self) -> tuple:
-        """Orders along the derived series, plus the solvable flag, as in
-        Group.derived_series.  SL(2,2) is S(3); SL(2,3)' is Q8, whose
-        derived subgroup is the center, and PSL(2,3) is A(4), whose derived
-        subgroup is the Klein four-group; every other group here is
-        perfect."""
-        n = self.order()
+    def _series(self) -> tuple:
+        """SL(2,2) is S(3); SL(2,3)' is Q8, whose derived subgroup is the
+        center, and PSL(2,3) is A(4), whose derived subgroup is the Klein
+        four-group; every other group here is perfect."""
         small = {(2, 2): (6, 3, 1), (2, 3): (12, 4, 1) if self.projective else (24, 8, 2, 1)}
-        orders = small.get((self.n, self.q), (n, n))
-        return orders, orders[-1] == 1
+        return small.get((self.n, self.q), (self.order(),) * 2)
 
 
 def _witness_order(diffs: dict) -> int:

@@ -9,7 +9,9 @@ Grammar, whitespace-insensitive:
 FAMILIES gives each family name its arity, its order from the parameters
 and its builder: C, D, Dic, S, A take one integer and F three; SL, PSL, SU,
 PSU take (degree, field size); cex3, the fixed order-168 construction, takes
-none and is a constant Perm[...] spelling.  Perm lists generators in
+none and is a constant Perm[...] spelling.  The entries of the families that
+the collision hunt searches, C, D, Dic, F, S, A and SL, also list their
+atoms of any order dividing a given one.  Perm lists generators in
 1-indexed disjoint-cycle notation, commas separating generators.  Q(n) is
 sugar for Dic(n/4).  Products flatten, so reassociation changes nothing.
 
@@ -21,6 +23,7 @@ carry the character offset of the offending token.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections import namedtuple
@@ -35,7 +38,7 @@ from .errors import (
     UnknownFamilyError,
 )
 from .matrices import classical_group, classical_order
-from .numtheory import divisors
+from .numtheory import divisors, factorize, prime_power, totient
 
 # the SL(n,q) answered from q (SpecialLinear); other degrees are walked
 SL_DEGREES = (2, 3)
@@ -224,13 +227,18 @@ def normalize_expr(text: str) -> str:
 
 # -- families ----------------------------------------------------------------------
 # FAMILIES maps a name to its arity, order(params, cap) and build(params, cap,
-# name).  order validates the parameters and allocates nothing; build runs
-# once eval_expr has checked every atom's order against cap.  C, D, Dic, F, S
-# and A are answered from their parameters (Metacyclic, Symmetric), but their
-# build first refuses, from the parameters, an atom whose permutation builder
-# (tests/oracles.py) would act on more than MAX_DEGREE points.
+# name), and, for a family the hunt searches, atoms(order).  order validates
+# the parameters and allocates nothing; build runs once eval_expr has checked
+# every atom's order against cap.  C, D, Dic, F, S and A are answered from
+# their parameters (Metacyclic, Symmetric), but their build first refuses,
+# from the parameters, an atom whose permutation builder (tests/oracles.py)
+# would act on more than MAX_DEGREE points.  atoms(order) lists (atom order,
+# Atom) for the family's atoms whose order divides order, validating nothing:
+# eval_expr does that when the hunt builds them.  The small cases that rebuild
+# a cyclic atom, D(1), Dic(1), S(2) and A(3), are left out, so the hunt's
+# candidates stay duplicate-light without losing an isomorphism type.
 
-Family = namedtuple("Family", "arity order build")
+Family = namedtuple("Family", "arity order build atoms", defaults=(None,))
 
 
 def _positive(family: str, n: int) -> int:
@@ -241,8 +249,9 @@ def _positive(family: str, n: int) -> int:
 
 # the largest n for which S(n) and A(n) are answered: Symmetric lists every
 # partition of n, and a report's spectrum checks grow faster still.  Through
-# the CLI on a 2-vCPU Xeon VM, S(38) and A(38) report in about 1.1 s and
-# S(50) in 28 s; S(100) has about 1.9e8 partitions.
+# the CLI on a 2-vCPU Xeon VM, S(38) and A(38) report in about 0.4 s; in
+# process S(50)'s spectrum takes 1.6 s and its checks 4.8 s, and S(100) has
+# about 1.9e8 partitions.
 MAX_SYMMETRIC_DEGREE = 38
 
 
@@ -308,14 +317,14 @@ def _answered(points, make):
     return build
 
 
-def _classical(family: str) -> Family:
+def _classical(family: str, atoms=None) -> Family:
     """(degree, q), validated by classical_order.  SL(2,q) and SL(3,q) are
     answered from q; the others are walked as matrix groups."""
     def build(params, cap, name):
         if family == "SL" and params[0] in SL_DEGREES:
             return SpecialLinear(*params, name=name)
         return classical_group(family, *params, cap=cap)  # named as print_expr names it
-    return Family(2, lambda params, cap: classical_order(family, *params), build)
+    return Family(2, lambda params, cap: classical_order(family, *params), build, atoms)
 
 
 def _permutations(ast: PermAtom, cap: int, name: str):
@@ -323,6 +332,79 @@ def _permutations(ast: PermAtom, cap: int, name: str):
     gens = [perms.perm_from_cycles([tuple(p - 1 for p in c) for c in cycles], degree)
             for cycles in ast.gens]
     return perms.permutation_group(gens, name=name, cap=cap)
+
+
+def _multiples(family: str, size: int):
+    """atoms for C, D and Dic: family(n), of order size * n, for n >= 2."""
+    return lambda order: [(size * n, Atom(family, (n,)))
+                          for n in (divisors(order // size)[1:] if order % size == 0 else ())]
+
+
+def _upward(family: str, starts, valid=None):
+    """atoms that step the last parameter up from each start, skipping the
+    values valid refuses, while the entry's own order, asked with cap order,
+    stays within order: S(n) from n = 3, A(n) from 4, and SL(n,q) over the
+    prime powers q for each degree classical_order takes."""
+    def atoms(order):
+        out = []
+        for *head, last in starts:
+            for x in itertools.count(last):
+                if valid and not valid(x):
+                    continue
+                params = (*head, x)
+                size = FAMILIES[family].order(params, order)
+                if size > order:
+                    break
+                if order % size == 0:
+                    out.append((size, Atom(family, params)))
+        return out
+    return atoms
+
+
+def _unit_orders(m: int) -> dict:
+    """{k: the multiplicative order of k mod m} for each unit 1 <= k < m,
+    ascending, with phi(m) factored once: k's order is phi(m) less each
+    prime factor p while k^(t/p) = 1 still holds."""
+    phi = totient(m)
+    primes = list(factorize(phi))
+    out = {}
+    for k in range(1, m):
+        if math.gcd(k, m) != 1:
+            continue
+        t = phi
+        for p in primes:
+            while t % p == 0 and pow(k, t // p, m) == 1:
+                t //= p
+        out[k] = t
+    return out
+
+
+def _least_generator(k: int, t: int, m: int) -> bool:
+    """Whether k is the least generator k^j, gcd(j, t) = 1, of the cyclic
+    group <k> of order t mod m."""
+    x = k
+    for j in range(2, t):
+        x = x * k % m
+        if x < k and math.gcd(j, t) == 1:
+            return False
+    return True
+
+
+def _frobenius_atoms(order: int) -> list:
+    """atoms for F: F(m,n,k) with m*n dividing order, one k per cyclic
+    subgroup of units, its least generator, so isomorphic actions are not
+    listed twice."""
+    out = []
+    for m in divisors(order):
+        if m < 2 or m > order // 2:
+            continue
+        by_order = {}
+        for k, t in _unit_orders(m).items():
+            by_order.setdefault(t, []).append(k)
+        for n in divisors(order // m)[1:]:
+            out.extend((m * n, Atom("F", (m, n, k)))
+                       for k in by_order.get(n, ()) if _least_generator(k, n, m))
+    return out
 
 
 # cex3 = C2 x ((C14 x C2) : C3), with C14 x C2 = C7 x (C2 x C2) and the C3
@@ -335,20 +417,26 @@ CEX3 = parse_expr("Perm[(1,2,3,4,5,6,7), (8,9)(10,11), (8,10)(9,11), "
 
 FAMILIES = {
     "C": Family(1, lambda p, cap: _positive("C", *p),
-                _answered(lambda n: n, lambda n, name: Metacyclic(n, 1, 1, name=name))),
+                _answered(lambda n: n, lambda n, name: Metacyclic(n, 1, 1, name=name)),
+                _multiples("C", 1)),
     # D(1) is C2 and D(2) is C2 x C2 (-1 = 1 mod 1 and mod 2), on 2n points
     "D": Family(1, lambda p, cap: 2 * _positive("D", *p), _answered(
         lambda n: 2 * n if n <= 2 else n,
-        lambda n, name: Metacyclic(*((n, 2, n - 1) if n >= 3 else (2, n, 1)), name=name))),
+        lambda n, name: Metacyclic(*((n, 2, n - 1) if n >= 3 else (2, n, 1)), name=name)),
+        _multiples("D", 2)),
     "Dic": Family(1, lambda p, cap: 4 * _positive("Dic", *p), _answered(
-        lambda n: 4 * n, lambda n, name: Metacyclic(2 * n, 2, 2 * n - 1, n, name=name))),
+        lambda n: 4 * n, lambda n, name: Metacyclic(2 * n, 2, 2 * n - 1, n, name=name)),
+        _multiples("Dic", 4)),
     "F": Family(3, _frobenius_order, _answered(
-        lambda m, n, k: m, lambda m, n, k, name: Metacyclic(m, n, k, name=name))),
+        lambda m, n, k: m, lambda m, n, k, name: Metacyclic(m, n, k, name=name)),
+        _frobenius_atoms),
     "S": Family(1, lambda p, cap: _symmetric_order("S", *p, cap, 2),
-                _answered(lambda n: n, lambda n, name: Symmetric(n, name=name))),
+                _answered(lambda n: n, lambda n, name: Symmetric(n, name=name)),
+                _upward("S", [(3,)])),
     "A": Family(1, lambda p, cap: _symmetric_order("A", *p, cap, 3), _answered(
-        lambda n: n, lambda n, name: Symmetric(n, alternating=True, name=name))),
-    "SL": _classical("SL"),
+        lambda n: n, lambda n, name: Symmetric(n, alternating=True, name=name)),
+        _upward("A", [(4,)])),
+    "SL": _classical("SL", _upward("SL", [(2, 2), (3, 2), (4, 2)], prime_power)),
     "PSL": _classical("PSL"),
     "SU": _classical("SU"),
     "PSU": _classical("PSU"),

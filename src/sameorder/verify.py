@@ -6,10 +6,12 @@ with exactly three prime divisors, the order-168 counterexamples showing
 a matching type cardinality does not pin down the group, and a bounded
 search for further collisions at a given order.  Reports are deterministic:
 fixed group lists, sorted collections, no timestamps, identical output for
-any thread count.  Cyclic, dihedral, dicyclic and F(m,n,k) atoms, most of the
-hunt's, are answered from their parameters (core.Metacyclic), symmetric and
-alternating atoms from their cycle types (core.Symmetric), and SL(2,q) and
-SL(3,q) from q (core.SpecialLinear).  The theorem enumerates its eight
+any thread count.  The hunt searches the atoms that the entries of
+dsl.FAMILIES list, and holds no code of its own per family.  Cyclic,
+dihedral, dicyclic and F(m,n,k) atoms, most of the hunt's, are answered
+from their parameters (core.Metacyclic), symmetric and alternating atoms
+from their cycle types (core.Symmetric), and SL(2,q) and SL(3,q) from q
+(core.SpecialLinear).  The theorem enumerates its eight
 groups and the counterexample cex3 and PSL(2,7), so each claim is checked
 on walked groups.  For its disputed counts the counterexample enumerates
 Dic(2) x F(7,3,2) from a constant Perm[...] spelling, DISPUTED_PERMS.  The hunt
@@ -31,11 +33,11 @@ from __future__ import annotations
 import math
 
 from .core import DEFAULT_CAP, DirectProduct, SpecialLinear, noniso_certificate
-from .dsl import Atom, eval_expr, group_for, parse_expr, print_expr
+from .dsl import FAMILIES, eval_expr, group_for, parse_expr, print_expr
 from .errors import CapExceededError, VerificationError
 from .lattice import DivisorLattice, type_cardinalities
 from .matrices import classical_order
-from .numtheory import divisors, factorize, prime_power, totient
+from .numtheory import factorize
 
 THREE_PRIME_SIMPLE_GROUPS = (
     "PSL(2,5)",
@@ -218,111 +220,17 @@ def counterexample_report(cap: int = DEFAULT_CAP, threads: int = 1) -> dict:
 # -- hunt ---------------------------------------------------------------------------
 
 
-def _factorial_atoms(n: int) -> list:
-    out = []
-    k, f = 3, 6
-    while f <= n:
-        if n % f == 0:
-            out.append((f, Atom("S", (k,))))
-        k += 1
-        f *= k
-    k, f = 4, 12
-    while f <= n:
-        if n % f == 0:
-            out.append((f, Atom("A", (k,))))
-        k += 1
-        f = math.factorial(k) // 2
-    return out
-
-
-def _unit_orders(m: int) -> dict:
-    """{k: the multiplicative order of k mod m} for each unit 1 <= k < m,
-    ascending, with phi(m) factored once: k's order is phi(m) less each
-    prime factor p while k^(t/p) = 1 still holds."""
-    phi = totient(m)
-    primes = list(factorize(phi))
-    out = {}
-    for k in range(1, m):
-        if math.gcd(k, m) != 1:
-            continue
-        t = phi
-        for p in primes:
-            while t % p == 0 and pow(k, t // p, m) == 1:
-                t //= p
-        out[k] = t
-    return out
-
-
-def _least_generator(k: int, t: int, m: int) -> bool:
-    """Whether k is the least generator k^j, gcd(j, t) = 1, of the cyclic
-    group <k> of order t mod m."""
-    x = k
-    for j in range(2, t):
-        x = x * k % m
-        if x < k and math.gcd(j, t) == 1:
-            return False
-    return True
-
-
-def _frobenius_atoms(n: int) -> list:
-    """F(m,nn,k) atoms with m*nn dividing n, one k per cyclic subgroup of
-    units, its least generator, so isomorphic actions are not enumerated
-    twice."""
-    out = []
-    for m in divisors(n):
-        if m < 2 or m > n // 2:
-            continue
-        by_order = {}
-        for k, t in _unit_orders(m).items():
-            by_order.setdefault(t, []).append(k)
-        for nn in divisors(n // m)[1:]:
-            out.extend((m * nn, Atom("F", (m, nn, k)))
-                       for k in by_order.get(nn, ()) if _least_generator(k, nn, m))
-    return out
-
-
-def _sl_atoms(n: int) -> list:
-    out = []
-    for d in (2, 3, 4):
-        q = 2
-        while True:
-            if prime_power(q) is not None:
-                o = classical_order("SL", d, q)
-                if o > n:
-                    break
-                if n % o == 0:
-                    out.append((o, Atom("SL", (d, q))))
-            q += 1
-    return out
-
-
 def _candidate_atoms(n: int) -> list:
-    """(order, Atom) for every searched atom of order dividing n, by text.
-
-    Families whose small cases literally rebuild a cyclic atom (D(1), Dic(1),
-    S(2), A(3)) start above those, so the expression list stays duplicate-light
-    without losing any isomorphism type.
-    """
-    atoms = []
-    for d in divisors(n):
-        if d < 2:
-            continue
-        atoms.append((d, Atom("C", (d,))))
-        if d % 2 == 0 and d // 2 >= 2:
-            atoms.append((d, Atom("D", (d // 2,))))
-        if d % 4 == 0 and d // 4 >= 2:
-            atoms.append((d, Atom("Dic", (d // 4,))))
-    atoms.extend(_factorial_atoms(n))
-    atoms.extend(_frobenius_atoms(n))
-    atoms.extend(_sl_atoms(n))
-    atoms.sort(key=lambda a: print_expr(a[1]))
-    return atoms
+    """(order, Atom) for every atom of a searched family of order dividing
+    n: each entry of dsl.FAMILIES that has atoms lists its own."""
+    return [a for family in FAMILIES.values() if family.atoms for a in family.atoms(n)]
 
 
 def _candidate_expressions(order: int, max_factors: int) -> dict:
     """{text: atoms} for every candidate, sorted by its print_expr text."""
-    atoms = _candidate_atoms(order)
-    texts = [print_expr(atom) for _, atom in atoms]
+    # the atoms in the order of their texts, each printed once
+    ranked = sorted((print_expr(atom), (o, atom)) for o, atom in _candidate_atoms(order))
+    texts, atoms = [text for text, _ in ranked], [pair for _, pair in ranked]
     by_order, out = {}, {}
     for idx, (o, _) in enumerate(atoms):
         by_order.setdefault(o, []).append(idx)

@@ -1,12 +1,11 @@
 import itertools
-from functools import partial
 
 import pytest
-from oracles import PERMUTATION_BUILDERS
+from registry import walker
 
 from sameorder import DirectProduct, eval_expr, group_for, parse_expr, print_expr
-from sameorder.dsl import SL_DEGREES, factors_of
-from sameorder.matrices import MatrixGroup, classical_group
+from sameorder.dsl import factors_of
+from sameorder.matrices import MatrixGroup
 from sameorder.perms import permutation_group
 
 
@@ -23,26 +22,13 @@ def built():
     return get
 
 
-def _builder(atom):
-    """The enumerating builder of an atom the engine answers from its
-    parameters, called with those parameters: for C, D, Dic, F, S and A the
-    oracle's permutation builder, making a PermutationGroup, and for SL(2,q)
-    and SL(3,q) classical_group's matrix walk.  None for any other atom."""
-    family = getattr(atom, "family", None)  # a PermAtom has no family
-    if family == "SL" and atom.params[0] in SL_DEGREES:
-        return partial(classical_group, "SL")
-    if family not in PERMUTATION_BUILDERS:
-        return None
-    gens = PERMUTATION_BUILDERS[family]
-    return lambda *params: permutation_group(gens(*params), name=print_expr(atom))
-
-
 def _enumerated(expr: str):
-    """The group of expr with each C, D, Dic, F, S, A, SL(2,q) and SL(3,q)
-    atom enumerated by its builder: the oracle for their parametric answers, with
-    the closure, classes and maps that tests of Group's internals read."""
+    """The group of expr with each atom that the engine answers from its
+    parameters, C, D, Dic, F, S, A, SL(2,q) and SL(3,q), walked by its
+    registry.walker: the oracle for their parametric answers, with the
+    closure, classes and maps that tests of Group's internals read."""
     ast = parse_expr(expr)
-    groups = [_builder(a)(*a.params) if _builder(a) else eval_expr(a) for a in factors_of(ast)]
+    groups = [walker(a)(a) if walker(a) else eval_expr(a) for a in factors_of(ast)]
     return groups[0] if len(groups) == 1 else DirectProduct(groups, name=print_expr(ast))
 
 
@@ -60,7 +46,7 @@ def built_perm(built):
     cache = {}
 
     def get(expr: str):
-        if not any(map(_builder, factors_of(parse_expr(expr)))):
+        if not any(map(walker, factors_of(parse_expr(expr)))):
             return built(expr)
         if expr not in cache:
             cache[expr] = _enumerated(expr)

@@ -364,3 +364,29 @@ def factorizations_naive(limit: int) -> list:
         fac[p] = fac.get(p, 0) + 1
         out.append(fac)
     return out
+
+
+def frobenius_offenders_naive(counts: dict, n: int) -> list:
+    """The d that the Frobenius law d | #{x : x^d = 1} flags, ascending, as
+    core.spectrum_checks once tested it: for each divisor g of E, the lcm of
+    the orders in counts that divide n, one pass over counts for the sum of
+    s_t over t dividing g, against d = g times the full power in n / E of
+    each prime that E / g is free of."""
+    def primes(m):  # with multiplicity, by trial division
+        out, p = [], 2
+        while m > 1:
+            while m % p == 0:
+                out.append(p)
+                m //= p
+            p += 1
+        return out
+
+    exponent, gs, bad = math.lcm(*(t for t in counts if n % t == 0)), {1}, []
+    for p in primes(exponent):
+        gs |= {g * p for g in gs}
+    spare = primes(n // exponent)
+    for g in gs:
+        d = g * math.prod(p for p in spare if exponent // g % p)
+        if sum(s for t, s in counts.items() if g % t == 0) % d:
+            bad.append(d)
+    return sorted(bad)

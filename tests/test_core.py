@@ -10,10 +10,12 @@ from oracles import (
     derived_series_naive,
     element_order_naive,
     elements,
+    frobenius_offenders_naive,
     normal_closure_order_naive,
     symmetric_generators,
     symmetric_spectrum_formula,
 )
+from registry import two_routes
 
 from sameorder import core, dsl, group_for, perms
 from sameorder.core import (
@@ -21,6 +23,7 @@ from sameorder.core import (
     DirectProduct,
     Group,
     Spectrum,
+    Symmetric,
     noniso_certificate,
     spectrum_checks,
 )
@@ -203,7 +206,9 @@ def test_frobenius_law_catches_what_the_other_checks_pass():
 def test_frobenius_law_tests_one_d_per_exponent_divisor():
     """The check tests one d per divisor of the exponent; testing every d
     that divides the group order flags the same spectra, on seeded moves of
-    elements between orders in the golden ones."""
+    elements between orders in the golden ones.  Its solution counts, prefix
+    sums along each prime axis, flag the same d as one pass over the
+    spectrum per divisor there, and none on S(n) and A(n) up to n = 20."""
     rng, flagged = random.Random(21), 0
     for spec in _golden_spectra().values():
         n = spec.group_order
@@ -215,10 +220,15 @@ def test_frobenius_law_tests_one_d_per_exponent_divisor():
             counts[a] -= k
             counts[b] = counts.get(b, 0) + k
             every = [d for d in divisors(n) if sum(s for t, s in counts.items() if d % t == 0) % d]
-            results = {name: ok for name, ok, _ in spectrum_checks(Spectrum(counts, n))}
-            assert results[FROBENIUS] == (not every), (spec, counts)
+            results = {name: (ok, got) for name, ok, got in spectrum_checks(Spectrum(counts, n))}
+            naive = frobenius_offenders_naive(counts, n)
+            detail = f"offenders {naive}" if naive else "all divide"
+            assert results[FROBENIUS] == (not every, detail), (spec, counts)
             flagged += bool(every)
     assert 0 < flagged < 300
+    for spec in (Symmetric(n, alt).spectrum() for n in range(1, 21) for alt in (False, True)):
+        assert frobenius_offenders_naive(spec.counts, spec.group_order) == []
+        assert {name: ok for name, ok, _ in spectrum_checks(spec)}[FROBENIUS], spec
 
 
 def test_alpha_forgets_which_order_carries_which_count(built):
@@ -227,31 +237,8 @@ def test_alpha_forgets_which_order_carries_which_count(built):
     assert spec.alpha() == tuple(sorted(set(spec.counts.values())))
 
 
-CONVOLUTION_PAIRS = [
-    ("C(6)", "C(7)"),
-    ("C(6)", "D(4)"),
-    ("Dic(2)", "F(7,3,2)"),
-    ("S(4)", "A(4)"),
-    ("SL(2,3)", "C(7)"),
-    ("S(3)", "S(4)"),
-    ("A(5)", "C(4)"),
-    ("D(6)", "Dic(3)"),
-]
-
-
-@pytest.mark.parametrize("left,right", CONVOLUTION_PAIRS)
-def test_product_spectrum_is_lcm_convolution(built_perm, enumerated_product, left, right):
-    """The composed answers match the product enumerated on disjoint points."""
-    g = group_for(f"{left} x {right}")
-    ref = enumerated_product(*built_perm(f"{left} x {right}").factors)
-    assert ref.order() <= 10_000
-    assert g.order() == ref.order()
-    assert list(g.spectrum().counts.items()) == list(ref.spectrum().counts.items())
-    assert g.spectrum().group_order == ref.order()
-    assert g.center_order() == ref.center_order()
-    assert g.is_simple() == ref.is_simple()
-    assert g.derived_series() == ref.derived_series()
-    assert g.is_solvable() == ref.is_solvable()
+# the composed answers, against the product enumerated on disjoint points
+test_product_spectrum_is_lcm_convolution = two_routes("direct product")
 
 
 def test_direct_product_edge_cases(built):

@@ -3,9 +3,10 @@ import random
 
 import pytest
 from oracles import dicyclic_generators, frobenius_generators
+from registry import ROUTES, walker
 
-from sameorder import verify
-from sameorder.core import DEFAULT_CAP, spectrum_checks
+from sameorder import cli, verify
+from sameorder.core import DEFAULT_CAP, Group, spectrum_checks
 from sameorder.dsl import (
     FAMILIES,
     MAX_NESTING,
@@ -226,11 +227,15 @@ def test_family_sample_covers_the_table():
 def test_family_entry_round_trips_and_orders(built_perm, family, params):
     """An entry's atom prints and parses back, and its order from the
     parameters is the order of its group, enumerated where the engine
-    answers it from its parameters (built_perm)."""
+    answers it from its parameters (built_perm).  Such a group, one that is
+    not a core.Group, has a walked builder and a registry row for its kind:
+    a second route."""
     atom = Atom(family, params)
     text = print_expr(atom)
     assert parse_expr(text) == atom
     assert FAMILIES[family].order(params, DEFAULT_CAP) == built_perm(text).order()
+    g = eval_expr(atom)
+    assert isinstance(g, Group) or walker(atom) and type(g) in {r.kind for r in ROUTES.values()}
 
 
 def _old_cex3_generators() -> list:
@@ -290,14 +295,17 @@ def _fuzz_text(rng: random.Random) -> str:
     return " x ".join(atom() for _ in range(rng.randint(1, 3)))
 
 
-def test_grammar_fuzz_builds_or_refuses():
+def test_grammar_fuzz_builds_or_refuses(capsys):
     """300 seeded expressions, hostile parameters among them: each gives a
     group whose spectrum passes spectrum_checks and whose center,
     simplicity, solvability and derived series are computed, or raises an
-    EngineError subclass, and nothing else."""
+    EngineError subclass, and nothing else.  The first 20 also go through
+    the CLI's alpha in process, under the same cap: each exits 0 where the
+    group was built and 1 or 2 where it was refused, with at most one line
+    on stderr."""
     rng, cap, outcomes = random.Random(1931), 20000, {"built": 0, "refused": 0}
-    for _ in range(300):
-        text = _fuzz_text(rng)
+    texts, built = [_fuzz_text(rng) for _ in range(300)], []
+    for text in texts:
         try:
             g = group_for(text, cap)
             failed = [name for name, ok, _ in spectrum_checks(g.spectrum()) if not ok]
@@ -305,6 +313,13 @@ def test_grammar_fuzz_builds_or_refuses():
             g.center_order(), g.is_simple(), g.is_solvable(), g.derived_series()
         except EngineError:
             outcomes["refused"] += 1
+            built.append(False)
         else:
             outcomes["built"] += 1
+            built.append(True)
     assert min(outcomes.values()) >= 50, outcomes
+    for text, ok in zip(texts[:20], built):
+        code = cli.main(["alpha", text, "--max-elements", str(cap)])
+        err = capsys.readouterr().err
+        assert (code == 0) == ok and code in (0, 1, 2), (text, code, err)
+        assert err.count("\n") <= 1, (text, err)

@@ -17,7 +17,7 @@ from oracles import (
 )
 
 from sameorder import matrices, verify
-from sameorder.dsl import print_expr
+from sameorder.dsl import FAMILIES, print_expr
 from sameorder.errors import CapExceededError, InvalidParameterError, OrderMismatchError
 from sameorder.fields import FiniteField
 from sameorder.matrices import (
@@ -318,7 +318,7 @@ def test_word_generators_keep_no_more_generators(built_perm):
     when there are more than two keep no more generators than the
     transvections alone kept, on every theorem group and hunt SL atom, and
     PSU(4,2) keeps its two words where it kept six transvections."""
-    hunt_atoms = {print_expr(atom) for n in (168, 60) for _, atom in verify._sl_atoms(n)}
+    hunt_atoms = {print_expr(atom) for n in (168, 60) for _, atom in FAMILIES["SL"].atoms(n)}
     exprs = [*verify.THREE_PRIME_SIMPLE_GROUPS, *sorted(hunt_atoms)]
     assert set(exprs) == set(KEPT_FROM_TRANSVECTIONS)
     for expr in exprs:

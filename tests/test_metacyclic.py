@@ -9,62 +9,27 @@ import tracemalloc
 
 import pytest
 from oracles import metacyclic_orders_naive, metacyclic_spectrum
+from registry import METACYCLIC, accepted_atoms, hunt_atoms, two_routes
 
-from sameorder import eval_expr, group_for, perms, verify
+from sameorder import group_for, verify
 from sameorder.core import Metacyclic, Spectrum, noniso_certificate
 from sameorder.dsl import parse_expr, print_expr
-from sameorder.errors import InvalidParameterError, VerificationError
+from sameorder.errors import VerificationError
 from sameorder.numtheory import divisors, multiplicative_order, totient
-from sameorder.verify import _candidate_atoms, counterexample_report
+from sameorder.verify import counterexample_report
 
 CATALOG_ORDERS = (60, 168, 360, 504, 2448, 5616, 6048, 25920)
-METACYCLIC = ("C", "D", "Dic", "F")
-
-
-def _accepted(atom) -> bool:
-    """Whether the DSL accepts the atom: it refuses a C, D, Dic or F atom
-    whose permutation builder would act on more than 256 points."""
-    try:
-        eval_expr(atom)
-    except InvalidParameterError:
-        return False
-    return True
-
-
-def _hunt_atoms() -> list:
-    """Every C, D, Dic and F atom the hunts at 60 and 168 search, and those
-    at 360 and 504 that act on at most 256 points."""
-    texts = set()
-    for order in (60, 168, 360, 504):
-        for _, atom in _candidate_atoms(order):
-            if atom.family in METACYCLIC and (order < 360 or _accepted(atom)):
-                texts.add(print_expr(atom))
-    return sorted(texts)
-
-
-EDGE_CASES = ["C(1)", "D(1)", "D(2)", "Dic(1)", "Q(8)"]
 
 
 def test_hunt_atoms_cover_every_family():
-    atoms = _hunt_atoms()
+    atoms = hunt_atoms()
     assert len(atoms) > 150
     assert {text.split("(")[0] for text in atoms} == set(METACYCLIC)
 
 
-@pytest.mark.parametrize("expr", EDGE_CASES + _hunt_atoms())
-def test_parametric_answers_match_enumeration(built_perm, expr):
-    """order, spectrum, center order, simplicity, derived series and
-    solvability from parameters, against the atom's permutation group."""
-    g, ref = group_for(expr), built_perm(expr)
-    assert isinstance(g, Metacyclic) and isinstance(ref, perms.PermutationGroup)
-    assert g.order() == ref.order()
-    assert g.spectrum() == ref.spectrum()
-    assert list(g.spectrum().counts) == list(ref.spectrum().counts)
-    assert g.alpha() == ref.alpha()
-    assert g.center_order() == ref.center_order()
-    assert g.is_simple() == ref.is_simple()
-    assert g.derived_series() == ref.derived_series()
-    assert g.is_solvable() == ref.is_solvable()
+# order, spectrum, center order, simplicity, derived series and solvability
+# from parameters, against the atom's permutation group
+test_parametric_answers_match_enumeration = two_routes("metacyclic")
 
 
 def test_counterexample_checks_the_enumerated_spectrum(monkeypatch):
@@ -110,18 +75,11 @@ def test_certificate_simplicity_mismatch():
     assert noniso_certificate(_Stub(True), _Stub(True)) is None
 
 
-def _accepted_atoms(order: int) -> list:
-    """The C, D, Dic and F atoms of the hunt at order that the DSL accepts:
-    those on at most MAX_DEGREE points."""
-    return [print_expr(atom) for _, atom in _candidate_atoms(order)
-            if atom.family in METACYCLIC and _accepted(atom)]
-
-
 @pytest.mark.parametrize("order", CATALOG_ORDERS)
 def test_closed_form_matches_per_e_passes_on_catalog_atoms(order):
     """The closed divisor form against one numpy pass over Z_m per e, on
     every accepted C, D, Dic and F atom of the eight catalog hunts."""
-    texts = _accepted_atoms(order)
+    texts = accepted_atoms(order)
     assert texts
     for text in texts:
         g = group_for(text)

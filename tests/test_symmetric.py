@@ -4,28 +4,14 @@ them."""
 
 import pytest
 from oracles import symmetric_spectrum_formula
+from registry import two_routes
 
-from sameorder import group_for, perms
-from sameorder.core import Group, Symmetric
+from sameorder.core import Group
 from sameorder.reports import report_for
 
-ATOMS = [f"{family}({n})" for family in ("S", "A") for n in range(1, 9)]
-
-
-@pytest.mark.parametrize("expr", ATOMS)
-def test_cycle_type_answers_match_enumeration(built_perm, expr):
-    """order, spectrum, center order, simplicity, derived series and
-    solvability from n, against the atom's permutation group."""
-    g, ref = group_for(expr), built_perm(expr)
-    assert isinstance(g, Symmetric) and isinstance(ref, perms.PermutationGroup)
-    assert g.order() == ref.order()
-    assert g.spectrum() == ref.spectrum()
-    assert list(g.spectrum().counts) == list(ref.spectrum().counts)
-    assert g.alpha() == ref.alpha()
-    assert g.center_order() == ref.center_order()
-    assert g.is_simple() == ref.is_simple()
-    assert g.derived_series() == ref.derived_series()
-    assert g.is_solvable() == ref.is_solvable()
+# order, spectrum, center order, simplicity, derived series and
+# solvability from n, against the atom's permutation group
+test_cycle_type_answers_match_enumeration = two_routes("symmetric")
 
 
 @pytest.mark.parametrize("expr", ["S(9)", "A(9)"])

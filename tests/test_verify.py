@@ -9,14 +9,13 @@ import pytest
 
 from sameorder import verify
 from sameorder.core import DEFAULT_CAP, spectrum_direct_product
-from sameorder.dsl import Atom, eval_expr
+from sameorder.dsl import FAMILIES, Atom, eval_expr
 from sameorder.errors import InvalidParameterError, VerificationError
 from sameorder.lattice import DivisorLattice, type_cardinalities
 from sameorder.numtheory import divisors, multiplicative_order
 from sameorder.reports import render_json, report_for
 from sameorder.verify import (
     _candidate_expressions,
-    _frobenius_atoms,
     counterexample_report,
     hunt_report,
     theorem_report,
@@ -299,6 +298,15 @@ def test_hunt_reference_over_the_cap_is_refused_first(monkeypatch):
             hunt_report(order, 2, cap=order - 1)
 
 
+@pytest.mark.parametrize("order,points", [(360, 360), (504, 504), (2448, 1224), (5616, 468)])
+def test_catalog_hunts_refuse_their_first_atom_past_256_points(order, points):
+    """Each of these hunts lists a C, D, Dic or F atom whose permutation
+    builder acts on more than 256 points, and refuses the first one it
+    builds, in candidate order, before examining any candidate."""
+    with pytest.raises(InvalidParameterError, match=rf"at most 256 points, got {points}$"):
+        hunt_report(order, 3)
+
+
 def _assert_lattice_matches_convolution(order: int, factors: dict):
     """Every candidate's spectrum and type cardinality from one counts() and
     one products() call, against its factors' spectra convolved over lcm of
@@ -389,7 +397,7 @@ def test_frobenius_atoms_match_one_order_per_unit(order):
     """Unit orders taken once per modulus, and each subgroup's least
     generator, give the same atoms in the same order at every catalog
     order: those of the eight groups of THREE_PRIME_SIMPLE_GROUPS."""
-    assert _frobenius_atoms(order) == _frobenius_atoms_by_subgroup(order)
+    assert FAMILIES["F"].atoms(order) == _frobenius_atoms_by_subgroup(order)
 
 
 def test_hunt_without_catalog_group():
