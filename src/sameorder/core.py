@@ -180,8 +180,9 @@ class Invariants:
     order(), center_order() and is_simple(), _counts(), {element order:
     count} in any key order, and _series(), the orders along the derived
     series; spectrum() and derived_series() memoize what those give, once.
-    Group and DirectProduct answer is_solvable without the derived series
-    where they can."""
+    Threads that share a group may race to fill a memo: each is assigned
+    whole, to the same value whoever computes it.  Group and DirectProduct
+    answer is_solvable without the derived series where they can."""
 
     _spectrum = _derived = None
 

@@ -348,9 +348,7 @@ def _upward(family: str, starts, valid=None):
     def atoms(order):
         out = []
         for *head, last in starts:
-            for x in itertools.count(last):
-                if valid and not valid(x):
-                    continue
+            for x in filter(valid, itertools.count(last)):
                 params = (*head, x)
                 size = FAMILIES[family].order(params, order)
                 if size > order:

@@ -25,7 +25,7 @@ one integer Möbius matrix (DivisorLattice): only the candidates whose type
 cardinality matches the simple group's are built as a DirectProduct and
 certified.  Worker threads share the atoms and the counts and change
 neither, but for the atoms' lazily cached invariants, which are idempotent
-(core.Group).
+(core.Invariants, core.Group).
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def _candidate_atoms(n: int) -> list:
 
 def _candidate_expressions(order: int, max_factors: int) -> dict:
     """{text: atoms} for every candidate, sorted by its print_expr text."""
-    # the atoms in the order of their texts, each printed once
+    # the atoms in the order of their texts
     ranked = sorted((print_expr(atom), (o, atom)) for o, atom in _candidate_atoms(order))
     texts, atoms = [text for text, _ in ranked], [pair for _, pair in ranked]
     by_order, out = {}, {}

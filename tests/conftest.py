@@ -23,12 +23,12 @@ def built():
 
 
 def _enumerated(expr: str):
-    """The group of expr with each atom that the engine answers from its
-    parameters, C, D, Dic, F, S, A, SL(2,q) and SL(3,q), walked by its
-    registry.walker: the oracle for their parametric answers, with the
-    closure, classes and maps that tests of Group's internals read."""
+    """The group of expr with each C, D, Dic, F, S, A, SL(2,q) and SL(3,q)
+    atom enumerated by its builder (registry.walker): the oracle for their
+    parametric answers, with the closure, classes and maps that tests of
+    Group's internals read."""
     ast = parse_expr(expr)
-    groups = [walker(a)(a) if walker(a) else eval_expr(a) for a in factors_of(ast)]
+    groups = [walker(a)(*a.params) if walker(a) else eval_expr(a) for a in factors_of(ast)]
     return groups[0] if len(groups) == 1 else DirectProduct(groups, name=print_expr(ast))
 
 

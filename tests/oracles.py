@@ -368,25 +368,15 @@ def factorizations_naive(limit: int) -> list:
 
 def frobenius_offenders_naive(counts: dict, n: int) -> list:
     """The d that the Frobenius law d | #{x : x^d = 1} flags, ascending, as
-    core.spectrum_checks once tested it: for each divisor g of E, the lcm of
-    the orders in counts that divide n, one pass over counts for the sum of
-    s_t over t dividing g, against d = g times the full power in n / E of
-    each prime that E / g is free of."""
-    def primes(m):  # with multiplicity, by trial division
-        out, p = [], 2
-        while m > 1:
-            while m % p == 0:
-                out.append(p)
-                m //= p
-            p += 1
-        return out
-
-    exponent, gs, bad = math.lcm(*(t for t in counts if n % t == 0)), {1}, []
-    for p in primes(exponent):
-        gs |= {g * p for g in gs}
-    spare = primes(n // exponent)
-    for g in gs:
-        d = g * math.prod(p for p in spare if exponent // g % p)
+    core.spectrum_checks once found them: for each divisor g of E, the lcm
+    of the orders in counts that divide n, the largest d | n with
+    gcd(d, E) = g, against one pass over counts for the sum of s_t over t
+    dividing g."""
+    exponent = math.lcm(*(t for t in counts if n % t == 0))
+    ds = sorted({x for i in range(1, math.isqrt(n) + 1) if n % i == 0 for x in (i, n // i)})
+    bad = []
+    for g in (g for g in ds if exponent % g == 0):
+        d = max(d for d in ds if math.gcd(d, exponent) == g)
         if sum(s for t, s in counts.items() if g % t == 0) % d:
             bad.append(d)
     return sorted(bad)

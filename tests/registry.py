@@ -1,134 +1,34 @@
-"""Two routes to one group: each row pairs a kind of group that the engine
-answers from parameters with a walked builder of the same group and a fixed
-sample, and two_routes makes the one test that compares them.  WALKERS, the
-walked builder of each family answered from parameters, is what conftest's
-built_perm enumerates such atoms with.
+"""What the tests that check a group answered from its parameters against a
+walk of the same group share: walker, the walked builder of each atom the
+engine answers from its parameters, with which conftest's built_perm
+enumerates such atoms, and same_group, the one comparison of the two
+routes.  Each such family has a walker and a test that calls same_group on a
+fixed sample of its own.
 
 These import sameorder, so they cannot sit in oracles.py, which must not.
 """
 
-from collections import namedtuple
+from functools import partial
 
-import pytest
 from oracles import PERMUTATION_BUILDERS
 
-from sameorder import eval_expr, group_for, print_expr
-from sameorder.core import DirectProduct, Group, Metacyclic, SpecialLinear, Symmetric
-from sameorder.dsl import SL_DEGREES
-from sameorder.errors import InvalidParameterError
+from sameorder.dsl import SL_DEGREES, print_expr
 from sameorder.matrices import classical_group
-from sameorder.numtheory import prime_power
 from sameorder.perms import permutation_group
-from sameorder.verify import _candidate_atoms
-
-
-def _permutations(atom):
-    gens = PERMUTATION_BUILDERS[atom.family](*atom.params)
-    return permutation_group(gens, name=print_expr(atom))
-
-
-def _matrices(atom):
-    return classical_group(atom.family, *atom.params)
-
-
-# the walked builder of each family that the engine answers from parameters:
-# the oracle's permutation builder, or classical_group's matrix walk
-WALKERS = {**dict.fromkeys(PERMUTATION_BUILDERS, _permutations), "SL": _matrices}
 
 
 def walker(atom):
-    """The WALKERS entry of an atom the engine answers from its parameters;
-    None for any other atom, SL(4,q) included."""
+    """The walked builder of an atom the engine answers from its parameters,
+    called with those parameters: for C, D, Dic, F, S and A the oracle's
+    permutation builder, making a PermutationGroup, and for SL(2,q) and
+    SL(3,q) classical_group's matrix walk.  None for any other atom."""
     family = getattr(atom, "family", None)  # a PermAtom has no family
-    if family == "SL" and atom.params[0] not in SL_DEGREES:
+    if family == "SL" and atom.params[0] in SL_DEGREES:
+        return partial(classical_group, "SL")
+    if family not in PERMUTATION_BUILDERS:
         return None
-    return WALKERS.get(family)
-
-
-def accepted(atom) -> bool:
-    """Whether the DSL accepts the atom: it refuses a C, D, Dic or F atom
-    whose permutation builder would act on more than 256 points."""
-    try:
-        eval_expr(atom)
-    except InvalidParameterError:
-        return False
-    return True
-
-
-METACYCLIC = ("C", "D", "Dic", "F")
-
-
-def accepted_atoms(order: int) -> list:
-    """The C, D, Dic and F atoms of the hunt at order that the DSL accepts:
-    those on at most 256 points."""
-    return [print_expr(atom) for _, atom in _candidate_atoms(order)
-            if atom.family in METACYCLIC and accepted(atom)]
-
-
-def hunt_atoms() -> list:
-    """Every C, D, Dic and F atom the hunts at 60 and 168 search, and those
-    at 360 and 504 that act on at most 256 points."""
-    return sorted({text for order in (60, 168, 360, 504) for text in accepted_atoms(order)})
-
-
-CONVOLUTION_PAIRS = [
-    ("C(6)", "C(7)"),
-    ("C(6)", "D(4)"),
-    ("Dic(2)", "F(7,3,2)"),
-    ("S(4)", "A(4)"),
-    ("SL(2,3)", "C(7)"),
-    ("S(3)", "S(4)"),
-    ("A(5)", "C(4)"),
-    ("D(6)", "Dic(3)"),
-]
-
-
-def _via(fixture_name: str, spell=str):
-    """walk(case, fixture) as conftest's fixture_name builds spell(case)."""
-    return lambda case, fixture: fixture(fixture_name)(spell(case))
-
-
-def _on_points(text: str, fixture):
-    """The product of text enumerated on disjoint points, each factor walked."""
-    ref = fixture("enumerated_product")(*fixture("built_perm")(text).factors)
-    assert ref.order() <= 10_000
-    return ref
-
-
-# kind is the class of the answered group; answer(case) builds it, and
-# walk(case, fixture) the walked one, fixture(name) being conftest's fixture
-# of that name; cases are (test id, case) pairs
-Route = namedtuple("Route", "kind answer walk cases")
-
-
-def _texts(texts) -> list:
-    return [(text, text) for text in texts]
-
-
-ROUTES = {
-    "metacyclic": Route(Metacyclic, group_for, _via("built_perm"),
-                        _texts(["C(1)", "D(1)", "D(2)", "Dic(1)", "Q(8)"] + hunt_atoms())),
-    "symmetric": Route(Symmetric, group_for, _via("built_perm"),
-                       _texts(f"{family}({n})" for family in ("S", "A") for n in range(1, 9))),
-    "special linear": Route(SpecialLinear, group_for, _via("built_perm"), [
-        *((str(q), f"SL(2,{q})") for q in range(2, 33) if prime_power(q)),
-        *_texts(f"SL(3,{q})" for q in (2, 3, 4, 5))]),
-    # for q even the center is trivial, so SL(2,q) is PSL(2,q), walked
-    # modulo its one scalar
-    "SL(2,q) as PSL(2,q)": Route(SpecialLinear, group_for, _via("built", "P{}".format),
-                                 [(str(q), f"SL(2,{q})") for q in (4, 8, 16, 32)]),
-    # the hunt's reference, for every prime power q < 50: q = 2 and 3, which
-    # are S(3) and A(4), and q odd, where the form differs from SL(2,q)'s
-    "PSL(2,q)": Route(SpecialLinear, lambda q: SpecialLinear(2, q, projective=True),
-                      _via("built", "PSL(2,{})".format),
-                      [(str(q), q) for q in range(2, 50) if prime_power(q)]),
-    # for gcd(3, q - 1) = 1 the center is trivial, so SL(3,q) is PSL(3,q);
-    # q = 5 would walk the 372000 elements that SL(3,5) above walks already
-    "SL(3,q) as PSL(3,q)": Route(SpecialLinear, group_for, _via("built", "P{}".format),
-                                 [(str(q), f"SL(3,{q})") for q in (2, 3)]),
-    "direct product": Route(DirectProduct, group_for, _on_points,
-                            [("-".join(pair), " x ".join(pair)) for pair in CONVOLUTION_PAIRS]),
-}
+    gens = PERMUTATION_BUILDERS[family]
+    return lambda *params: permutation_group(gens(*params), name=print_expr(atom))
 
 
 def invariants(g) -> tuple:
@@ -139,16 +39,8 @@ def invariants(g) -> tuple:
             g.is_simple(), g.derived_series(), g.is_solvable())
 
 
-def two_routes(name: str):
-    """The test of ROUTES[name], for a test module to bind to a name: on
-    every case the answer is of the row's kind, the walk is a Group, which
-    enumerates, and the two agree on invariants."""
-    route = ROUTES[name]
-
-    @pytest.mark.parametrize("case", [pytest.param(case, id=i) for i, case in route.cases])
-    def test(request, case):
-        g, ref = route.answer(case), route.walk(case, request.getfixturevalue)
-        assert isinstance(g, route.kind) and isinstance(ref, Group)
-        assert invariants(g) == invariants(ref)
-
-    return test
+def same_group(g, ref, kind, walked) -> None:
+    """g is answered as a kind, ref is walked as a walked, and the two agree
+    on invariants."""
+    assert isinstance(g, kind) and isinstance(ref, walked), (type(g), type(ref))
+    assert invariants(g) == invariants(ref)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 from oracles import dicyclic_generators, frobenius_generators
-from registry import ROUTES, walker
+from registry import same_group
 
 from sameorder import cli, verify
 from sameorder.core import DEFAULT_CAP, Group, spectrum_checks
@@ -228,14 +228,14 @@ def test_family_entry_round_trips_and_orders(built_perm, family, params):
     """An entry's atom prints and parses back, and its order from the
     parameters is the order of its group, enumerated where the engine
     answers it from its parameters (built_perm).  Such a group, one that is
-    not a core.Group, has a walked builder and a registry row for its kind:
-    a second route."""
+    not a core.Group, is the same group as its walk (registry.same_group)."""
     atom = Atom(family, params)
     text = print_expr(atom)
     assert parse_expr(text) == atom
     assert FAMILIES[family].order(params, DEFAULT_CAP) == built_perm(text).order()
     g = eval_expr(atom)
-    assert isinstance(g, Group) or walker(atom) and type(g) in {r.kind for r in ROUTES.values()}
+    if not isinstance(g, Group):
+        same_group(g, built_perm(text), type(g), Group)
 
 
 def _old_cex3_generators() -> list:
@@ -303,8 +303,8 @@ def test_grammar_fuzz_builds_or_refuses(capsys):
     the CLI's alpha in process, under the same cap: each exits 0 where the
     group was built and 1 or 2 where it was refused, with at most one line
     on stderr."""
-    rng, cap, outcomes = random.Random(1931), 20000, {"built": 0, "refused": 0}
-    texts, built = [_fuzz_text(rng) for _ in range(300)], []
+    rng, cap, built = random.Random(1931), 20000, []
+    texts = [_fuzz_text(rng) for _ in range(300)]
     for text in texts:
         try:
             g = group_for(text, cap)
@@ -312,14 +312,11 @@ def test_grammar_fuzz_builds_or_refuses(capsys):
             assert not failed, (text, failed)
             g.center_order(), g.is_simple(), g.is_solvable(), g.derived_series()
         except EngineError:
-            outcomes["refused"] += 1
-            built.append(False)
-        else:
-            outcomes["built"] += 1
-            built.append(True)
-    assert min(outcomes.values()) >= 50, outcomes
-    for text, ok in zip(texts[:20], built):
+            continue
+        built.append(text)
+    assert 50 <= len(built) <= len(texts) - 50, len(built)
+    for text in texts[:20]:
         code = cli.main(["alpha", text, "--max-elements", str(cap)])
         err = capsys.readouterr().err
-        assert (code == 0) == ok and code in (0, 1, 2), (text, code, err)
+        assert (code == 0) == (text in built) and code in (0, 1, 2), (text, code, err)
         assert err.count("\n") <= 1, (text, err)

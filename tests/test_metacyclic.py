@@ -9,27 +9,56 @@ import tracemalloc
 
 import pytest
 from oracles import metacyclic_orders_naive, metacyclic_spectrum
-from registry import METACYCLIC, accepted_atoms, hunt_atoms, two_routes
+from registry import same_group
 
-from sameorder import group_for, verify
+from sameorder import eval_expr, group_for, perms, verify
 from sameorder.core import Metacyclic, Spectrum, noniso_certificate
 from sameorder.dsl import parse_expr, print_expr
-from sameorder.errors import VerificationError
+from sameorder.errors import InvalidParameterError, VerificationError
 from sameorder.numtheory import divisors, multiplicative_order, totient
-from sameorder.verify import counterexample_report
+from sameorder.verify import _candidate_atoms, counterexample_report
 
 CATALOG_ORDERS = (60, 168, 360, 504, 2448, 5616, 6048, 25920)
+METACYCLIC = ("C", "D", "Dic", "F")
+
+
+def _accepted(atom) -> bool:
+    """Whether the DSL accepts the atom: it refuses a C, D, Dic or F atom
+    whose permutation builder would act on more than 256 points."""
+    try:
+        eval_expr(atom)
+    except InvalidParameterError:
+        return False
+    return True
+
+
+def _accepted_atoms(order: int) -> list:
+    """The C, D, Dic and F atoms of the hunt at order that the DSL accepts:
+    those on at most 256 points."""
+    return [print_expr(atom) for _, atom in _candidate_atoms(order)
+            if atom.family in METACYCLIC and _accepted(atom)]
+
+
+def _hunt_atoms() -> list:
+    """Every C, D, Dic and F atom the hunts at 60 and 168 search, and those
+    at 360 and 504 that act on at most 256 points."""
+    return sorted({text for order in (60, 168, 360, 504) for text in _accepted_atoms(order)})
+
+
+EDGE_CASES = ["C(1)", "D(1)", "D(2)", "Dic(1)", "Q(8)"]
 
 
 def test_hunt_atoms_cover_every_family():
-    atoms = hunt_atoms()
+    atoms = _hunt_atoms()
     assert len(atoms) > 150
     assert {text.split("(")[0] for text in atoms} == set(METACYCLIC)
 
 
-# order, spectrum, center order, simplicity, derived series and solvability
-# from parameters, against the atom's permutation group
-test_parametric_answers_match_enumeration = two_routes("metacyclic")
+@pytest.mark.parametrize("expr", EDGE_CASES + _hunt_atoms())
+def test_parametric_answers_match_enumeration(built_perm, expr):
+    """order, spectrum, alpha, center order, simplicity, derived series and
+    solvability from parameters, against the atom's permutation group."""
+    same_group(group_for(expr), built_perm(expr), Metacyclic, perms.PermutationGroup)
 
 
 def test_counterexample_checks_the_enumerated_spectrum(monkeypatch):
@@ -79,7 +108,7 @@ def test_certificate_simplicity_mismatch():
 def test_closed_form_matches_per_e_passes_on_catalog_atoms(order):
     """The closed divisor form against one numpy pass over Z_m per e, on
     every accepted C, D, Dic and F atom of the eight catalog hunts."""
-    texts = accepted_atoms(order)
+    texts = _accepted_atoms(order)
     assert texts
     for text in texts:
         g = group_for(text)

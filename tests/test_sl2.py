@@ -5,26 +5,44 @@ groups by classical_group are checked against them."""
 import math
 
 import pytest
-from registry import invariants, two_routes
+from registry import invariants, same_group
 
 from sameorder import group_for, spectrum_checks
 from sameorder.core import Group, SpecialLinear
 from sameorder.errors import CapExceededError, InvalidParameterError
 from sameorder.fields import MAX_FIELD_SIZE
-from sameorder.matrices import classical_order
+from sameorder.matrices import MatrixGroup, classical_order
 from sameorder.numtheory import factorize, prime_power
 from sameorder.reports import report_for
 
+PRIME_POWERS = [q for q in range(2, 33) if prime_power(q)]
+PSL2_WALKED = [q for q in range(2, 50) if prime_power(q)]
 FIELDS = [q for q in range(2, MAX_FIELD_SIZE + 1) if prime_power(q)]
 
-# order, spectrum, center order, simplicity, derived series and solvability
-# from q, against the walked SL(n,q) for q <= 32 (n = 2) and q <= 5 (n = 3);
-# SL(2,q) for q even and SL(3,q) for q = 2, 3, where the center is trivial,
-# against the walked PSL; the hunt's PSL(2,q) for every prime power q < 50
-test_closed_form_matches_enumeration = two_routes("special linear")
-test_even_q_matches_the_walked_psl = two_routes("SL(2,q) as PSL(2,q)")
-test_psl2_closed_form_matches_the_walked_psl = two_routes("PSL(2,q)")
-test_degree_3_matches_the_walked_psl_where_the_center_is_trivial = two_routes("SL(3,q) as PSL(3,q)")
+
+@pytest.mark.parametrize("n,q", [
+    *(pytest.param(2, q, id=str(q)) for q in PRIME_POWERS),
+    *(pytest.param(3, q, id=f"SL(3,{q})") for q in (2, 3, 4, 5))])
+def test_closed_form_matches_enumeration(built_perm, n, q):
+    """order, spectrum, alpha, center order, simplicity, derived series and
+    solvability from q, against the walked SL(n,q)."""
+    same_group(group_for(f"SL({n},{q})"), built_perm(f"SL({n},{q})"), SpecialLinear, MatrixGroup)
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 32])
+def test_even_q_matches_the_walked_psl(built, q):
+    """For q even the center is trivial, so SL(2,q) is PSL(2,q), which is
+    walked modulo its one scalar."""
+    same_group(group_for(f"SL(2,{q})"), built(f"PSL(2,{q})"), SpecialLinear, MatrixGroup)
+
+
+@pytest.mark.parametrize("q", PSL2_WALKED)
+def test_psl2_closed_form_matches_the_walked_psl(built, q):
+    """PSL(2,q) from q, against classical_group's walk modulo the scalars,
+    for every prime power q < 50: q = 2 and 3, which are S(3) and A(4), and
+    q odd, where the form differs from SL(2,q)'s, included."""
+    g = SpecialLinear(2, q, projective=True)
+    same_group(g, built(f"PSL(2,{q})"), SpecialLinear, MatrixGroup)
 
 
 def test_psl3_is_answered_only_with_a_trivial_center():
@@ -33,6 +51,14 @@ def test_psl3_is_answered_only_with_a_trivial_center():
     assert invariants(SpecialLinear(3, 3, projective=True)) == invariants(SpecialLinear(3, 3))
     with pytest.raises(ValueError):
         SpecialLinear(3, 4, projective=True)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_degree_3_matches_the_walked_psl_where_the_center_is_trivial(built, q):
+    """For gcd(3, q - 1) = 1 the center is trivial, so SL(3,q) is PSL(3,q),
+    which is walked modulo its one scalar.  q = 5 would walk the 372000
+    elements test_closed_form_matches_enumeration[SL(3,5)] already walks."""
+    same_group(group_for(f"SL(3,{q})"), built(f"PSL(3,{q})"), SpecialLinear, MatrixGroup)
 
 
 def test_every_field_passes_the_spectrum_laws():

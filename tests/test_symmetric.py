@@ -4,14 +4,20 @@ them."""
 
 import pytest
 from oracles import symmetric_spectrum_formula
-from registry import two_routes
+from registry import same_group
 
-from sameorder.core import Group
+from sameorder import group_for, perms
+from sameorder.core import Group, Symmetric
 from sameorder.reports import report_for
 
-# order, spectrum, center order, simplicity, derived series and
-# solvability from n, against the atom's permutation group
-test_cycle_type_answers_match_enumeration = two_routes("symmetric")
+ATOMS = [f"{family}({n})" for family in ("S", "A") for n in range(1, 9)]
+
+
+@pytest.mark.parametrize("expr", ATOMS)
+def test_cycle_type_answers_match_enumeration(built_perm, expr):
+    """order, spectrum, alpha, center order, simplicity, derived series and
+    solvability from n, against the atom's permutation group."""
+    same_group(group_for(expr), built_perm(expr), Symmetric, perms.PermutationGroup)
 
 
 @pytest.mark.parametrize("expr", ["S(9)", "A(9)"])
