@@ -38,7 +38,7 @@ from .errors import (
     UnknownFamilyError,
 )
 from .matrices import classical_group, classical_order
-from .numtheory import divisors, factorize, prime_power, totient
+from .numtheory import divisors, prime_power
 
 # the SL(n,q) answered from q (SpecialLinear); other degrees are walked
 SL_DEGREES = (2, 3)
@@ -359,49 +359,28 @@ def _upward(family: str, starts, valid=None):
     return atoms
 
 
-def _unit_orders(m: int) -> dict:
-    """{k: the multiplicative order of k mod m} for each unit 1 <= k < m,
-    ascending, with phi(m) factored once: k's order is phi(m) less each
-    prime factor p while k^(t/p) = 1 still holds."""
-    phi = totient(m)
-    primes = list(factorize(phi))
-    out = {}
-    for k in range(1, m):
-        if math.gcd(k, m) != 1:
-            continue
-        t = phi
-        for p in primes:
-            while t % p == 0 and pow(k, t // p, m) == 1:
-                t //= p
-        out[k] = t
-    return out
-
-
-def _least_generator(k: int, t: int, m: int) -> bool:
-    """Whether k is the least generator k^j, gcd(j, t) = 1, of the cyclic
-    group <k> of order t mod m."""
-    x = k
-    for j in range(2, t):
-        x = x * k % m
-        if x < k and math.gcd(j, t) == 1:
-            return False
-    return True
-
-
 def _frobenius_atoms(order: int) -> list:
     """atoms for F: F(m,n,k) with m*n dividing order, one k per cyclic
     subgroup of units, its least generator, so isomorphic actions are not
-    listed twice."""
+    listed twice.  Each unit k with k^(order/m) = 1 mod m, ascending, that
+    no earlier walk reached walks its powers once, t of them, and marks the
+    generators k^j, gcd(j, t) = 1, of <k> reached."""
     out = []
     for m in divisors(order):
         if m < 2 or m > order // 2:
             continue
-        by_order = {}
-        for k, t in _unit_orders(m).items():
+        reached, by_order = set(), {}
+        for k in range(2, m):
+            if k in reached or pow(k, order // m, m) != 1:
+                continue
+            powers = [k]
+            while powers[-1] != 1:
+                powers.append(powers[-1] * k % m)
+            t = len(powers)
+            reached.update(x for j, x in enumerate(powers, 1) if math.gcd(j, t) == 1)
             by_order.setdefault(t, []).append(k)
         for n in divisors(order // m)[1:]:
-            out.extend((m * n, Atom("F", (m, n, k)))
-                       for k in by_order.get(n, ()) if _least_generator(k, n, m))
+            out.extend((m * n, Atom("F", (m, n, k))) for k in by_order.get(n, ()))
     return out
 
 

@@ -6,36 +6,37 @@ a direct product c multiplies pointwise, since x^d = 1 iff each coordinate's
 d-th power is, and the Möbius transform gives the spectrum back.  Many
 products are thus one array product (verify's hunt), where
 core.spectrum_direct_product convolves two spectra over lcm of orders.
+Both transforms run along the prime axes of the lattice, a product of
+chains, as prefix sums and differences.
 """
 
 from __future__ import annotations
 
-from .numtheory import divisors, mobius
+from .numtheory import factorize
 
 
 class DivisorLattice:
-    """The divisors of an order N, and the two integer matrices that take
-    spectra of groups of order dividing N to solution counts and back, one
-    group to a row and one divisor of N to a column.
+    """The divisors of an order N = p1^e1 ... pr^er, laid out as the grid
+    (e1+1) x ... x (er+1) of their exponents (the last prime's varying
+    fastest), and the transforms that take spectra of groups of order
+    dividing N to solution counts and back, one group to a row and one
+    divisor of N to a column.
 
     A group's solution counts c(d) = #{x : x^d = 1}, for d | N, are the zeta
-    transform of its spectrum, c(d) = sum of s_t over t | d.  They multiply
-    pointwise over a direct product of order dividing N (x^d = 1 iff each
-    coordinate's d-th power is 1), and the Möbius transform,
-    s_t = sum of mu(t/d) c(d) over d | t, gives the product's spectrum back.
-    Nothing is inverted: both matrices are written down from divisibility.
+    transform of its spectrum, c(d) = sum of s_t over t | d: a prefix sum
+    along each prime's axis of the grid.  They multiply pointwise over a
+    direct product of order dividing N (x^d = 1 iff each coordinate's d-th
+    power is 1), and the Möbius transform, a difference of neighbours along
+    each axis, gives the product's spectrum back.
     """
 
     def __init__(self, n: int):
-        import numpy as np
-        self.divisors = divisors(n)
+        fac = factorize(n)
+        self.shape = tuple(e + 1 for e in fac.values())
+        self.divisors = [1]
+        for p, e in fac.items():
+            self.divisors = [d * p**i for d in self.divisors for i in range(e + 1)]
         self.index = {d: i for i, d in enumerate(self.divisors)}
-        div = np.array(self.divisors, dtype=np.int64)
-        divides = div[:, None] % div[None, :] == 0  # [i, j]: d_j divides d_i
-        self.zeta = divides.astype(np.int64)
-        mu = np.array([mobius(d) for d in self.divisors], dtype=np.int64)
-        quotient = np.searchsorted(div, np.where(divides, div[:, None] // div[None, :], 1))
-        self.mobius = np.where(divides, mu[quotient], 0)
 
     def counts(self, spectra) -> np.ndarray:
         """The solution counts of spectra (each a Spectrum of a group of order
@@ -50,7 +51,10 @@ class DivisorLattice:
         s = np.zeros((len(spectra) + 1, len(self.divisors)), dtype=np.int64)
         s[rows, cols] = values
         s[-1, 0] = 1
-        return s @ self.zeta.T
+        grid = s.reshape(len(s), *self.shape)
+        for axis in range(1, grid.ndim):
+            np.cumsum(grid, axis=axis, out=grid)
+        return s
 
     def products(self, counts, factor_rows) -> np.ndarray:
         """The spectra of direct products, one row each: factor_rows[i] lists
@@ -63,7 +67,11 @@ class DivisorLattice:
         out = counts[index[0]]
         for column in index[1:]:
             out *= counts[column]
-        return out @ self.mobius.T
+        grid = out.reshape(len(out), *self.shape)
+        for axis in range(1, grid.ndim):
+            chain = np.moveaxis(grid, axis, 0)
+            chain[1:] -= chain[:-1]
+        return out
 
 
 def type_cardinalities(spectra: np.ndarray) -> np.ndarray:

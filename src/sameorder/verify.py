@@ -21,11 +21,11 @@ nothing.  The hunt builds each distinct atom once, before it examines any
 candidate, and holds it to the end; it reads each atom's solution counts
 c(d) = #{x : x^d = 1} on the divisors d of the order once per hunt, and gets
 every candidate product's spectrum from a numpy product of those counts and
-one integer Möbius matrix (DivisorLattice): only the candidates whose type
-cardinality matches the simple group's are built as a DirectProduct and
-certified.  Worker threads share the atoms and the counts and change
-neither, but for the atoms' lazily cached invariants, which are idempotent
-(core.Invariants, core.Group).
+a Möbius transform, differences along each prime axis of the divisor lattice
+(DivisorLattice): only the candidates whose type cardinality matches the
+simple group's are built as a DirectProduct and certified.  Worker threads
+share the atoms and the counts and change neither, but for the atoms' lazily
+cached invariants, which are idempotent (core.Invariants, core.Group).
 """
 
 from __future__ import annotations

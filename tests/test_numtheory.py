@@ -8,7 +8,6 @@ from sameorder.numtheory import (
     divisors,
     factorize,
     is_prime,
-    mobius,
     multiplicative_order,
     prime_power,
     totient,
@@ -57,12 +56,6 @@ def test_multiplicative_order():
         for a in range(1, m):
             if math.gcd(a, m) == 1:
                 assert totient(m) % multiplicative_order(a, m) == 0
-
-
-def test_mobius():
-    assert [mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
-    # sums to 0 over the divisors of every n > 1
-    assert all(sum(mobius(d) for d in divisors(n)) == (n == 1) for n in range(1, 200))
 
 
 def test_factorize_and_is_prime_match_trial_division():

@@ -3,6 +3,7 @@ import math
 import re
 from functools import reduce
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -350,10 +351,15 @@ def test_batch_spectra_match_convolution_at_2448():
 
 @pytest.mark.parametrize("order", [1, 12, 60, 168, 25920])
 def test_mobius_matrix_inverts_zeta(order):
+    """The Möbius transform undoes the zeta transform: each divisor's basis
+    spectrum, through counts() and then single-factor products(), comes back
+    as itself."""
     lattice = DivisorLattice(order)
-    size = len(divisors(order))
-    assert lattice.zeta.dtype == lattice.mobius.dtype == np.int64
-    assert (lattice.mobius @ lattice.zeta == np.eye(size, dtype=np.int64)).all()
+    basis = [SimpleNamespace(counts={d: 1}) for d in lattice.divisors]
+    counts = lattice.counts(basis)
+    assert counts.dtype == np.int64
+    spectra = lattice.products(counts, [[r] for r in range(len(basis))])
+    assert (spectra == np.eye(len(basis), dtype=np.int64)).all()
 
 
 def test_type_cardinalities_count_distinct_nonzero_values():
@@ -394,10 +400,18 @@ def _frobenius_atoms_by_subgroup(n: int) -> list:
 
 @pytest.mark.parametrize("order", [168, 60, 504, 360, 2448, 5616, 6048, 25920])
 def test_frobenius_atoms_match_one_order_per_unit(order):
-    """Unit orders taken once per modulus, and each subgroup's least
-    generator, give the same atoms in the same order at every catalog
-    order: those of the eight groups of THREE_PRIME_SIMPLE_GROUPS."""
+    """One walk per cyclic subgroup of units, from its least generator,
+    gives the same atoms in the same order at every catalog order: those of
+    the eight groups of THREE_PRIME_SIMPLE_GROUPS."""
     assert FAMILIES["F"].atoms(order) == _frobenius_atoms_by_subgroup(order)
+
+
+def test_frobenius_atoms_match_by_subgroup_up_to_200():
+    """Every order up to 200, whose moduli include some that no catalog
+    order has: the primes 11, 19 and 23, the odd prime squares 25 and 49,
+    and 50."""
+    for n in range(1, 201):
+        assert FAMILIES["F"].atoms(n) == _frobenius_atoms_by_subgroup(n), n
 
 
 def test_hunt_without_catalog_group():
